@@ -3,8 +3,10 @@ truncation certificates for their coefficients, Newton polygons, and the
 p=3 parabola (3/2)m(m-1) + 2m with its equality set and secant upper bounds.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .scalars import Val, INF, val_p, vp_int
 from .newton import NewtonPolygon
@@ -15,7 +17,8 @@ from . import umatrix
 def charpoly_leverrier(rows):
     """Coefficients a_0..a_n of det(1 - tA) for an integer matrix A.
 
-    Integer-only Faddeev-LeVerrier: every division is exact (asserted).
+    Integer-only Faddeev-LeVerrier: every division is exact, and a
+    ValueError is raised if one is not (a non-integral matrix).
     """
     n = len(rows)
     coeffs = [1]
@@ -24,7 +27,9 @@ def charpoly_leverrier(rows):
         ab = _matmul(rows, b)
         tr = sum(ab[i][i] for i in range(n))
         q, r = divmod(-tr, k)
-        assert r == 0, "trace not divisible in exact Leverrier step"
+        if r:
+            raise ValueError("trace not divisible in exact Leverrier step %d"
+                             % k)
         coeffs.append(q)
         if k < n:
             b = [[ab[i][j] + (q if i == j else 0) for j in range(n)]
@@ -62,20 +67,36 @@ def _is_probable_prime(n):
     return True
 
 
-@lru_cache(maxsize=1)
-def _prime_pool(count=4096):
-    out = []
-    n = (1 << 30) + 1
-    while len(out) < count:
-        if _is_probable_prime(n):
-            out.append(n)
-        n += 2
-    return tuple(out)
+_POOL = ()
+
+
+def _prime_pool(count):
+    """The first ``count`` primes above 2^30, in order.  One pool serves
+    every call; it grows on demand and is never built at import.  A grown
+    pool replaces the old one whole, so concurrent callers only repeat work.
+    (_is_probable_prime is proven below 3.2e9, some 10^8 primes away.)"""
+    global _POOL
+    pool = _POOL
+    if len(pool) < count:
+        grown = list(pool)
+        n = grown[-1] + 2 if grown else (1 << 30) + 1
+        while len(grown) < count:
+            if _is_probable_prime(n):
+                grown.append(n)
+            n += 2
+        _POOL = pool = tuple(grown)
+    return pool[:count]
 
 
 def _charpoly_hessenberg_mod(a, p):
     """char poly coefficients c_0..c_n of det(tI - A) mod p, via similarity
-    reduction to Hessenberg form; returns [1, c_1, ..., c_n]."""
+    reduction to Hessenberg form; returns [1, c_1, ..., c_n].
+
+    p may be composite: every step is a ring operation or the inverse of a
+    unit, so the result reduced mod each prime factor of p is that prime's
+    result.  Returns None when a pivot is not a unit mod p, which cannot
+    happen for prime p.
+    """
     n = len(a)
     h = [[x % p for x in row] for row in a]
     for k in range(n - 2):
@@ -86,22 +107,30 @@ def _charpoly_hessenberg_mod(a, p):
             h[k + 1], h[piv] = h[piv], h[k + 1]
             for row in h:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
-        inv = pow(h[k + 1][k], -1, p)
-        for i in range(k + 2, n):
-            if h[i][k]:
-                f = h[i][k] * inv % p
-                hi, hk1 = h[i], h[k + 1]
-                for j in range(k, n):
-                    hi[j] = (hi[j] - f * hk1[j]) % p
-                for row in h:
-                    row[k + 1] = (row[k + 1] + f * row[i]) % p
+        try:
+            inv = pow(h[k + 1][k], -1, p)
+        except ValueError:
+            return None
+        # H <- L H L^-1 for L = I - sum_i f_i e_i e_(k+1)^T.  The factors
+        # commute, so every row i > k+1 loses f_i times the unchanged row
+        # k+1, and then column k+1 gains sum_i f_i times column i.
+        fs = [h[i][k] * inv % p for i in range(k + 2, n)]
+        if not any(fs):
+            continue
+        hk1 = h[k + 1][k:]
+        for i, f in enumerate(fs, k + 2):
+            if f:
+                h[i][k:] = [(x - f * y) % p for x, y in zip(h[i][k:], hk1)]
+        for row in h:
+            row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % p
+    # p_m(t) = det(tI - H_m) = (t - h_mm) p_(m-1) - sum_i c_i p_(m-1-i), with
+    # c_i = h_(m-i),m times the product of the i subdiagonal entries above
+    # row m; coefficients ascend and are reduced once per m.
     polys = [[1]]
     for m in range(1, n + 1):
+        prev = polys[-1]
         hm = h[m - 1][m - 1]
-        prev = polys[m - 1]
-        pm = [0] + prev
-        for idx in range(len(prev)):
-            pm[idx] = (pm[idx] - hm * prev[idx]) % p
+        pm = [b - hm * a for a, b in zip(prev + [0], [0] + prev)]
         prod = 1
         for i in range(1, m):
             prod = prod * h[m - i][m - i - 1] % p
@@ -110,12 +139,10 @@ def _charpoly_hessenberg_mod(a, p):
             coef = h[m - 1 - i][m - 1] * prod % p
             if coef:
                 q = polys[m - 1 - i]
-                for idx in range(len(q)):
-                    pm[idx] = (pm[idx] - coef * q[idx]) % p
-        polys.append(pm)
-    top = polys[n]
-    # top is ordered by ascending degree; c_k is the coefficient of t^(n-k)
-    return [top[n - k] % p for k in range(n + 1)]
+                pm[:len(q)] = [x - coef * y for x, y in zip(pm, q)]
+        polys.append([x % p for x in pm])
+    # c_k is the coefficient of t^(n-k)
+    return polys[n][::-1]
 
 
 def _hadamard_bits(rows):
@@ -128,23 +155,41 @@ def _hadamard_bits(rows):
     return bits
 
 
+# Pool primes per Hessenberg reduction.  One reduction modulo the product of
+# 8 word primes (about 240 bits) costs little more than one modulo a single
+# prime, so the interpreter overhead falls by about this factor; on the p = 3
+# matrices of sizes 30 to 50, 16 was level with 8 and 32 slower.
+_CHUNK = 8
+
+
 def charpoly_crt(rows):
-    """Coefficients a_0..a_n of det(1 - tA), exactly, by CRT over a
-    deterministic pool of word-size primes with a Hadamard coefficient bound."""
+    """Coefficients a_0..a_n of det(1 - tA), exactly.
+
+    A Hadamard bound on the coefficients fixes how many primes of the pool
+    are needed.  The Hessenberg reduction runs once per chunk of _CHUNK of
+    them, modulo their product; a chunk where a pivot is not a unit modulo
+    that product is redone one prime at a time.  CRT over the chunk moduli
+    and a symmetric lift give the coefficients.
+    """
     n = len(rows)
     if n == 0:
         return [1]
-    bits = _hadamard_bits(rows)
-    pool = _prime_pool()
-    need = bits // 29 + 2
-    if need > len(pool):
-        raise ValueError("matrix too large for the built-in prime pool")
-    primes = pool[:need]
-    residues = [_charpoly_hessenberg_mod(rows, p) for p in primes]
+    primes = _prime_pool(_hadamard_bits(rows) // 29 + 2)
+    moduli, residues = [], []
+    for start in range(0, len(primes), _CHUNK):
+        chunk = primes[start:start + _CHUNK]
+        modulus = math.prod(chunk)
+        res = _charpoly_hessenberg_mod(rows, modulus)
+        if res is None:
+            moduli.extend(chunk)
+            residues.extend(_charpoly_hessenberg_mod(rows, p) for p in chunk)
+        else:
+            moduli.append(modulus)
+            residues.append(res)
     coeffs = []
     for k in range(n + 1):
         x, mod = 0, 1
-        for res, p in zip(residues, primes):
+        for res, p in zip(residues, moduli):
             r = res[k]
             x += mod * ((r - x) * pow(mod % p, -1, p) % p)
             mod *= p
@@ -158,7 +203,9 @@ class CharSeries:
     """Exact coefficients a_0..a_n of det(1 - tM) for a truncation of U."""
 
     def __init__(self, p, coeffs, trunc_size, weight=0):
-        assert coeffs[0] == 1
+        if coeffs[0] != 1:
+            raise ValueError("a characteristic series starts with 1, not %r"
+                             % (coeffs[0],))
         self.p = p
         self.weight = weight
         self.coeffs = list(coeffs)
@@ -174,22 +221,11 @@ class CharSeries:
         return len(self.coeffs)
 
 
-def char_series_trunc(m, n=None, method="auto", weight=0):
-    """Characteristic series of the upper n x n truncation of a UMatrix.
-
-    method: "leverrier" | "crt" | "auto" (crt above size 24).
-    """
+def char_series_trunc(m, n=None, weight=0):
+    """Characteristic series of the upper n x n truncation of a UMatrix."""
     n = m.n if n is None else n
     rows = m.truncation(n).rows if n < m.n else m.rows
-    if method == "auto":
-        method = "crt" if n > 24 else "leverrier"
-    if method == "leverrier":
-        coeffs = charpoly_leverrier(rows)
-    elif method == "crt":
-        coeffs = charpoly_crt(rows)
-    else:
-        raise ValueError("unknown method %r" % method)
-    return CharSeries(m.p, coeffs, n, weight=weight)
+    return CharSeries(m.p, charpoly_crt(rows), n, weight=weight)
 
 
 def p_from_q(q):
@@ -285,7 +321,10 @@ def certify(q1, q2, m_max):
     integer difference must be divisible as the certificate predicts.
     """
     p = q1.p
-    assert q2.trunc_size > q1.trunc_size
+    if q2.trunc_size <= q1.trunc_size:
+        raise ValueError("the second truncation (size %d) must be larger "
+                         "than the first (size %d)"
+                         % (q2.trunc_size, q1.trunc_size))
     out = []
     for m in range(0, m_max + 1):
         v = val_p(q1.a(m), p)
@@ -297,9 +336,8 @@ def certify(q1, q2, m_max):
 
 
 @lru_cache(maxsize=None)
-def cuspidal_char_series(p, size, method="auto"):
-    m = umatrix.build_matrix_genfun(p, size)
-    return char_series_trunc(m, method=method)
+def cuspidal_char_series(p, size):
+    return char_series_trunc(umatrix.build_matrix_genfun(p, size))
 
 
 def stable_valuations(p, m_max, size):

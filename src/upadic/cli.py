@@ -75,11 +75,18 @@ def cmd_ipoly(args):
     return 0
 
 
+def _twist_off_p3(args):
+    """True, after printing why, when a weight twist is asked for at p != 3."""
+    if args.weight and args.prime != 3:
+        print("weight twists are implemented for p=3", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_charpoly(args):
     p = args.prime
     size = args.size or max(args.terms + 10, 2 * args.terms // 1)
-    if args.weight and p != 3:
-        print("weight twists are implemented for p=3", file=sys.stderr)
+    if _twist_off_p3(args):
         return 2
     if args.weight:
         q = weights.uk_char_series(args.weight, size)
@@ -96,6 +103,8 @@ def cmd_charpoly(args):
 def cmd_newton(args):
     p = args.prime
     size = args.size or max(args.terms + 10, 20)
+    if _twist_off_p3(args):
+        return 2
     if args.weight:
         recs = weights.certified_weight_records(args.weight, args.terms, size)
     else:
@@ -142,9 +151,7 @@ def cmd_verify(args):
         report = {"suites": [{"suite": "p3-parabola", "pass": ok,
                               "claims": claims}], "pass": ok}
         dump_json(report, args.out)
-        if not ok:
-            return 1
-        return 0
+        return _report_failures(report)
     if args.suite == "all":
         names = list(SUITES)
     elif args.suite in SUITES:
@@ -152,17 +159,18 @@ def cmd_verify(args):
     else:
         print("unknown suite %r" % args.suite, file=sys.stderr)
         return 2
-    report, ok = run_suites(names, parallel=_threads())
+    report, _ = run_suites(names, parallel=_threads())
     dump_json(report, args.out)
-    if not ok:
-        for s in report["suites"]:
-            for c in s["claims"]:
-                if not c["pass"]:
-                    print("FAIL %s: observed %s, expected %s"
-                          % (c["id"], c["observed"], c["expected"]),
-                          file=sys.stderr)
-                    return 1
-    return 0
+    return _report_failures(report)
+
+
+def _report_failures(report):
+    """Print every failing claim of a report; exit code 1 if any, else 0."""
+    failed = [c for s in report["suites"] for c in s["claims"] if not c["pass"]]
+    for c in failed:
+        print("FAIL %s: observed %s, expected %s"
+              % (c["id"], c["observed"], c["expected"]), file=sys.stderr)
+    return 1 if failed else 0
 
 
 def build_parser():

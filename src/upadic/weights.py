@@ -177,10 +177,8 @@ def uk_matrix(k, size):
 
 
 @lru_cache(maxsize=None)
-def uk_char_series(k, size, method="auto"):
-    q = char_series_trunc(uk_matrix(k, size), method=method)
-    q.weight = k
-    return q
+def uk_char_series(k, size):
+    return char_series_trunc(uk_matrix(k, size), weight=k)
 
 
 def certified_weight_records(k, m_max, size):

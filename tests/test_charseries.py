@@ -1,4 +1,8 @@
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from fractions import Fraction
@@ -6,13 +10,16 @@ from fractions import Fraction
 from upadic.scalars import Val, INF, val_p
 from upadic.newton import NewtonPolygon
 from upadic.umatrix import UMatrix, build_matrix_genfun
-from upadic.charseries import (charpoly_leverrier, charpoly_crt,
-                               char_series_trunc, p_from_q, row_bound,
-                               trunc_bound, truncation_error_bound,
+from upadic import charseries
+from upadic.charseries import (CharSeries, certify, charpoly_leverrier,
+                               charpoly_crt, char_series_trunc, p_from_q,
+                               row_bound, trunc_bound, truncation_error_bound,
                                check_scaled_integrality, parabola_floor, m_index,
                                equality_indices_upto, stable_valuations,
                                equality_set, secant_line, cuspidal_char_series,
                                polygon_from_records)
+
+SRC = os.path.dirname(os.path.dirname(charseries.__file__))
 
 
 def test_charpoly_zero_and_diag():
@@ -22,25 +29,80 @@ def test_charpoly_zero_and_diag():
 
 def test_charpoly_crt_matches_leverrier_random():
     random.seed(21)
+    cases = [[], [[7]], [[1, 2], [3, 4]],
+             [[0, 5, -3], [0, 2, 8], [0, -1, 4]]]        # a zero column
     for _ in range(12):
         n = random.randint(1, 8)
-        rows = [[random.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        cases.append([[random.randint(-50, 50) for _ in range(n)]
+                      for _ in range(n)])
+    for rows in cases:
         assert charpoly_crt(rows) == charpoly_leverrier(rows)
 
 
 def test_charpoly_crt_big_entries():
     random.seed(22)
-    rows = [[random.randint(-10 ** 40, 10 ** 40) for _ in range(5)]
-            for _ in range(5)]
-    assert charpoly_crt(rows) == charpoly_leverrier(rows)
+    for n in (5, 9):
+        rows = [[random.randint(-10 ** 40, 10 ** 40) for _ in range(n)]
+                for _ in range(n)]
+        # several chunks, the last one short
+        need = charseries._hadamard_bits(rows) // 29 + 2
+        assert need > charseries._CHUNK and need % charseries._CHUNK
+        assert charpoly_crt(rows) == charpoly_leverrier(rows)
+
+
+def test_prime_pool_grows_on_demand():
+    code = ("import upadic.charseries as c; assert c._POOL == (); "
+            "a = c._prime_pool(3); b = c._prime_pool(40); "
+            "assert b[:3] == a and len(b) == 40 and c._POOL == b; "
+            "assert all(c._is_probable_prime(x) for x in b); "
+            "assert list(b) == sorted(set(b)) and b[0] > 2 ** 30")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_charpoly_crt_non_unit_pivot_falls_back(monkeypatch):
+    random.seed(24)
+    n = 6
+    rows = [[random.randint(-10 ** 12, 10 ** 12) for _ in range(n)]
+            for _ in range(n)]
+    first = charseries._prime_pool(1)[0]
+    rows[1][0] = first          # the first pivot: nonzero, not a unit
+    moduli = []
+    hessenberg = charseries._charpoly_hessenberg_mod
+
+    def spy(a, p):
+        moduli.append(p)
+        return hessenberg(a, p)
+
+    monkeypatch.setattr(charseries, "_charpoly_hessenberg_mod", spy)
+    got = charpoly_crt(rows)
+    chunk = charseries._prime_pool(charseries._CHUNK)
+    assert moduli[:1 + len(chunk)] == [math.prod(chunk)] + list(chunk)
+    assert got == charpoly_leverrier(rows)
 
 
 def test_char_series_methods_agree_on_umatrix():
     m = build_matrix_genfun(3, 18)
-    a = char_series_trunc(m, method="leverrier")
-    b = char_series_trunc(m, method="crt")
-    assert a.coeffs == b.coeffs
+    a = char_series_trunc(m)
+    assert a.coeffs == charpoly_leverrier(m.rows)
     assert a.coeffs[0] == 1
+
+
+def test_leverrier_rejects_inexact_division():
+    with pytest.raises(ValueError):
+        charpoly_leverrier([[Fraction(1, 2)]])
+
+
+def test_char_series_must_start_with_one():
+    with pytest.raises(ValueError):
+        CharSeries(3, [2, 1], 1)
+
+
+def test_certify_rejects_misordered_sizes():
+    q = char_series_trunc(UMatrix(3, 2, [[3, 0], [0, 9]]))
+    with pytest.raises(ValueError):
+        certify(q, q, 1)
 
 
 def test_trace_valuation_p3():

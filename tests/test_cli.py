@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from upadic import cli
 from upadic.cli import main
 
 
@@ -140,3 +141,27 @@ def test_threads_env_parallel_suites(tmp_path, monkeypatch):
     assert ok1 and ok2
     assert par["suites"][0]["claims"] == par["suites"][1]["claims"]
     assert par["suites"][0]["claims"] == seq["suites"][0]["claims"]
+
+
+def test_verify_lists_every_failing_claim(monkeypatch, capsys, tmp_path):
+    def claim(cid, ok):
+        return {"id": cid, "pass": ok, "observed": "o-" + cid,
+                "expected": "e-" + cid}
+
+    report = {"suites": [
+        {"suite": "a", "pass": False, "claims": [claim("a1", False),
+                                                  claim("a2", True)]},
+        {"suite": "b", "pass": False, "claims": [claim("b1", False)]}],
+        "pass": False}
+    monkeypatch.setattr(cli, "run_suites", lambda names, parallel: (report, False))
+    rc = main(["verify", "--suite", "mod3", "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "FAIL a1: observed o-a1, expected e-a1" in err
+    assert "FAIL b1: observed o-b1, expected e-b1" in err
+    assert "a2" not in err
+
+
+def test_newton_weight_off_p3_usage_error(capsys):
+    assert main(["newton", "--prime", "5", "--terms", "3", "--weight", "6"]) == 2
+    assert "weight twists are implemented for p=3" in capsys.readouterr().err
