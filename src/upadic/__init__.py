@@ -8,7 +8,6 @@ parabola below the 3-adic cuspidal polygon.
 
 from .scalars import Val, INF, val_p, QuadInt3, SQRT3, val_quad3, reduce_mod_sqrt3
 from .series import QSeries, PrecisionError, eta_quotient
-
-GENUS_ZERO_PRIMES = (2, 3, 5, 7, 13)
+from .modcurve import GENUS_ZERO_PRIMES
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from operator import mul
 from .scalars import Val, INF, val_p, vp_int
 from .newton import NewtonPolygon
 from .modcurve import e_exponent, ip_poly
+from .linalg import _CHUNK, _prime_pool
 from . import umatrix
 
 
@@ -42,50 +43,6 @@ def _matmul(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col) if x and y) for col in bt]
             for row in a]
-
-
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):        # deterministic below 3.2e9
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-_POOL = ()
-
-
-def _prime_pool(count):
-    """The first ``count`` primes above 2^30, in order.  One pool serves
-    every call; it grows on demand and is never built at import.  A grown
-    pool replaces the old one whole, so concurrent callers only repeat work.
-    (_is_probable_prime is proven below 3.2e9, some 10^8 primes away.)"""
-    global _POOL
-    pool = _POOL
-    if len(pool) < count:
-        grown = list(pool)
-        n = grown[-1] + 2 if grown else (1 << 30) + 1
-        while len(grown) < count:
-            if _is_probable_prime(n):
-                grown.append(n)
-            n += 2
-        _POOL = pool = tuple(grown)
-    return pool[:count]
 
 
 def _charpoly_hessenberg_mod(a, p):
@@ -153,13 +110,6 @@ def _hadamard_bits(rows):
         if s:
             bits += (s.bit_length() + 1) // 2 + 1
     return bits
-
-
-# Pool primes per Hessenberg reduction.  One reduction modulo the product of
-# 8 word primes (about 240 bits) costs little more than one modulo a single
-# prime, so the interpreter overhead falls by about this factor; on the p = 3
-# matrices of sizes 30 to 50, 16 was level with 8 and 32 slower.
-_CHUNK = 8
 
 
 def charpoly_crt(rows):

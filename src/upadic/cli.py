@@ -14,8 +14,7 @@ from . import modcurve, umatrix, charseries, weights
 from .verify import SUITES, run_suites, suite_p3_parabola
 from .serialize import (dump_json, dump_csv, matrix_json, bipoly_json,
                         charseries_json, polygon_json, val_str, int_str)
-
-GENUS_ZERO_PRIMES = (2, 3, 5, 7, 13)
+from .modcurve import GENUS_ZERO_PRIMES
 
 
 def _threads():
@@ -75,6 +74,22 @@ def cmd_ipoly(args):
     return 0
 
 
+def _count(text):
+    """argparse type: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be non-negative, got %d" % n)
+    return n
+
+
+def _weight(text):
+    """argparse type: a weight the p=3 twists accept, a multiple of 6."""
+    k = int(text)
+    if k % 6:
+        raise argparse.ArgumentTypeError("must be a multiple of 6, got %d" % k)
+    return k
+
+
 def _twist_off_p3(args):
     """True, after printing why, when a weight twist is asked for at p != 3."""
     if args.weight and args.prime != 3:
@@ -83,10 +98,20 @@ def _twist_off_p3(args):
     return False
 
 
+def _terms_past_size(terms, size):
+    """True, after printing why, when more coefficients are asked for than a
+    truncation of this size has."""
+    if terms > size:
+        print("--terms %d exceeds the truncation size %d" % (terms, size),
+              file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_charpoly(args):
     p = args.prime
     size = args.size or max(args.terms + 10, 2 * args.terms // 1)
-    if _twist_off_p3(args):
+    if _twist_off_p3(args) or _terms_past_size(args.terms, size):
         return 2
     if args.weight:
         q = weights.uk_char_series(args.weight, size)
@@ -103,7 +128,7 @@ def cmd_charpoly(args):
 def cmd_newton(args):
     p = args.prime
     size = args.size or max(args.terms + 10, 20)
-    if _twist_off_p3(args):
+    if _twist_off_p3(args) or _terms_past_size(args.terms, size):
         return 2
     if args.weight:
         recs = weights.certified_weight_records(args.weight, args.terms, size)
@@ -146,7 +171,10 @@ def cmd_twist(args):
 
 def cmd_verify(args):
     if args.suite == "p3-parabola" and (args.terms or args.size):
-        claims = suite_p3_parabola(terms=args.terms or 45, size=args.size or 60)
+        terms, size = args.terms or 45, args.size or 60
+        if _terms_past_size(terms, size):
+            return 2
+        claims = suite_p3_parabola(terms=terms, size=size)
         ok = all(c["pass"] for c in claims)
         report = {"suites": [{"suite": "p3-parabola", "pass": ok,
                               "claims": claims}], "pass": ok}
@@ -187,12 +215,12 @@ def build_parser():
 
     sp = sub.add_parser("u-matrix", help="emit a truncation of the U matrix")
     add_prime(sp)
-    sp.add_argument("--size", type=int, required=True)
+    sp.add_argument("--size", type=_count, required=True)
     sp.add_argument("--method", choices=("oracle", "genfun", "both"),
                     default="oracle")
     sp.add_argument("--scaled", action="store_true",
                     help="p=3 scaled basis over Z[sqrt3]")
-    sp.add_argument("--qprec", type=int)
+    sp.add_argument("--qprec", type=_count)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_u_matrix)
@@ -205,32 +233,32 @@ def build_parser():
 
     sp = sub.add_parser("charpoly", help="exact characteristic-series coefficients")
     add_prime(sp)
-    sp.add_argument("--terms", type=int, required=True)
-    sp.add_argument("--size", type=int)
-    sp.add_argument("--weight", type=int, default=0)
+    sp.add_argument("--terms", type=_count, required=True)
+    sp.add_argument("--size", type=_count)
+    sp.add_argument("--weight", type=_weight, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_charpoly)
 
     sp = sub.add_parser("newton", help="Newton polygon data")
     add_prime(sp)
-    sp.add_argument("--terms", type=int, required=True)
-    sp.add_argument("--size", type=int)
-    sp.add_argument("--weight", type=int, default=0)
+    sp.add_argument("--terms", type=_count, required=True)
+    sp.add_argument("--size", type=_count)
+    sp.add_argument("--weight", type=_weight, default=0)
     sp.add_argument("--csv", help="companion CSV path")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_newton)
 
     sp = sub.add_parser("twist", help="weight-twist matrix data (p=3)")
-    sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--size", type=int, required=True)
+    sp.add_argument("--weight", type=_weight, required=True)
+    sp.add_argument("--size", type=_count, required=True)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_twist)
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("--suite", default="all",
                     choices=("all",) + tuple(SUITES))
-    sp.add_argument("--terms", type=int)
-    sp.add_argument("--size", type=int)
+    sp.add_argument("--terms", type=_count)
+    sp.add_argument("--size", type=_count)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_verify)
     return ap

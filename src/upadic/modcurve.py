@@ -6,11 +6,13 @@ the U-matrix recurrence.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, prod
+from operator import mul
 
 from .scalars import val_p
 from .series import QSeries, eta_quotient
 from .newton import NewtonPolygon
+from .linalg import _CHUNK, _mod_kernel, _prime_pool
 
 GENUS_ZERO_PRIMES = (2, 3, 5, 7, 13)
 
@@ -71,36 +73,9 @@ def d_series(p, prec):
         raise ValueError("X_0(%d) is not of genus 0" % p)
     t = 24 // (p - 1)
     d = eta_quotient([(p, t), (1, -t)], max(prec - 1, 0)).shift(1)
-    assert all(isinstance(x, int) for x in d.c)
+    if not all(isinstance(x, int) for x in d.c):
+        raise ValueError("d_%d has a non-integer coefficient" % p)
     return d
-
-
-class FormLibrary:
-    """Cached q-expansions for one prime at one working precision."""
-
-    def __init__(self, p, prec):
-        self.p = p
-        self.prec = prec
-        self.t = T_P[p]
-        self.c = C_P[p]
-        self.e = e_exponent(p)
-
-    def delta(self):
-        return delta_series(self.prec)
-
-    def eis(self, k):
-        return eisenstein(k, self.prec)
-
-    def j(self):
-        return j_series(self.prec)
-
-    def d(self):
-        return d_series(self.p, self.prec)
-
-
-@lru_cache(maxsize=None)
-def form_library(p, prec):
-    return FormLibrary(p, prec)
 
 
 def verify_eisenstein_power(p, prec=60):
@@ -108,10 +83,9 @@ def verify_eisenstein_power(p, prec=60):
 
     Returns None on success, else (exponent, lhs, rhs) for the first mismatch.
     """
-    lib = form_library(p, prec)
-    k = lib.t * (p - 1)
-    lhs = lib.eis(k) ** (12 // k)
-    rhs = (lib.j() - lib.c) * lib.delta()
+    k = T_P[p] * (p - 1)
+    lhs = eisenstein(k, prec) ** (12 // k)
+    rhs = (j_series(prec) - C_P[p]) * delta_series(prec)
     hi = min(lhs.prec, rhs.prec)
     for n in range(0, hi):
         if lhs.coeff(n) != rhs.coeff(n):
@@ -123,10 +97,15 @@ class HPoly:
     """The degree-(p+1) integer polynomial with d_p * j = H_p(d_p)."""
 
     def __init__(self, p, coeffs):
-        assert len(coeffs) == p + 2
-        assert coeffs[0] == 1
-        assert coeffs[-1] != 0
-        assert all(isinstance(c, int) for c in coeffs)
+        if len(coeffs) != p + 2:
+            raise ValueError("H_%d needs %d coefficients, got %d"
+                             % (p, p + 2, len(coeffs)))
+        if coeffs[0] != 1:
+            raise ValueError("H_%d must have constant term 1" % p)
+        if coeffs[-1] == 0:
+            raise ValueError("H_%d must have degree %d" % (p, p + 1))
+        if not all(isinstance(c, int) for c in coeffs):
+            raise ValueError("H_%d must have integer coefficients" % p)
         self.p = p
         self.coeffs = list(coeffs)
 
@@ -259,10 +238,10 @@ class BiPoly:
         return "\n".join(lines)
 
 
-def _as_int(x):
+def _as_int(x, what="value"):
     if isinstance(x, Fraction):
         if x.denominator != 1:
-            raise ValueError("expected integer, got %s" % x)
+            raise ValueError("%s is not an integer: %s" % (what, x))
         return x.numerator
     return x
 
@@ -316,20 +295,19 @@ def modular_equation_ip(p):
     return out
 
 
-# deterministic word-size primes for modular kernel computations
-_FIT_PRIMES = (2147483647, 2147483629, 2147483587)
-
-
 @lru_cache(maxsize=None)
 def practical_ip_fit(p, n_eq=None):
     """Find I_p by exact linear algebra: the bidegree-(p,p) polynomial with
     constant term 1 vanishing on (d_p(q^p), 1/d_p(q)).
 
-    The q-expansion of sum c_ij d(q^p)^i d(q)^(p-j) gives one linear equation
-    per coefficient.  A kernel computation modulo a word-size prime certifies
-    the solution space is one-dimensional and locates the support; the
-    supported system is then solved exactly over Q and the full residual is
-    rechecked with exact integer arithmetic.
+    The q-expansion of sum c_ij d(q^p)^i d(q)^(p-j) gives one integer linear
+    equation per coefficient.  The kernel of the system is taken modulo a
+    product M of _CHUNK pool primes, moving to the next chunk (at most three)
+    when a pivot is not a unit or the kernel there is not one-dimensional.
+    Scaled to c_00 = 1 and lifted to (-M/2, M/2], the vector must pass the
+    exact integer residual check on every equation.  That makes it the
+    unique I_p: the rank over each F_q is at most the rank over Q, so the
+    kernel over Q has dimension at most 1.
     """
     if n_eq is None:
         n_eq = p * (p + 1) + 40
@@ -341,108 +319,27 @@ def practical_ip_fit(p, n_eq=None):
         dpows.append(dpows[-1] * d)
         vpows.append(vpows[-1] * dp)
     cols = [(i, j) for i in range(p + 1) for j in range(p + 1)]
-    series = {}
-    for (i, j) in cols:
-        series[(i, j)] = (vpows[i] * dpows[p - j]).coeffs_from(0, n_eq)
+    series = [(vpows[i] * dpows[p - j]).coeffs_from(0, n_eq) for i, j in cols]
+    rows = list(zip(*series))
 
-    support = None
-    for prime in _FIT_PRIMES:
-        kern = _mod_kernel([[series[c][n] % prime for c in cols]
-                            for n in range(n_eq)], prime)
-        if kern is None:
-            continue
-        support = [c for c, v in zip(cols, kern) if v]
-        break
-    if support is None:
+    primes = _prime_pool(3 * _CHUNK)
+    for start in range(0, len(primes), _CHUNK):
+        modulus = prod(primes[start:start + _CHUNK])
+        kern = _mod_kernel(rows, modulus)
+        if kern is not None:
+            break
+    else:
         raise ValueError("kernel dimension is not 1: precision too low")
-    if (0, 0) not in support:
+    if gcd(kern[0], modulus) != 1:       # cols[0] is (0, 0)
         raise ValueError("relation misses the constant term")
-
-    # exact solve restricted to the detected support, with c_00 = 1
-    unknowns = [c for c in support if c != (0, 0)]
-    rows = []
-    for n in range(n_eq):
-        rows.append([Fraction(series[c][n]) for c in unknowns]
-                    + [Fraction(-series[(0, 0)][n])])
-    sol = _exact_solve(rows, len(unknowns))
-    terms = {(0, 0): 1}
-    for c, v in zip(unknowns, sol):
-        terms[c] = _as_int(v)
-    out = BiPoly(terms)
-    # exact full-residual check over Z
-    resid = [0] * n_eq
-    for c, v in out.terms.items():
-        col = series[c]
-        for n in range(n_eq):
-            resid[n] += v * col[n]
-    if any(resid):
+    scale = pow(kern[0], -1, modulus)
+    vec = []
+    for v in kern:
+        v = v * scale % modulus
+        vec.append(v - modulus if v > modulus // 2 else v)
+    if any(sum(map(mul, vec, row)) for row in rows):
         raise ValueError("exact residual check failed")
-    return out
-
-
-def _mod_kernel(rows, prime):
-    """Kernel vector of the column space mod prime when the kernel is
-    one-dimensional; None when it is larger (or empty)."""
-    ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots = {}
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] % prime:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, prime)
-        mat[rank] = [(x * inv) % prime for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % prime for a, b in zip(mat[r], mat[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if len(free) != 1:
-        return None
-    fc = free[0]
-    vec = [0] * ncols
-    vec[fc] = 1
-    for col, r in pivots.items():
-        vec[col] = (-mat[r][fc]) % prime
-    return vec
-
-
-def _exact_solve(rows, n_unknowns):
-    """Gaussian elimination over Q for an overdetermined consistent system;
-    rows are [a_1 ... a_k | rhs]."""
-    mat = [list(r) for r in rows]
-    sol = [None] * n_unknowns
-    rank = 0
-    for col in range(n_unknowns):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("underdetermined system: raise the precision")
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    for col in range(n_unknowns):
-        sol[col] = mat[col][-1]
-    for r in range(rank, len(mat)):
-        if mat[r][-1] != 0:
-            raise ValueError("inconsistent system")
-    return sol
+    return BiPoly(dict(zip(cols, vec)))
 
 
 def certify_ip_laurent(p, ip, prec=None):

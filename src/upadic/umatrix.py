@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .scalars import QuadInt3, val_quad3, reduce_mod_sqrt3, vp_int, Val, INF
 from .series import QSeries
-from .modcurve import d_series, ip_poly, e_exponent, GENUS_ZERO_PRIMES
+from .modcurve import d_series, ip_poly, e_exponent, GENUS_ZERO_PRIMES, _as_int
 
 # the matrix generating function carries one global sign choice relative to
 # the log-derivative of I_p; this build uses sum M_ij x^i y^j =
@@ -53,14 +53,6 @@ class UMatrix:
     def __repr__(self):
         return "UMatrix(p=%d, n=%d, basis=%s, provenance=%s)" % (
             self.p, self.n, self.basis, self.provenance)
-
-
-def _as_int(x, what="value"):
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise ValueError("%s is not an integer: %s" % (what, x))
-        return x.numerator
-    return x
 
 
 @lru_cache(maxsize=None)

@@ -8,9 +8,8 @@ from fractions import Fraction
 
 from .scalars import Val, val_p, vp_int
 from . import modcurve, umatrix, charseries, weights, mod3, tables
+from .modcurve import GENUS_ZERO_PRIMES
 from .serialize import val_str
-
-GENUS_ZERO_PRIMES = (2, 3, 5, 7, 13)
 
 
 def _claim(cid, statement, observed, expected, ok):

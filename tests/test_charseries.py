@@ -51,7 +51,7 @@ def test_charpoly_crt_big_entries():
 
 
 def test_prime_pool_grows_on_demand():
-    code = ("import upadic.charseries as c; assert c._POOL == (); "
+    code = ("import upadic.linalg as c; assert c._POOL == (); "
             "a = c._prime_pool(3); b = c._prime_pool(40); "
             "assert b[:3] == a and len(b) == 40 and c._POOL == b; "
             "assert all(c._is_probable_prime(x) for x in b); "

@@ -165,3 +165,20 @@ def test_verify_lists_every_failing_claim(monkeypatch, capsys, tmp_path):
 def test_newton_weight_off_p3_usage_error(capsys):
     assert main(["newton", "--prime", "5", "--terms", "3", "--weight", "6"]) == 2
     assert "weight twists are implemented for p=3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("charpoly --prime 3 --terms 5 --size 3", "--terms 5 exceeds"),
+    ("newton --prime 5 --terms 3 --size 2", "--terms 3 exceeds"),
+    ("verify --suite p3-parabola --terms 12 --size 10", "--terms 12 exceeds"),
+    ("charpoly --prime 3 --terms -1", "must be non-negative"),
+    ("u-matrix --prime 3 --size -2", "must be non-negative"),
+    ("twist --weight 7 --size 5", "must be a multiple of 6"),
+    ("twist --weight 6 --size -1", "must be non-negative"),
+])
+def test_bad_arguments_are_usage_errors(argv, message):
+    proc = run_cli(*argv.split())
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

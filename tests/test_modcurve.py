@@ -1,6 +1,10 @@
+import math
+
 import pytest
 from fractions import Fraction
 
+from upadic import modcurve
+from upadic.linalg import _CHUNK, _prime_pool
 from upadic.modcurve import (bernoulli, eisenstein, delta_series, j_series,
                              d_series, verify_eisenstein_power, solve_hauptmodul_poly,
                              check_hauptmodul_polygon, modular_equation_ip,
@@ -143,8 +147,45 @@ def test_practical_fit_rejects_low_precision():
         practical_ip_fit(3, n_eq=5)
 
 
+def test_ip_fit_non_unit_pivot_uses_next_chunk(monkeypatch):
+    first = _prime_pool(1)[0]
+    moduli, kernels = [], []
+    kernel = modcurve._mod_kernel
+
+    def spy(rows, modulus):
+        moduli.append(modulus)
+        if len(moduli) == 1:        # every pivot nonzero, none a unit
+            rows = [[first * x for x in row] for row in rows]
+        kernels.append(kernel(rows, modulus))
+        return kernels[-1]
+
+    monkeypatch.setattr(modcurve, "_mod_kernel", spy)
+    fit = practical_ip_fit.__wrapped__(3)
+    chunks = _prime_pool(2 * _CHUNK)
+    assert moduli == [math.prod(chunks[:_CHUNK]), math.prod(chunks[_CHUNK:])]
+    assert kernels[0] is None and kernels[1] is not None
+    assert fit == modular_equation_ip(3)
+
+
+def test_ip_fit_rejects_wrong_lift(monkeypatch):
+    kernel = modcurve._mod_kernel
+
+    def off_by_one(rows, modulus):
+        vec = kernel(rows, modulus)
+        vec[-1] = (vec[-1] + 1) % modulus
+        return vec
+
+    monkeypatch.setattr(modcurve, "_mod_kernel", off_by_one)
+    with pytest.raises(ValueError, match="residual"):
+        practical_ip_fit.__wrapped__(3)
+    monkeypatch.setattr(modcurve, "_mod_kernel",
+                        lambda rows, modulus: [0] + kernel(rows, modulus)[1:])
+    with pytest.raises(ValueError, match="constant term"):
+        practical_ip_fit.__wrapped__(3)
+
+
 def test_hpoly_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         HPoly(2, [2, 1, 1, 1])     # constant term must be 1
     h = solve_hauptmodul_poly(2)
     assert h(0) == 1
