@@ -297,9 +297,10 @@ def stable_valuations(p, m_max, size):
     return certify(q1, q2, m_max)
 
 
-def equality_set(m_max, size):
-    """{m <= m_max : v_3(a_m(Q_0)) = (3/2)m(m-1) + 2m}, all certified."""
-    records = stable_valuations(3, m_max, size)
+def equality_set(records):
+    """{m : v_3(a_m(Q_0)) = (3/2)m(m-1) + 2m} over the certified records of
+    the p=3 weight-0 series; raises when a record is neither certified nor
+    provably above the parabola."""
     out = set()
     for rec in records:
         target = Val(parabola_floor(rec.m))
@@ -311,11 +312,6 @@ def equality_set(m_max, size):
             raise ValueError("coefficient %d neither certified nor provably "
                              "above the parabola" % rec.m)
     return out
-
-
-def newton_polygon(points):
-    """Lower convex hull of (m, valuation) points."""
-    return NewtonPolygon(points)
 
 
 def secant_line(i, m):

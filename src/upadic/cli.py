@@ -11,7 +11,7 @@ import sys
 
 from .scalars import val_p, val_quad3, Val, QuadInt3
 from . import modcurve, umatrix, charseries, weights
-from .verify import SUITES, run_suites, suite_p3_parabola
+from .verify import SUITES, assemble_report, run_suites, suite_p3_parabola
 from .serialize import (dump_json, dump_csv, matrix_json, bipoly_json,
                         charseries_json, polygon_json, val_str, int_str)
 from .modcurve import GENUS_ZERO_PRIMES
@@ -24,20 +24,10 @@ def _threads():
         return 1
 
 
-def _auto_qprec(p, size, override=None):
-    qprec = p * size + size + 16
-    if override:
-        qprec = max(qprec, override)
-    return qprec
-
-
 def cmd_u_matrix(args):
     p, n = args.prime, args.size
-    qprec = _auto_qprec(p, n, args.qprec)
-    print("q-precision: policy %d (oracle builds derive the full-column "
-          "precision internally)" % qprec, file=sys.stderr)
     if args.method in ("oracle", "both"):
-        m = umatrix.build_matrix_oracle(p, n, qprec)
+        m = umatrix.build_matrix_oracle(p, n)
     else:
         m = umatrix.build_matrix_genfun(p, n)
     if args.method == "both":
@@ -110,7 +100,7 @@ def _terms_past_size(terms, size):
 
 def cmd_charpoly(args):
     p = args.prime
-    size = args.size or max(args.terms + 10, 2 * args.terms // 1)
+    size = max(args.terms + 10, 2 * args.terms) if args.size is None else args.size
     if _twist_off_p3(args) or _terms_past_size(args.terms, size):
         return 2
     if args.weight:
@@ -127,7 +117,7 @@ def cmd_charpoly(args):
 
 def cmd_newton(args):
     p = args.prime
-    size = args.size or max(args.terms + 10, 20)
+    size = max(args.terms + 10, 20) if args.size is None else args.size
     if _twist_off_p3(args) or _terms_past_size(args.terms, size):
         return 2
     if args.weight:
@@ -170,24 +160,20 @@ def cmd_twist(args):
 
 
 def cmd_verify(args):
-    if args.suite == "p3-parabola" and (args.terms or args.size):
-        terms, size = args.terms or 45, args.size or 60
+    if args.terms is None and args.size is None:
+        names = list(SUITES) if args.suite == "all" else [args.suite]
+        report, _ = run_suites(names, parallel=_threads())
+    else:
+        if args.suite != "p3-parabola":
+            print("--terms and --size apply only to --suite p3-parabola",
+                  file=sys.stderr)
+            return 2
+        terms = 45 if args.terms is None else args.terms
+        size = 60 if args.size is None else args.size
         if _terms_past_size(terms, size):
             return 2
-        claims = suite_p3_parabola(terms=terms, size=size)
-        ok = all(c["pass"] for c in claims)
-        report = {"suites": [{"suite": "p3-parabola", "pass": ok,
-                              "claims": claims}], "pass": ok}
-        dump_json(report, args.out)
-        return _report_failures(report)
-    if args.suite == "all":
-        names = list(SUITES)
-    elif args.suite in SUITES:
-        names = [args.suite]
-    else:
-        print("unknown suite %r" % args.suite, file=sys.stderr)
-        return 2
-    report, _ = run_suites(names, parallel=_threads())
+        report, _ = assemble_report(
+            [args.suite], [suite_p3_parabola(terms=terms, size=size)])
     dump_json(report, args.out)
     return _report_failures(report)
 
@@ -220,7 +206,6 @@ def build_parser():
                     default="oracle")
     sp.add_argument("--scaled", action="store_true",
                     help="p=3 scaled basis over Z[sqrt3]")
-    sp.add_argument("--qprec", type=_count)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_u_matrix)

@@ -78,6 +78,44 @@ def d_series(p, prec):
     return d
 
 
+def _as_int(x, what="value"):
+    if isinstance(x, Fraction):
+        if x.denominator != 1:
+            raise ValueError("%s is not an integer: %s" % (what, x))
+        return x.numerator
+    return x
+
+
+def powers(d, count, prec):
+    """Yield 1, d, ..., d^(count-1), with d truncated to precision prec.
+
+    Lazy, so that an expansion that walks the powers once holds one of them
+    at a time."""
+    d = d.truncate(prec)
+    power = QSeries.const(1, prec)
+    for i in range(count):
+        if i:
+            power = power * d
+        yield power
+
+
+def d_expansion(f, dpows):
+    """Expand f in the powers dpows = 1, d, ..., d^(k-1) of a d = q + O(q^2)
+    by triangular solve: the coefficient of q^i of what is left pins r_i.
+
+    Returns the integer coefficients r_0..r_(k-1) and the residual
+    f - sum r_i d^i, which the caller checks; a non-integer r_i raises.
+    """
+    coeffs = []
+    residual = f
+    for i, dpow in enumerate(dpows):
+        r = _as_int(residual.coeff(i), "d-expansion coefficient of degree %d" % i)
+        coeffs.append(r)
+        if r:
+            residual = residual - dpow.scalar_mul(r)
+    return coeffs, residual
+
+
 def verify_eisenstein_power(p, prec=60):
     """Check E_{t_p(p-1)}^(12/(t_p(p-1))) = (j - c_p) Delta to precision.
 
@@ -134,29 +172,16 @@ class HPoly:
 
 @lru_cache(maxsize=None)
 def solve_hauptmodul_poly(p, prec=None):
-    """Solve d_p * j = H_p(d_p) for H_p by triangular back-substitution.
+    """Solve d_p * j = H_p(d_p) for H_p by expanding d_p * j in powers of d_p.
 
-    d_p = q + O(q^2), so the coefficient of q^i pins the degree-i term.  The
-    residual beyond degree p+1 must vanish through the full working precision.
+    The residual beyond degree p+1 must vanish through the full working
+    precision.
     """
     if prec is None:
         prec = 3 * (p + 2) + 16
     d = d_series(p, prec)
     target = d * j_series(prec)
-    dpow = QSeries.const(1, target.prec)
-    coeffs = []
-    residual = target
-    for i in range(p + 2):
-        h = residual.coeff(i)
-        if isinstance(h, Fraction):
-            if h.denominator != 1:
-                raise ValueError("non-integer coefficient %s at degree %d" % (h, i))
-            h = h.numerator
-        coeffs.append(h)
-        if h:
-            residual = residual - dpow.scalar_mul(h)
-        if i < p + 1:
-            dpow = dpow * d
+    coeffs, residual = d_expansion(target, powers(d, p + 2, target.prec))
     if not residual.is_zero():
         raise ValueError("nonzero residual at exponent %d" % residual.valuation())
     return HPoly(p, coeffs)
@@ -201,12 +226,8 @@ class BiPoly:
     def eval_series(self, fx, fy):
         """Substitute q-series for x and y."""
         di, dj = self.bidegree()
-        xp = [QSeries.const(1, fx.prec + fy.prec)]
-        for _ in range(di):
-            xp.append(xp[-1] * fx)
-        yp = [QSeries.const(1, fx.prec + fy.prec)]
-        for _ in range(dj):
-            yp.append(yp[-1] * fy)
+        xp = list(powers(fx, di + 1, fx.prec + fy.prec))
+        yp = list(powers(fy, dj + 1, fx.prec + fy.prec))
         acc = None
         for (i, j), v in sorted(self.terms.items()):
             t = (xp[i] * yp[j]).scalar_mul(v)
@@ -236,14 +257,6 @@ class BiPoly:
                 monos.append("%s*x^%d" % (c, i) if i > 1 else "%s*x" % c)
             lines.append("+ (%s) * y^%d" % (" + ".join(monos), j))
         return "\n".join(lines)
-
-
-def _as_int(x, what="value"):
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise ValueError("%s is not an integer: %s" % (what, x))
-        return x.numerator
-    return x
 
 
 @lru_cache(maxsize=None)
@@ -313,11 +326,8 @@ def practical_ip_fit(p, n_eq=None):
         n_eq = p * (p + 1) + 40
     d = d_series(p, n_eq + 2)
     dp = d_series(p, n_eq // p + 2).v_substitute(p).truncate(n_eq + 2)
-    dpows = [QSeries.const(1, n_eq + 2)]
-    vpows = [QSeries.const(1, n_eq + 2)]
-    for _ in range(p):
-        dpows.append(dpows[-1] * d)
-        vpows.append(vpows[-1] * dp)
+    dpows = list(powers(d, p + 1, n_eq + 2))
+    vpows = list(powers(dp, p + 1, n_eq + 2))
     cols = [(i, j) for i in range(p + 1) for j in range(p + 1)]
     series = [(vpows[i] * dpows[p - j]).coeffs_from(0, n_eq) for i, j in cols]
     rows = list(zip(*series))

@@ -29,7 +29,8 @@ class NewtonPolygon:
         for (m0, v0), (m1, v1) in zip(self.vertices, self.vertices[1:]):
             self.sides.append((Fraction(v1 - v0, m1 - m0), m1 - m0))
         for (s0, _), (s1, _) in zip(self.sides, self.sides[1:]):
-            assert s0 < s1, "hull slopes must increase strictly"
+            if not s0 < s1:
+                raise ValueError("hull slopes must increase strictly")
 
     def slopes(self):
         """List of (slope, multiplicity) pairs, slopes strictly increasing."""

@@ -37,11 +37,6 @@ def scalar_json(x):
     return int_str(x)
 
 
-def series_json(f):
-    return {"lowest_exponent": f.start, "precision": f.prec,
-            "coefficients": [int_str(c) for c in f.c]}
-
-
 def matrix_json(m):
     return {"prime": m.p, "size": m.n, "basis": m.basis,
             "provenance": m.provenance, "sign_convention": m.sign_convention,

@@ -51,10 +51,6 @@ class QSeries:
     def zero(cls, prec):
         return cls(prec, [], prec)
 
-    @classmethod
-    def q_power(cls, n, prec):
-        return cls(n, [1], prec)
-
     def coeff(self, n):
         """Coefficient of q^n; raises PrecisionError for n >= prec."""
         if n >= self.prec:

@@ -10,8 +10,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import QuadInt3, val_quad3, reduce_mod_sqrt3, vp_int, Val, INF
-from .series import QSeries
-from .modcurve import d_series, ip_poly, e_exponent, GENUS_ZERO_PRIMES, _as_int
+from .modcurve import (d_series, d_expansion, powers, ip_poly, e_exponent,
+                       GENUS_ZERO_PRIMES, _as_int)
 
 # the matrix generating function carries one global sign choice relative to
 # the log-derivative of I_p; this build uses sum M_ij x^i y^j =
@@ -42,7 +42,9 @@ class UMatrix:
         return sum(self.rows[i][i] for i in range(self.n))
 
     def truncation(self, m):
-        assert m <= self.n
+        if m > self.n:
+            raise ValueError("cannot truncate a size-%d matrix to size %d"
+                             % (self.n, m))
         return UMatrix(self.p, m, [row[:m] for row in self.rows[:m]],
                        self.basis, self.provenance)
 
@@ -56,13 +58,13 @@ class UMatrix:
 
 
 @lru_cache(maxsize=None)
-def build_matrix_oracle(p, n, qprec=None):
+def build_matrix_oracle(p, n):
     """Build M by brute force from q-expansions.
 
-    U(d^j) is a polynomial of degree p*j in d; each column is expanded in
-    full by a triangular solve against the powers of d (d = q + O(q^2)) and
-    the residual must vanish on the whole guard band.  The returned matrix
-    is the upper n x n truncation.
+    U(d^j) is a polynomial of degree p*j in d without constant term; each
+    column is expanded in full against the powers of d and the residual must
+    vanish on the whole guard band.  The returned matrix is the upper n x n
+    truncation.
     """
     if p not in GENUS_ZERO_PRIMES:
         raise ValueError("unsupported prime %d" % p)
@@ -71,30 +73,21 @@ def build_matrix_oracle(p, n, qprec=None):
     # full columns reach degree p*j <= p*n, and live at q-precision p*n+GUARD;
     # before u_extract the powers d^j therefore need p*(p*n+GUARD)
     solve_prec = p * n + GUARD
-    need = p * solve_prec
-    qprec = max(qprec or 0, need)
-    d = d_series(p, qprec)
+    d = d_series(p, p * solve_prec)
     dpow_big = d
-    dpows = [QSeries.const(1, solve_prec), d.truncate(solve_prec)]
-    for _ in range(2, p * n + 1):
-        dpows.append(dpows[-1] * dpows[1])
+    dpows = list(powers(d, p * n + 1, solve_prec))
     columns = []
     for j in range(1, n + 1):
         if j > 1:
             dpow_big = dpow_big * d
         u = dpow_big.u_extract(p).truncate(solve_prec)
-        residual = u
-        col = {}
-        for i in range(1, p * j + 1):
-            m = _as_int(residual.coeff(i), "oracle entry (%d,%d)" % (i, j))
-            if m:
-                col[i] = m
-                residual = residual - dpows[i].scalar_mul(m)
-        if not residual.is_zero():
-            raise ValueError("column %d residual nonzero at q^%d"
-                             % (j, residual.valuation()))
+        col, residual = d_expansion(u, dpows[:p * j + 1])
+        if col[0] or not residual.is_zero():
+            raise ValueError("U(d^%d) is not a polynomial of degree %d in d "
+                             "without constant term" % (j, p * j))
         columns.append(col)
-    rows = [[columns[j].get(i + 1, 0) for j in range(n)] for i in range(n)]
+    rows = [[col[i] if i < len(col) else 0 for col in columns]
+            for i in range(1, n + 1)]
     return UMatrix(p, n, rows, provenance="oracle")
 
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 from .scalars import Val, INF, val_p, vp_int
 from .series import QSeries, eta_quotient
-from .modcurve import d_series
+from .modcurve import d_series, d_expansion, powers
 from .newton import NewtonPolygon
 from . import umatrix
 from .charseries import (char_series_trunc, certify, trunc_bound, m_index,
@@ -57,21 +57,8 @@ def expand_in_d3(f, nterms):
     prec = nterms + 2
     if f.prec < prec:
         raise ValueError("series precision %d too low for %d terms" % (f.prec, nterms))
-    d3 = d_series(3, prec)
-    res = f.truncate(prec)
-    dpow = QSeries.const(1, prec)
-    out = []
-    for m in range(nterms + 1):
-        r = res.coeff(m)
-        if isinstance(r, Fraction):
-            if r.denominator != 1:
-                raise ValueError("non-integer d_3 coefficient %s" % r)
-            r = r.numerator
-        out.append(r)
-        if r:
-            res = res - dpow.scalar_mul(r)
-        dpow = dpow * d3
-    return out
+    dpows = powers(d_series(3, prec), nterms + 1, prec)
+    return d_expansion(f.truncate(prec), dpows)[0]
 
 
 def s_ratio_divisibility(nterms=60):
@@ -261,9 +248,7 @@ def slope_distribution(n, l=1, size=None):
     for i in range(0, n - 1):
         a, b = m_index(i), m_index(i + 1)
         poly = exact_polygon_between(recs, a, b)
-        slopes = []
-        for s, mult in poly.slopes():
-            slopes.extend([s] * mult)
+        slopes = poly.slope_multiset()
         lo, hi = m_index(i + 1) + 1, m_index(i + 2) - 2
         count_ok = len(slopes) == 3 ** i
         window_ok = all(lo <= s <= hi for s in slopes)
@@ -370,20 +355,10 @@ def eisenstein_unit_congruence(p, n, prec=51, dterms=40):
     phi = en * env.inv() - 1
     mod = p ** (n + 1)
     q_ok = all(Fraction(phi.coeff(i)) % mod == 0 for i in range(phi.prec))
-    # d_p expansion by triangular solve
     d = d_series(p, min(dterms + 2, phi.prec))
-    res = phi.truncate(d.prec)
-    dpow = QSeries.const(1, d.prec)
-    d_ok = True
-    for m in range(min(dterms, d.prec - 2) + 1):
-        r = Fraction(res.coeff(m))
-        assert r.denominator == 1
-        if r % mod:
-            d_ok = False
-            break
-        if r:
-            res = res - dpow.scalar_mul(r)
-        dpow = dpow * d
+    dpows = powers(d, min(dterms, d.prec - 2) + 1, d.prec)
+    coeffs, _ = d_expansion(phi.truncate(d.prec), dpows)
+    d_ok = all(r % mod == 0 for r in coeffs)
     return {"p": p, "n": n, "q_divisible": q_ok, "d_divisible": d_ok,
             "pass": q_ok and d_ok}
 

@@ -11,7 +11,7 @@ from upadic.scalars import Val, INF, val_p
 from upadic.newton import NewtonPolygon
 from upadic.umatrix import UMatrix, build_matrix_genfun
 from upadic import charseries
-from upadic.charseries import (CharSeries, certify, charpoly_leverrier,
+from upadic.charseries import (CharSeries, CoefficientRecord, certify, charpoly_leverrier,
                                charpoly_crt, char_series_trunc, p_from_q,
                                row_bound, trunc_bound, truncation_error_bound,
                                check_scaled_integrality, parabola_floor, m_index,
@@ -190,7 +190,22 @@ def test_certification_small():
 
 
 def test_equality_set_small():
-    assert equality_set(5, 16) == {0, 1, 4}
+    assert equality_set(stable_valuations(3, 5, 16)) == {0, 1, 4}
+
+
+def test_unpinned_coefficient_fails_the_equality_set_claim(monkeypatch):
+    # an uncertified record whose lower bound 5 does not clear the
+    # parabola value 7 at m = 2
+    recs = list(stable_valuations(3, 5, 16))
+    recs[2] = CoefficientRecord(2, recs[2].v_obs, Val(5), False)
+    with pytest.raises(ValueError, match="coefficient 2 neither certified"):
+        equality_set(recs)
+    monkeypatch.setattr(charseries, "stable_valuations", lambda p, m, n: recs)
+    from upadic.verify import suite_p3_parabola
+    claims = {c["id"]: c for c in suite_p3_parabola(terms=5, size=16)}
+    claim = claims["parabola-equality-set"]
+    assert not claim["pass"]
+    assert claim["observed"].startswith("coefficient 2 neither certified")
 
 
 def test_secant_line():
@@ -219,9 +234,15 @@ def test_secant_upper_pinch():
 
 
 def test_newton_polygon_helper():
-    from upadic.charseries import newton_polygon
-    np = newton_polygon([(0, Val(0)), (1, Val(2)), (2, Val(7))])
+    np = NewtonPolygon([(0, Val(0)), (1, Val(2)), (2, Val(7))])
     assert np.slopes() == [(Fraction(2), 1), (Fraction(5), 1)]
+
+
+def test_newton_polygon_rejects_slopes_out_of_order(monkeypatch):
+    from upadic import newton
+    monkeypatch.setattr(newton, "_lower_hull", lambda pts: pts)
+    with pytest.raises(ValueError, match="increase strictly"):
+        NewtonPolygon([(0, 0), (1, 5), (2, 6)])
 
 
 def test_p2_polygon_floor_to_20():

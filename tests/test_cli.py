@@ -162,6 +162,27 @@ def test_verify_lists_every_failing_claim(monkeypatch, capsys, tmp_path):
     assert "a2" not in err
 
 
+def test_verify_parabola_explicit_zero_terms(tmp_path):
+    # --terms 0 is a value, not a request for the default 45
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "p3-parabola", "--terms", "0",
+                 "--size", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is True
+    assert [s["suite"] for s in doc["suites"]] == ["p3-parabola"]
+    assert "through m=0" in doc["suites"][0]["claims"][0]["statement"]
+    assert "at size 1 " in doc["suites"][0]["claims"][0]["statement"]
+
+
+def test_charpoly_explicit_zero_size(tmp_path):
+    out = tmp_path / "q.json"
+    assert main(["charpoly", "--prime", "3", "--terms", "0", "--size", "0",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["truncation_size"] == 0
+    assert doc["coefficients"] == ["1"]
+
+
 def test_newton_weight_off_p3_usage_error(capsys):
     assert main(["newton", "--prime", "5", "--terms", "3", "--weight", "6"]) == 2
     assert "weight twists are implemented for p=3" in capsys.readouterr().err
@@ -171,6 +192,8 @@ def test_newton_weight_off_p3_usage_error(capsys):
     ("charpoly --prime 3 --terms 5 --size 3", "--terms 5 exceeds"),
     ("newton --prime 5 --terms 3 --size 2", "--terms 3 exceeds"),
     ("verify --suite p3-parabola --terms 12 --size 10", "--terms 12 exceeds"),
+    ("verify --suite mod3 --terms 3", "apply only to --suite p3-parabola"),
+    ("verify --size 5", "apply only to --suite p3-parabola"),
     ("charpoly --prime 3 --terms -1", "must be non-negative"),
     ("u-matrix --prime 3 --size -2", "must be non-negative"),
     ("twist --weight 7 --size 5", "must be a multiple of 6"),

@@ -9,7 +9,9 @@ from upadic.modcurve import (bernoulli, eisenstein, delta_series, j_series,
                              d_series, verify_eisenstein_power, solve_hauptmodul_poly,
                              check_hauptmodul_polygon, modular_equation_ip,
                              practical_ip_fit, ip_poly, certify_ip_laurent,
-                             e_exponent, HPoly, C_P)
+                             e_exponent, HPoly, C_P, d_expansion, powers)
+from upadic.series import QSeries
+from upadic.umatrix import GUARD
 from upadic import tables
 
 PRIMES = (2, 3, 5, 7, 13)
@@ -81,6 +83,47 @@ def test_d_series_integral_unit_leading():
         d = d_series(p, 300)
         assert d.coeff(1) == 1
         assert all(isinstance(x, int) for x in d.c)
+
+
+def test_d_expansion_of_a_polynomial_in_d():
+    d = d_series(3, 30)
+    f = 3 + d.scalar_mul(5) - (d ** 3).scalar_mul(2)
+    coeffs, residual = d_expansion(f, powers(d, 10, 30))
+    assert coeffs == [3, 5, 0, -2, 0, 0, 0, 0, 0, 0]
+    assert residual.is_zero() and residual.prec == 30
+
+
+def test_d_expansion_rejects_a_non_integer_coefficient():
+    d = d_series(3, 30)
+    with pytest.raises(ValueError, match="degree 1 "):
+        d_expansion(d.scalar_mul(Fraction(1, 2)), powers(d, 5, 30))
+
+
+def test_d_expansion_needs_precision_for_every_term():
+    d = d_series(3, 30)
+    with pytest.raises(ValueError):
+        d_expansion(d.scalar_mul(2), powers(d, 31, 40))
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (13, 2)])
+def test_powers_match_the_hand_written_loops(p, n):
+    # the oracle's list at its solve precision, and the loop that multiplied
+    # a constant 1 by d over and over
+    solve_prec = p * n + GUARD
+    d = d_series(p, p * solve_prec)
+    oracle = [QSeries.const(1, solve_prec), d.truncate(solve_prec)]
+    for _ in range(2, p * n + 1):
+        oracle.append(oracle[-1] * oracle[1])
+    new = list(powers(d, p * n + 1, solve_prec))
+    assert new == oracle                      # == compares the precision too
+    assert [f.prec for f in new] == [f.prec for f in oracle]
+    small = d_series(p, 40)
+    loop = [QSeries.const(1, 40)]
+    for _ in range(p):
+        loop.append(loop[-1] * small)
+    assert list(powers(small, p + 1, 40)) == loop
+    assert list(powers(small, 0, 40)) == []
+    assert list(powers(small, 1, 40)) == loop[:1]
 
 
 def test_ip_tables_exact():

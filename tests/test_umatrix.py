@@ -150,3 +150,22 @@ def test_exact_det_bareiss_vs_fraction():
 def test_oracle_rejects_bad_prime():
     with pytest.raises(ValueError):
         build_matrix_oracle(11, 4)
+
+
+def test_oracle_rejects_a_column_with_a_residual(monkeypatch):
+    # with d_2 + q^5 in place of the hauptmodul, U(d^j) is no longer a
+    # polynomial of degree 2j in d
+    from upadic import umatrix
+    from upadic.modcurve import d_series
+    from upadic.series import QSeries
+    monkeypatch.setattr(umatrix, "d_series",
+                        lambda p, prec: d_series(p, prec) + QSeries(5, [1], prec))
+    with pytest.raises(ValueError, match="not a polynomial of degree 2 in d"):
+        build_matrix_oracle.__wrapped__(2, 3)
+
+
+def test_truncation_rejects_a_larger_size():
+    m = build_matrix_genfun(3, 4)
+    assert m.truncation(2).rows == [row[:2] for row in m.rows[:2]]
+    with pytest.raises(ValueError, match="size-4 matrix to size 5"):
+        m.truncation(5)
