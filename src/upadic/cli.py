@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: u-matrix, ipoly, charpoly, newton, twist, verify.
-Exit codes: 0 success, 1 claim failure, 2 usage error.
+Exit codes: 0 success, 1 claim failure, 2 usage error (an unwritable
+--out or --csv path included).
 UPADIC_THREADS caps parallelism of independent verification suites.
 """
 
@@ -13,7 +14,8 @@ from .scalars import val_p, val_quad3, Val, QuadInt3
 from . import modcurve, umatrix, charseries, weights
 from .verify import SUITES, assemble_report, run_suites, suite_p3_parabola
 from .serialize import (dump_json, dump_csv, matrix_json, bipoly_json,
-                        charseries_json, polygon_json, val_str, int_str)
+                        charseries_json, polygon_json, val_str, int_str,
+                        OutputError)
 from .modcurve import GENUS_ZERO_PRIMES
 
 
@@ -257,6 +259,9 @@ def main(argv=None):
         return 2 if exc.code else 0
     try:
         return args.func(args)
+    except OutputError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

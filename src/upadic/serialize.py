@@ -66,11 +66,7 @@ def polygon_json(poly):
 
 def dump_json(obj, path=None):
     text = json.dumps(obj, indent=2, sort_keys=False)
-    if path is None:
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    _emit(text, path)
     return text
 
 
@@ -78,9 +74,22 @@ def dump_csv(rows, header, path=None):
     lines = [",".join(header)]
     lines += [",".join(str(x) for x in row) for row in rows]
     text = "\n".join(lines)
+    _emit(text, path)
+    return text
+
+
+class OutputError(Exception):
+    """An output path that cannot be written."""
+
+
+def _emit(text, path):
+    """Print text, or write it to path; OutputError if path is unusable."""
     if path is None:
         print(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text + "\n")
-    return text
+    except OSError as exc:
+        raise OutputError("cannot write %s: %s"
+                          % (path, exc.strerror or exc)) from exc

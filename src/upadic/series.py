@@ -16,7 +16,7 @@ class PrecisionError(ValueError):
 def _norm(x):
     # collapse Fraction with denominator 1 to int (keeps arithmetic on the
     # integer fast path)
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
 
@@ -288,35 +288,55 @@ def _int_nth_root(m, n):
     return lo if lo ** n == m else None
 
 
-def euler_factor(scale, prec):
-    """prod_{n>=1} (1 - q^(scale*n)) via the pentagonal number expansion."""
-    out = [0] * max(prec, 1)
-    if prec > 0:
-        out[0] = 1
-    k = 1
-    while True:
-        e1 = scale * k * (3 * k - 1) // 2
-        e2 = scale * k * (3 * k + 1) // 2
-        if e1 >= prec and e2 >= prec:
-            break
-        s = -1 if k % 2 else 1
-        if e1 < prec:
-            out[e1] += s
-        if e2 < prec:
-            out[e2] += s
-        k += 1
-    return QSeries(0, out, prec)
+def _eta_power(expo, n):
+    """Coefficients of prod_{k>=1} (1 - q^k)^expo below q^n.
+
+    With E = prod (1 - q^k) = sum E_k q^k, whose only nonzero E_k are the
+    signs at the pentagonal numbers, F = E^expo satisfies q F' E = expo q E' F,
+    that is m F_m = sum_(k>=1) E_k ((expo + 1) k - m) F_(m-k): O(n sqrt n)
+    operations instead of dense products.  Each division by m must be exact.
+    """
+    plus, minus = [], []               # the k with E_k = +1 and E_k = -1
+    i = 1
+    while i * (3 * i - 1) // 2 < n:
+        (minus if i % 2 else plus).extend(
+            k for k in (i * (3 * i - 1) // 2, i * (3 * i + 1) // 2) if k < n)
+        i += 1
+    f = [1] + [0] * (n - 1) if n > 0 else []
+    a = expo + 1
+    for m in range(1, n):
+        s0 = s1 = 0                    # sum E_k F_(m-k), sum E_k k F_(m-k)
+        for k in plus:
+            if k > m:
+                break
+            x = f[m - k]
+            s0 += x
+            s1 += k * x
+        for k in minus:
+            if k > m:
+                break
+            x = f[m - k]
+            s0 -= x
+            s1 -= k * x
+        q, r = divmod(a * s1 - m * s0, m)
+        if r:
+            raise ValueError("eta power recurrence: inexact division at q^%d" % m)
+        f[m] = q
+    return f
 
 
 def eta_quotient(pairs, prec):
     """prod_s prod_{n>=1} (1 - q^(s n))^(e_s) for pairs of (scale s, exponent e_s).
 
-    The q-power prefactor of an eta quotient is the caller's business.
+    Each factor is the power recurrence of _eta_power in q^s.  The q-power
+    prefactor of an eta quotient is the caller's business.
     """
     result = QSeries.const(1, prec)
     for scale, expo in pairs:
         if expo == 0:
             continue
-        base = euler_factor(scale, prec)
-        result = result * (base ** expo if expo > 0 else base.inv() ** (-expo))
+        f = _eta_power(expo, -(-prec // scale))
+        spread = [0] * (scale * len(f))
+        spread[::scale] = f
+        result = result * QSeries(0, spread, prec)
     return result.truncate(prec)

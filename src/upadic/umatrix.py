@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import QuadInt3, val_quad3, reduce_mod_sqrt3, vp_int, Val, INF
+from .series import eta_quotient
 from .modcurve import (d_series, d_expansion, powers, ip_poly, e_exponent,
                        GENUS_ZERO_PRIMES, _as_int)
 
@@ -24,13 +25,15 @@ GUARD = 16
 class UMatrix:
     """Exact n x n truncation of the U matrix, with provenance metadata.
 
-    Entries are 1-indexed through entry(); rows[i][j] is 0-indexed storage.
+    Entries are 1-indexed through entry(); rows[i][j] is 0-indexed storage,
+    a tuple of tuples, so that a matrix handed out by a cached builder cannot
+    be changed under its other callers.
     """
 
     def __init__(self, p, n, rows, basis="d-powers", provenance="oracle"):
         self.p = p
         self.n = n
-        self.rows = rows
+        self.rows = tuple(tuple(row) for row in rows)
         self.basis = basis
         self.provenance = provenance
         self.sign_convention = SIGN_CONVENTION
@@ -65,22 +68,24 @@ def build_matrix_oracle(p, n):
     column is expanded in full against the powers of d and the residual must
     vanish on the whole guard band.  The returned matrix is the upper n x n
     truncation.
+
+    With E = prod (1 - q^k) and t = 24/(p-1), d^j = q^j E(q^p)^(tj) E^(-tj),
+    and U(f(q^p) g) = f U(g) gives U(d^j) = E^(tj) U(q^j E^(-tj)): only
+    E^(-tj) is needed at the long precision, and it is an eta power.
     """
     if p not in GENUS_ZERO_PRIMES:
         raise ValueError("unsupported prime %d" % p)
     if n == 0:
         return UMatrix(p, 0, [])
     # full columns reach degree p*j <= p*n, and live at q-precision p*n+GUARD;
-    # before u_extract the powers d^j therefore need p*(p*n+GUARD)
+    # before u_extract q^j E^(-tj) therefore needs p*(p*n+GUARD)
     solve_prec = p * n + GUARD
-    d = d_series(p, p * solve_prec)
-    dpow_big = d
-    dpows = list(powers(d, p * n + 1, solve_prec))
+    t = 24 // (p - 1)
+    dpows = list(powers(d_series(p, solve_prec), p * n + 1, solve_prec))
     columns = []
     for j in range(1, n + 1):
-        if j > 1:
-            dpow_big = dpow_big * d
-        u = dpow_big.u_extract(p).truncate(solve_prec)
+        g = eta_quotient([(1, -t * j)], p * solve_prec - j).shift(j)
+        u = eta_quotient([(1, t * j)], solve_prec) * g.u_extract(p)
         col, residual = d_expansion(u, dpows[:p * j + 1])
         if col[0] or not residual.is_zero():
             raise ValueError("U(d^%d) is not a polynomial of degree %d in d "
@@ -126,15 +131,6 @@ def build_matrix_genfun(p, n):
     cols = column_recurrence(p, ip_poly(p), n)
     rows = [[cols[j].get(i, 0) for j in range(1, n + 1)] for i in range(1, n + 1)]
     return UMatrix(p, n, rows, provenance="genfun")
-
-
-def cross_check(p, n):
-    """Oracle and genfun matrices must agree entry for entry."""
-    a = build_matrix_oracle(p, n)
-    b = build_matrix_genfun(p, n)
-    if a.rows != b.rows:
-        raise ValueError("oracle and generating-function matrices disagree for p=%d" % p)
-    return a
 
 
 def entry_bound_violations(m):

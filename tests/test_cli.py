@@ -198,6 +198,16 @@ def test_newton_weight_off_p3_usage_error(capsys):
     ("u-matrix --prime 3 --size -2", "must be non-negative"),
     ("twist --weight 7 --size 5", "must be a multiple of 6"),
     ("twist --weight 6 --size -1", "must be non-negative"),
+    ("u-matrix --prime 2 --size 2 --out /nonexistent/x.json",
+     "error: cannot write /nonexistent/x.json"),
+    ("u-matrix --prime 2 --size 2 --format csv --out /nonexistent/x.csv",
+     "error: cannot write /nonexistent/x.csv"),
+    ("ipoly --prime 2 --out /nonexistent/x.json",
+     "error: cannot write /nonexistent/x.json"),
+    ("verify --suite mod3 --out /nonexistent/x.json",
+     "error: cannot write /nonexistent/x.json"),
+    ("twist --weight 6 --size 3 --out /nonexistent/x.json",
+     "error: cannot write /nonexistent/x.json"),
 ])
 def test_bad_arguments_are_usage_errors(argv, message):
     proc = run_cli(*argv.split())

@@ -2,8 +2,9 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
-from upadic.series import QSeries, PrecisionError, eta_quotient, euler_factor
+from upadic.series import QSeries, PrecisionError, eta_quotient
 
 
 def geometric(prec):
@@ -165,4 +166,28 @@ def test_euler_factor_matches_dense_product():
     dense = QSeries.const(1, 40)
     for n in range(1, 40):
         dense = dense * QSeries(0, [1] + [0] * (n - 1) + [-1], 40)
-    assert euler_factor(1, 40).agrees_with(dense)
+    assert eta_quotient([(1, 1)], 40) == dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(1, 13), st.integers(-30, 30)),
+                      max_size=3),
+       prec=st.integers(1, 120))
+def test_eta_quotient_matches_dense_factor_products(pairs, prec):
+    # the power recurrence against the product of the factors (1 - q^(sn))^(+-1)
+    dense = QSeries.const(1, prec)
+    for scale, expo in pairs:
+        for n in range(1, (prec - 1) // scale + 1):
+            factor = QSeries(0, [1] + [0] * (scale * n - 1) + [-1], prec)
+            if expo < 0:
+                factor = factor.inv()
+            for _ in range(abs(expo)):
+                dense = dense * factor
+    assert eta_quotient(pairs, prec) == dense
+
+
+def test_eta_quotient_rejects_an_inexact_recurrence_step():
+    # prod (1 - q^n)^(1/2) = 1 - q/2 - ...: the recurrence's first division
+    # leaves a remainder
+    with pytest.raises(ValueError, match="inexact division at q\\^1"):
+        eta_quotient([(1, Fraction(1, 2))], 5)

@@ -4,11 +4,12 @@ import pytest
 
 from upadic.scalars import QuadInt3, val_quad3, Val, vp_int
 from upadic.umatrix import (build_matrix_oracle, build_matrix_genfun,
-                            column_recurrence, cross_check, entry_bound_violations,
+                            column_recurrence, entry_bound_violations,
                             scaled_matrix_p3, scaled_row_bound_report,
                             dk_factor, diagonal_major, diagonal_minor,
                             selection, exact_det, UMatrix)
 from upadic.modcurve import ip_poly
+from upadic.weights import uk_matrix
 from upadic.charseries import charpoly_leverrier
 
 
@@ -18,12 +19,27 @@ def test_u_of_d2():
 
 
 def test_empty_matrix():
-    assert build_matrix_oracle(5, 0).rows == []
+    assert build_matrix_oracle(5, 0).rows == ()
 
 
 def test_oracle_vs_genfun_small():
-    for p, n in ((2, 10), (3, 10), (5, 6)):
-        assert cross_check(p, n).provenance == "oracle"
+    for p, n in ((2, 10), (3, 10), (5, 6), (7, 4), (13, 3)):
+        a = build_matrix_oracle(p, n)
+        assert a.provenance == "oracle"
+        assert a.rows == build_matrix_genfun(p, n).rows
+
+
+@pytest.mark.parametrize("build", [build_matrix_oracle, build_matrix_genfun,
+                                   lambda p, n: uk_matrix(6, n)])
+def test_cached_matrices_are_immutable(build):
+    m = build(3, 4)
+    before = [list(row) for row in m.rows]
+    with pytest.raises(TypeError):
+        m.rows[0][0] = 0
+    with pytest.raises(TypeError):
+        m.rows[0] = (0, 0, 0, 0)
+    assert build(3, 4) is m
+    assert [list(row) for row in m.rows] == before
 
 
 def test_genfun_entry_magnitude_p2():
@@ -164,8 +180,19 @@ def test_oracle_rejects_a_column_with_a_residual(monkeypatch):
         build_matrix_oracle.__wrapped__(2, 3)
 
 
+def test_oracle_rejects_a_wrong_eta_power(monkeypatch):
+    # a stray q^5 in the eta powers behind U(d^j) must fail the residual check
+    from upadic import umatrix
+    from upadic.series import QSeries, eta_quotient
+    monkeypatch.setattr(
+        umatrix, "eta_quotient",
+        lambda pairs, prec: eta_quotient(pairs, prec) + QSeries(5, [1], prec))
+    with pytest.raises(ValueError, match="not a polynomial of degree 2 in d"):
+        build_matrix_oracle.__wrapped__(2, 3)
+
+
 def test_truncation_rejects_a_larger_size():
     m = build_matrix_genfun(3, 4)
-    assert m.truncation(2).rows == [row[:2] for row in m.rows[:2]]
+    assert m.truncation(2).rows == tuple(row[:2] for row in m.rows[:2])
     with pytest.raises(ValueError, match="size-4 matrix to size 5"):
         m.truncation(5)
