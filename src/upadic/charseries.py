@@ -6,12 +6,11 @@ p=3 parabola (3/2)m(m-1) + 2m with its equality set and secant upper bounds.
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .scalars import Val, INF, val_p, vp_int
 from .newton import NewtonPolygon
 from .modcurve import e_exponent, ip_poly
-from .linalg import _CHUNK, _prime_pool
+from .linalg import _CHUNK, _charpoly_mod, _prime_pool, _sym_crt
 from . import umatrix
 
 
@@ -45,63 +44,6 @@ def _matmul(a, b):
             for row in a]
 
 
-def _charpoly_hessenberg_mod(a, p):
-    """char poly coefficients c_0..c_n of det(tI - A) mod p, via similarity
-    reduction to Hessenberg form; returns [1, c_1, ..., c_n].
-
-    p may be composite: every step is a ring operation or the inverse of a
-    unit, so the result reduced mod each prime factor of p is that prime's
-    result.  Returns None when a pivot is not a unit mod p, which cannot
-    happen for prime p.
-    """
-    n = len(a)
-    h = [[x % p for x in row] for row in a]
-    for k in range(n - 2):
-        piv = next((r for r in range(k + 1, n) if h[r][k]), None)
-        if piv is None:
-            continue
-        if piv != k + 1:
-            h[k + 1], h[piv] = h[piv], h[k + 1]
-            for row in h:
-                row[k + 1], row[piv] = row[piv], row[k + 1]
-        try:
-            inv = pow(h[k + 1][k], -1, p)
-        except ValueError:
-            return None
-        # H <- L H L^-1 for L = I - sum_i f_i e_i e_(k+1)^T.  The factors
-        # commute, so every row i > k+1 loses f_i times the unchanged row
-        # k+1, and then column k+1 gains sum_i f_i times column i.
-        fs = [h[i][k] * inv % p for i in range(k + 2, n)]
-        if not any(fs):
-            continue
-        hk1 = h[k + 1][k:]
-        for i, f in enumerate(fs, k + 2):
-            if f:
-                h[i][k:] = [(x - f * y) % p for x, y in zip(h[i][k:], hk1)]
-        for row in h:
-            row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % p
-    # p_m(t) = det(tI - H_m) = (t - h_mm) p_(m-1) - sum_i c_i p_(m-1-i), with
-    # c_i = h_(m-i),m times the product of the i subdiagonal entries above
-    # row m; coefficients ascend and are reduced once per m.
-    polys = [[1]]
-    for m in range(1, n + 1):
-        prev = polys[-1]
-        hm = h[m - 1][m - 1]
-        pm = [b - hm * a for a, b in zip(prev + [0], [0] + prev)]
-        prod = 1
-        for i in range(1, m):
-            prod = prod * h[m - i][m - i - 1] % p
-            if not prod:
-                break
-            coef = h[m - 1 - i][m - 1] * prod % p
-            if coef:
-                q = polys[m - 1 - i]
-                pm[:len(q)] = [x - coef * y for x, y in zip(pm, q)]
-        polys.append([x % p for x in pm])
-    # c_k is the coefficient of t^(n-k)
-    return polys[n][::-1]
-
-
 def _hadamard_bits(rows):
     n = len(rows)
     bits = n + 2
@@ -129,24 +71,14 @@ def charpoly_crt(rows):
     for start in range(0, len(primes), _CHUNK):
         chunk = primes[start:start + _CHUNK]
         modulus = math.prod(chunk)
-        res = _charpoly_hessenberg_mod(rows, modulus)
+        res = _charpoly_mod(rows, modulus)
         if res is None:
             moduli.extend(chunk)
-            residues.extend(_charpoly_hessenberg_mod(rows, p) for p in chunk)
+            residues.extend(_charpoly_mod(rows, p) for p in chunk)
         else:
             moduli.append(modulus)
             residues.append(res)
-    coeffs = []
-    for k in range(n + 1):
-        x, mod = 0, 1
-        for res, p in zip(residues, moduli):
-            r = res[k]
-            x += mod * ((r - x) * pow(mod % p, -1, p) % p)
-            mod *= p
-        if x > mod // 2:
-            x -= mod
-        coeffs.append(x)
-    return coeffs
+    return _sym_crt(residues, moduli)
 
 
 class CharSeries:
@@ -158,14 +90,11 @@ class CharSeries:
                              % (coeffs[0],))
         self.p = p
         self.weight = weight
-        self.coeffs = list(coeffs)
+        self.coeffs = tuple(coeffs)
         self.trunc_size = trunc_size
 
     def a(self, m):
         return self.coeffs[m]
-
-    def valuations(self):
-        return [val_p(c, self.p) for c in self.coeffs]
 
     def __len__(self):
         return len(self.coeffs)

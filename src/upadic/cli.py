@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .scalars import val_p, val_quad3, Val, QuadInt3
+from .scalars import Val
 from . import modcurve, umatrix, charseries, weights
 from .verify import SUITES, assemble_report, run_suites, suite_p3_parabola
 from .serialize import (dump_json, dump_csv, matrix_json, bipoly_json,
@@ -43,13 +43,9 @@ def cmd_u_matrix(args):
             return 2
         m = umatrix.scaled_matrix_p3(m)
     if args.format == "csv":
-        e = modcurve.e_exponent(p)
-        rows = []
-        for i in range(1, m.n + 1):
-            for j in range(1, m.n + 1):
-                x = m.entry(i, j)
-                v = val_quad3(x) if isinstance(x, QuadInt3) else val_p(x, p)
-                rows.append((i, j, val_str(v), val_str(Val(e * (p * i - j) - 1))))
+        rows = [(i, j, val_str(umatrix.entry_valuation(m, i, j)),
+                 val_str(Val(umatrix.entry_bound(p, m.basis, i, j))))
+                for i in range(1, m.n + 1) for j in range(1, m.n + 1)]
         dump_csv(rows, ("i", "j", "valuation", "entry_bound"), args.out)
     else:
         dump_json(matrix_json(m), args.out)

@@ -1,7 +1,11 @@
 """Exact linear algebra modulo word-size primes and their products: the one
-prime pool of the package, its chunk size, and the kernel of an integer
-system modulo any integer.
+prime pool of the package, its chunk size, the kernel of an integer system
+and the characteristic polynomial of an integer matrix modulo any integer,
+and the symmetric CRT lift back to the integers.  Every row reduction of the
+package happens here.
 """
+
+from operator import mul
 
 
 def _is_probable_prime(n):
@@ -98,3 +102,75 @@ def _mod_kernel(rows, modulus):
     for row, col in reversed(list(zip(mat, pivots))):
         vec[col] = -sum(a * b for a, b in zip(row[col + 1:], vec[col + 1:])) % modulus
     return vec
+
+
+def _charpoly_mod(a, p):
+    """char poly coefficients c_0..c_n of det(tI - A) mod p, via similarity
+    reduction to Hessenberg form; returns [1, c_1, ..., c_n].
+
+    p may be composite: every step is a ring operation or the inverse of a
+    unit, so the result reduced mod each prime factor of p is that prime's
+    result.  Returns None when a pivot is not a unit mod p, which cannot
+    happen for prime p.
+    """
+    n = len(a)
+    h = [[x % p for x in row] for row in a]
+    for k in range(n - 2):
+        piv = next((r for r in range(k + 1, n) if h[r][k]), None)
+        if piv is None:
+            continue
+        if piv != k + 1:
+            h[k + 1], h[piv] = h[piv], h[k + 1]
+            for row in h:
+                row[k + 1], row[piv] = row[piv], row[k + 1]
+        try:
+            inv = pow(h[k + 1][k], -1, p)
+        except ValueError:
+            return None
+        # H <- L H L^-1 for L = I - sum_i f_i e_i e_(k+1)^T.  The factors
+        # commute, so every row i > k+1 loses f_i times the unchanged row
+        # k+1, and then column k+1 gains sum_i f_i times column i.
+        fs = [h[i][k] * inv % p for i in range(k + 2, n)]
+        if not any(fs):
+            continue
+        hk1 = h[k + 1][k:]
+        for i, f in enumerate(fs, k + 2):
+            if f:
+                h[i][k:] = [(x - f * y) % p for x, y in zip(h[i][k:], hk1)]
+        for row in h:
+            row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % p
+    # p_m(t) = det(tI - H_m) = (t - h_mm) p_(m-1) - sum_i c_i p_(m-1-i), with
+    # c_i = h_(m-i),m times the product of the i subdiagonal entries above
+    # row m; coefficients ascend and are reduced once per m.
+    polys = [[1]]
+    for m in range(1, n + 1):
+        prev = polys[-1]
+        hm = h[m - 1][m - 1]
+        pm = [b - hm * a for a, b in zip(prev + [0], [0] + prev)]
+        prod = 1
+        for i in range(1, m):
+            prod = prod * h[m - i][m - i - 1] % p
+            if not prod:
+                break
+            coef = h[m - 1 - i][m - 1] * prod % p
+            if coef:
+                q = polys[m - 1 - i]
+                pm[:len(q)] = [x - coef * y for x, y in zip(pm, q)]
+        polys.append([x % p for x in pm])
+    # c_k is the coefficient of t^(n-k)
+    return polys[n][::-1]
+
+
+def _sym_crt(residues, moduli):
+    """The integer vector congruent to residues[i] modulo moduli[i] for
+    every i, lifted into (-M/2, M/2] for M the product of the pairwise
+    coprime moduli.  One coefficient at a time, so that only one of them is
+    being built at full size."""
+    out = []
+    for rs in zip(*residues):
+        x, mod = 0, 1
+        for r, q in zip(rs, moduli):
+            x += mod * ((r - x) * pow(mod % q, -1, q) % q)
+            mod *= q
+        out.append(x - mod if x > mod // 2 else x)
+    return out

@@ -7,6 +7,8 @@ survive over F_3.
 
 from functools import lru_cache
 
+from .linalg import _charpoly_mod
+
 
 class F3BiSeries:
     """Finitely supported coefficients over F_3 in two variables, with an
@@ -274,23 +276,10 @@ def kbar_rows(size):
 
 
 def upper_minor_f3(rows, m):
-    """Determinant over F_3 of the upper m x m corner."""
-    a = [list(rows[i][:m]) for i in range(m)]
-    det = 1
-    for k in range(m):
-        piv = next((r for r in range(k, m) if a[r][k] % 3), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det % 3
-        inv = pow(a[k][k], -1, 3)
-        det = det * a[k][k] % 3
-        for r in range(k + 1, m):
-            f = a[r][k] * inv % 3
-            if f:
-                a[r] = [(x - f * y) % 3 for x, y in zip(a[r], a[k])]
-    return det % 3
+    """Determinant over F_3 of the upper m x m corner: (-1)^m times the
+    constant term of its characteristic polynomial det(tI - A)."""
+    corner = [row[:m] for row in rows[:m]]
+    return (-1) ** m * _charpoly_mod(corner, 3)[-1] % 3
 
 
 def enumerate_excellent(m, rows=None, witness_limit=4):

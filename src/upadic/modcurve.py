@@ -12,7 +12,7 @@ from operator import mul
 from .scalars import val_p
 from .series import QSeries, eta_quotient
 from .newton import NewtonPolygon
-from .linalg import _CHUNK, _mod_kernel, _prime_pool
+from .linalg import _CHUNK, _mod_kernel, _prime_pool, _sym_crt
 
 GENUS_ZERO_PRIMES = (2, 3, 5, 7, 13)
 
@@ -216,9 +216,6 @@ class BiPoly:
             return (0, 0)
         return (max(i for i, _ in self.terms), max(j for _, j in self.terms))
 
-    def scale(self, s):
-        return BiPoly({k: s * v for k, v in self.terms.items()})
-
     def y_part(self, j):
         """Coefficient of y^j, as a dict i -> coefficient."""
         return {i: v for (i, jj), v in self.terms.items() if jj == j}
@@ -343,10 +340,7 @@ def practical_ip_fit(p, n_eq=None):
     if gcd(kern[0], modulus) != 1:       # cols[0] is (0, 0)
         raise ValueError("relation misses the constant term")
     scale = pow(kern[0], -1, modulus)
-    vec = []
-    for v in kern:
-        v = v * scale % modulus
-        vec.append(v - modulus if v > modulus // 2 else v)
+    vec = _sym_crt([[v * scale for v in kern]], [modulus])
     if any(sum(map(mul, vec, row)) for row in rows):
         raise ValueError("exact residual check failed")
     return BiPoly(dict(zip(cols, vec)))

@@ -145,9 +145,6 @@ class QuadInt3:
     def is_zero(self):
         return self.a == 0 and self.b == 0
 
-    def conjugate(self):
-        return QuadInt3(self.a, -self.b)
-
     def __repr__(self):
         if self.b == 0:
             return "QuadInt3(%d)" % self.a

@@ -189,41 +189,6 @@ class QSeries:
                 base = base * base
         return result
 
-    def nth_root(self, n):
-        """Principal n-th root of c*q^(kn)*(1 + O(q)), by coefficient recursion.
-
-        The lowest exponent must be divisible by n and the leading coefficient
-        must be an exact rational n-th power.
-        """
-        if n <= 0:
-            raise ValueError("root order must be positive")
-        if self.is_zero():
-            raise ValueError("cannot take a root of a series that is zero to precision")
-        if self.start % n != 0:
-            raise ValueError("lowest exponent %d not divisible by %d" % (self.start, n))
-        lead = Fraction(self.c[0])
-        root_lead = _rational_nth_root(lead, n)
-        m = len(self.c)
-        # normalized unit part f = 1 + f_1 q + ..., solve g with g^n = f via
-        # n * f * g' = f' * g
-        f = [_norm(Fraction(x) / lead) for x in self.c]
-        g = [0] * m
-        g[0] = 1
-        for k in range(1, m):
-            s = 0
-            for j in range(1, k + 1):
-                fj = f[j] if j < m else 0
-                if fj:
-                    s += j * fj * g[k - j]
-            for i in range(1, k):
-                fki = f[k - i]
-                if fki:
-                    s -= n * i * g[i] * fki
-            g[k] = _norm(Fraction(s, n * k))
-        out = [_norm(root_lead * x) for x in g]
-        start = self.start // n
-        return QSeries(start, out, start + m)
-
     def v_substitute(self, p):
         """q -> q^p on coefficients; precision scales by p."""
         out = [0] * (len(self.c) * p - (p - 1) if self.c else 0)
@@ -255,37 +220,6 @@ class QSeries:
             out.append(self.coeff(n) if n < self.prec else 0)
             n += p
         return QSeries(n0 // p, out, prec)
-
-
-def _rational_nth_root(x, n):
-    """Exact principal n-th root of a rational, or raise ValueError."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("zero has no unit n-th root here")
-    if x < 0 and n % 2 == 0:
-        raise ValueError("negative leading coefficient under an even root")
-    sign = -1 if x < 0 else 1
-    num = _int_nth_root(abs(x.numerator), n)
-    den = _int_nth_root(x.denominator, n)
-    if num is None or den is None:
-        raise ValueError("leading coefficient %s is not an exact %d-th power" % (x, n))
-    return Fraction(sign * num, den)
-
-
-def _int_nth_root(m, n):
-    """Integer r with r^n = m, or None."""
-    if m in (0, 1):
-        return m
-    lo, hi = 1, 1
-    while hi ** n < m:
-        hi <<= 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** n < m:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo ** n == m else None
 
 
 def _eta_power(expo, n):

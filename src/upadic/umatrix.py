@@ -2,14 +2,14 @@
 of the hauptmodul d_p, built two independent ways: by expanding U(d_p^j) in
 q and re-expressing it in powers of d_p (oracle), and from the linear
 recurrence induced by the bivariate polynomial I_p (genfun).  Includes the
-p=3 scaled matrix over Z[sqrt3], its D*K factorization with K mod sqrt3, and
-diagonal major/minor/selection utilities.
+proven entry valuation bounds, and the p=3 scaled matrix over Z[sqrt3] with
+its D*K factorization and K mod sqrt3.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import QuadInt3, val_quad3, reduce_mod_sqrt3, vp_int, Val, INF
+from .scalars import QuadInt3, val_quad3, reduce_mod_sqrt3, val_p, Val, INF
 from .series import eta_quotient
 from .modcurve import (d_series, d_expansion, powers, ip_poly, e_exponent,
                        GENUS_ZERO_PRIMES, _as_int)
@@ -20,6 +20,10 @@ from .modcurve import (d_series, d_expansion, powers, ip_poly, e_exponent,
 SIGN_CONVENTION = "negated-log-derivative"
 
 GUARD = 16
+
+# basis label of the p=3 scaled matrix, whose entry (i, j) is 3^((3/2)(j-i))
+# times the entry of M
+SCALED_P3 = "scaled-3^(3m/2)"
 
 
 class UMatrix:
@@ -40,9 +44,6 @@ class UMatrix:
 
     def entry(self, i, j):
         return self.rows[i - 1][j - 1]
-
-    def trace(self):
-        return sum(self.rows[i][i] for i in range(self.n))
 
     def truncation(self, m):
         if m > self.n:
@@ -133,18 +134,28 @@ def build_matrix_genfun(p, n):
     return UMatrix(p, n, rows, provenance="genfun")
 
 
+def entry_bound(p, basis, i, j):
+    """Proven lower bound on the valuation of entry (i, j): e(pi - j) - 1 in
+    the basis of powers of d_p, and the row bound 3i - 1 in the scaled p=3
+    basis."""
+    if basis == SCALED_P3:
+        return 3 * i - 1
+    return e_exponent(p) * (p * i - j) - 1
+
+
+def entry_valuation(m, i, j):
+    """Valuation of entry (i, j) of m, an integer or, in the scaled p=3
+    basis, an element of Z[sqrt3] with v(sqrt3) = 1/2."""
+    x = m.entry(i, j)
+    return val_quad3(x) if isinstance(x, QuadInt3) else val_p(x, m.p)
+
+
 def entry_bound_violations(m):
-    """Entries violating v_p(M_ij) >= e(pi - j) - 1; empty on success."""
-    e = e_exponent(m.p)
-    out = []
-    for i in range(1, m.n + 1):
-        for j in range(1, m.n + 1):
-            x = m.entry(i, j)
-            if x == 0:
-                continue
-            if Val(vp_int(x, m.p)) < Val(e * (m.p * i - j) - 1):
-                out.append((i, j, x))
-    return out
+    """Entries (i, j, x) of m with valuation below entry_bound; empty on
+    success."""
+    return [(i, j, m.entry(i, j))
+            for i in range(1, m.n + 1) for j in range(1, m.n + 1)
+            if entry_valuation(m, i, j) < Val(entry_bound(m.p, m.basis, i, j))]
 
 
 def _exact_shift3(m, k):
@@ -178,13 +189,12 @@ def scaled_matrix_p3(m):
             else:
                 row.append(QuadInt3(0, _exact_shift3(x, (k - 1) // 2)))
         rows.append(row)
-    out = UMatrix(3, m.n, rows, basis="scaled-3^(3m/2)", provenance=m.provenance)
-    for i in range(1, m.n + 1):
-        for j in range(1, m.n + 1):
-            v = val_quad3(out.entry(i, j))
-            if v < Val(3 * i - 1):
-                raise ValueError("scaled entry (%d,%d) has valuation %s < %d"
-                                 % (i, j, v, 3 * i - 1))
+    out = UMatrix(3, m.n, rows, basis=SCALED_P3, provenance=m.provenance)
+    bad = entry_bound_violations(out)
+    if bad:
+        i, j, x = bad[0]
+        raise ValueError("scaled entry (%d,%d) has valuation %s < %d"
+                         % (i, j, val_quad3(x), entry_bound(3, SCALED_P3, i, j)))
     return out
 
 
@@ -216,7 +226,7 @@ class DKFactor:
 
 
 def dk_factor(mp):
-    if mp.basis != "scaled-3^(3m/2)":
+    if mp.basis != SCALED_P3:
         raise ValueError("factorization expects the scaled p=3 matrix")
     k_rows = []
     kbar_rows = []
@@ -238,72 +248,3 @@ def dk_factor(mp):
     if out.Kbar[0][0] == 0 or any(out.Kbar[0][j] for j in range(1, mp.n)):
         raise ValueError("row 1 of Kbar is not concentrated in column 1")
     return out
-
-
-def diagonal_major(m, s):
-    """Submatrix on the index sequence s (1-indexed, distinct)."""
-    if len(set(s)) != len(s):
-        raise ValueError("indices must be distinct")
-    return [[m.entry(i, j) for j in s] for i in s]
-
-
-def diagonal_minor(m, s):
-    return exact_det(diagonal_major(m, s))
-
-
-def selection(m, s, pi):
-    """The entry sequence M[s_i, s_pi(i)] for a degree-len(s) permutation pi
-    (pi given as a 0-indexed list on positions)."""
-    if sorted(pi) != list(range(len(s))):
-        raise ValueError("pi is not a permutation")
-    return [m.entry(s[i], s[pi[i]]) for i in range(len(s))]
-
-
-def exact_det(rows):
-    """Fraction-free determinant (Bareiss) for integer matrices; exact
-    rational elimination otherwise."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    if all(isinstance(x, int) for r in a for x in r):
-        return _det_bareiss(a)
-    a = [[Fraction(x) for x in r] for r in a]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for r in range(k + 1, n):
-            f = a[r][k] * inv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-    return det
-
-
-def _det_bareiss(a):
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row = a[i]
-            top = a[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * akk - aik * top[j]) // prev
-            row[k] = 0
-        prev = akk
-    return sign * a[n - 1][n - 1]

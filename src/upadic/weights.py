@@ -87,12 +87,12 @@ class TwistMatrix:
         self.size = size
         self.n_param = vp_int(k, 3) - 1 if k else None
         if k == 0:
-            self.rho = [1] + [0] * size
+            self.rho = (1,) + (0,) * size
         else:
             power = k // 3
             base = s_over_vs(size + 4)
-            self.rho = expand_in_d3(base ** power if power >= 0
-                                    else base.inv() ** (-power), size)
+            self.rho = tuple(expand_in_d3(base ** power if power >= 0
+                                          else base.inv() ** (-power), size))
 
     def scaled_entry_valuation(self, m):
         """v_3 of the scaled-basis entry C_(j+m, j) = rho_m 3^(-3m/2)."""
@@ -117,10 +117,6 @@ class TwistMatrix:
             if self.k and Val(v - Fraction(3 * m, 2)) < Val(self.n_param - vp_int(m, 3)):
                 bad.append(("subdiagonal", m, r))
         return bad
-
-    def plain_rows(self, n):
-        return [[self.rho[i - j] if 0 <= i - j <= self.size else 0
-                 for j in range(n)] for i in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -165,14 +161,20 @@ def uk_matrix(k, size):
 
 @lru_cache(maxsize=None)
 def uk_char_series(k, size):
+    """Characteristic series of the weight-k matrix M*C, whose truncation
+    certificate rests on the scaled row bound 3i-1: checked here first."""
+    bad = scaled_product_row_check(k, size)
+    if bad is not None:
+        raise ValueError("weight %d: entry (%d,%d) of M*C breaks the scaled "
+                         "row bound" % ((k,) + bad[:2]))
     return char_series_trunc(uk_matrix(k, size), weight=k)
 
 
 def certified_weight_records(k, m_max, size):
     """Certified coefficient records for Q_k from truncations size, size+10.
 
-    The scaled rows of M'C' obey the same bound 3i-1 as M', so the same
-    truncation certificate applies.
+    The scaled rows of M'C' obey the same bound 3i-1 as M' (uk_char_series
+    checks it), so the same truncation certificate applies.
     """
     q1 = uk_char_series(k, size)
     q2 = uk_char_series(k, size + 10)
@@ -180,15 +182,14 @@ def certified_weight_records(k, m_max, size):
 
 
 def scaled_product_row_check(k, size):
-    """Entrywise check that the scaled twisted matrix keeps row bounds:
-    v_3((MC)_ij) + (3/2)(j-i) >= 3i - 1."""
+    """Entrywise check that the scaled twisted matrix keeps the row bounds
+    v_3((MC)_ij) + (3/2)(j-i) >= 3i - 1, in integers: the first entry
+    (i, j, x) with 2 v_3(x) + 3(j-i) < 2(3i - 1), or None."""
     mk = uk_matrix(k, size)
-    for i in range(1, size + 1):
-        for j in range(1, size + 1):
-            x = mk.entry(i, j)
-            if x == 0:
-                continue
-            if Val(vp_int(x, 3) + Fraction(3 * (j - i), 2)) < Val(3 * i - 1):
+    for i, row in enumerate(mk.rows, 1):
+        for j, x in enumerate(row, 1):
+            if x and (2 * vp_int(x, 3) + 3 * (j - i)
+                      < 2 * umatrix.entry_bound(3, umatrix.SCALED_P3, i, j)):
                 return (i, j, x)
     return None
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -50,6 +51,18 @@ def test_u_matrix_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "i,j,valuation,entry_bound"
     assert lines[1].startswith("1,1,3,3")      # v_2(24) = 3 = bound
+
+
+@pytest.mark.parametrize("basis", [[], ["--scaled"]], ids=["plain", "scaled"])
+def test_u_matrix_csv_rows_meet_their_bound(tmp_path, basis):
+    out = tmp_path / "m.csv"
+    assert main(["u-matrix", "--prime", "3", "--size", "6", "--format", "csv",
+                 "--out", str(out), *basis]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 36
+    for line in rows:
+        i, j, v, bound = line.split(",")
+        assert v == "inf" or Fraction(v) >= Fraction(bound), line
 
 
 def test_unsupported_prime_usage_error():

@@ -16,3 +16,39 @@ def test_no_assert_statements_in_the_package():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _functions(tree):
+    """The module-level functions and the class methods of a module."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, kinds))
+
+
+def test_every_function_is_used_by_the_package():
+    # a function or method that no code under src/upadic/ names outside its
+    # own body is reached from tests only; the Leverrier charpoly and its
+    # matrix product stay as the tests' independent oracle
+    allowed = {"charpoly_leverrier", "_matmul"}
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    uses = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, path, node.lineno))
+    unused = []
+    for path, tree in trees.items():
+        for fn in _functions(tree):
+            name = fn.name
+            if name in allowed or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not any(used == name and not (at == path and fn.lineno <= line <= fn.end_lineno)
+                       for used, at, line in uses):
+                unused.append("%s:%s" % (path.name, name))
+    assert unused == []

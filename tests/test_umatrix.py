@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -6,11 +8,10 @@ from upadic.scalars import QuadInt3, val_quad3, Val, vp_int
 from upadic.umatrix import (build_matrix_oracle, build_matrix_genfun,
                             column_recurrence, entry_bound_violations,
                             scaled_matrix_p3, scaled_row_bound_report,
-                            dk_factor, diagonal_major, diagonal_minor,
-                            selection, exact_det, UMatrix)
+                            dk_factor)
 from upadic.modcurve import ip_poly
-from upadic.weights import uk_matrix
-from upadic.charseries import charpoly_leverrier
+from upadic.weights import uk_char_series, uk_matrix, twist_matrix
+from upadic.charseries import charpoly_leverrier, cuspidal_char_series
 
 
 def test_u_of_d2():
@@ -40,6 +41,20 @@ def test_cached_matrices_are_immutable(build):
         m.rows[0] = (0, 0, 0, 0)
     assert build(3, 4) is m
     assert [list(row) for row in m.rows] == before
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: cuspidal_char_series(3, 6), "coeffs"),
+    (lambda: uk_char_series(6, 6), "coeffs"),
+    (lambda: twist_matrix(6, 6), "rho")],
+    ids=["cuspidal_char_series", "uk_char_series", "twist_matrix"])
+def test_cached_series_and_twists_are_immutable(build, field):
+    obj = build()
+    before = list(getattr(obj, field))
+    with pytest.raises(TypeError):
+        getattr(obj, field)[1] = 0
+    assert build() is obj
+    assert list(getattr(obj, field)) == before
 
 
 def test_genfun_entry_magnitude_p2():
@@ -126,41 +141,26 @@ def test_dk_factorization():
     assert all(x == 0 for x in dk.Kbar[0][1:])
 
 
-def test_diagonal_major_minor_selection():
-    m = UMatrix(3, 3, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    assert diagonal_minor(m, (1,)) == 1
-    assert diagonal_major(m, (1, 3)) == [[1, 3], [7, 10]]
-    ident = UMatrix(3, 4, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
-    assert diagonal_minor(ident, (2, 4)) == 1
-    assert selection(m, (1, 2, 3), [1, 0, 2]) == [2, 4, 10]
-    with pytest.raises(ValueError):
-        diagonal_minor(m, (1, 1))
-    with pytest.raises(ValueError):
-        selection(m, (1, 2), [0, 0])
+def _leibniz_det(rows):
+    # sum over permutations of sign(pi) * prod_i rows[i][pi(i)]
+    total = 0
+    for pi in permutations(range(len(rows))):
+        sign = (-1) ** sum(pi[a] > pi[b] for a, b in combinations(range(len(pi)), 2))
+        total += sign * math.prod(row[j] for row, j in zip(rows, pi))
+    return total
 
 
 def test_sum_of_minors_equals_charpoly_coefficient():
     # sum of all size-k diagonal minors is (-1)^k a_k(det(1 - tM))
     random.seed(9)
-    from itertools import combinations
     for _ in range(5):
         rows = [[random.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-        m = UMatrix(3, 4, rows)
         coeffs = charpoly_leverrier(rows)
         for k in range(1, 5):
-            total = sum(diagonal_minor(m, s) for s in combinations(range(1, 5), k))
+            total = sum(_leibniz_det([[rows[i][j] for j in s] for i in s])
+                        for s in combinations(range(4), k))
             assert total == (-1) ** k * coeffs[k]
-
-
-def test_exact_det_bareiss_vs_fraction():
-    random.seed(10)
-    from fractions import Fraction
-    for _ in range(20):
-        n = random.randint(1, 5)
-        rows = [[random.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        d1 = exact_det(rows)
-        d2 = exact_det([[Fraction(x) for x in r] for r in rows])
-        assert d1 == d2
+    assert _leibniz_det([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
 
 
 def test_oracle_rejects_bad_prime():
