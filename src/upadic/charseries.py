@@ -12,6 +12,7 @@ from .newton import NewtonPolygon
 from .modcurve import e_exponent, ip_poly
 from .linalg import _CHUNK, _charpoly_mod, _prime_pool, _sym_crt
 from . import umatrix
+from .umatrix import row_bound
 
 
 def charpoly_leverrier(rows):
@@ -44,41 +45,82 @@ def _matmul(a, b):
             for row in a]
 
 
-def _hadamard_bits(rows):
-    n = len(rows)
-    bits = n + 2
-    for row in rows:
+def _coefficient_floors(rows, p):
+    """L_0..L_n with p^(L_m) dividing the coefficient a_m of det(1 - tA).
+
+    Conjugating A by diag(p^(-e i)), e = e(p), leaves every principal minor
+    unchanged and moves v_p(x_ij) to r_ij = v_p(x_ij) + e(j - i).  Each term
+    of an m-row principal minor then has valuation at least the sum of its
+    rows' minima r_i, so L_m = max(0, ceil(sum of the m smallest r_i)) holds
+    for any integer matrix.  Rows that are zero drop out; with fewer than m
+    nonzero rows a_m = 0 and L_m = 0.
+    """
+    e = e_exponent(p)
+    a, b = e.numerator, e.denominator
+    mins = sorted(min(b * vp_int(x, p) + a * (j - i)
+                      for j, x in enumerate(row) if x)
+                  for i, row in enumerate(rows) if any(row))
+    floors, s = [0], 0
+    for r in mins:
+        s += r                    # b times the sum of the m smallest r_i
+        floors.append(max(0, -(-s // b)))
+    return floors + [0] * (len(rows) - len(mins))
+
+
+def _coefficient_bounds(rows):
+    """B_0..B_n with |a_m| <= B_m for det(1 - tA).
+
+    a_m is a signed sum of principal m-minors, and by Hadamard each is at
+    most the product of its rows' norms, so B_m = e_m(ceil ||row_1||, ...,
+    ceil ||row_n||): one exact elementary-symmetric recurrence.
+    """
+    bounds = [1] + [0] * len(rows)
+    for k, row in enumerate(rows, 1):
         s = sum(x * x for x in row)
         if s:
-            bits += (s.bit_length() + 1) // 2 + 1
-    return bits
+            c = math.isqrt(s - 1) + 1
+            for m in range(k, 0, -1):
+                bounds[m] += bounds[m - 1] * c
+    return bounds
 
 
-def charpoly_crt(rows):
+def _crt_bits(rows, p, floors):
+    """Bit length of the largest |a_m| / p^(L_m) the bounds allow."""
+    return max((b // p ** l).bit_length()
+               for b, l in zip(_coefficient_bounds(rows), floors))
+
+
+def charpoly_crt(rows, p):
     """Coefficients a_0..a_n of det(1 - tA), exactly.
 
-    A Hadamard bound on the coefficients fixes how many primes of the pool
-    are needed.  The Hessenberg reduction runs once per chunk of _CHUNK of
-    them, modulo their product; a chunk where a pivot is not a unit modulo
-    that product is redone one prime at a time.  CRT over the chunk moduli
-    and a symmetric lift give the coefficients.
+    What is reconstructed is b_m = a_m / p^(L_m), with L_m the floors of
+    _coefficient_floors, and _crt_bits fixes how many primes of the pool are
+    needed.  The Hessenberg reduction runs once per chunk of _CHUNK of them,
+    modulo their product; a chunk where a pivot is not a unit modulo that
+    product is redone one prime at a time.  Each residue is divided by
+    p^(L_m) modulo its modulus (the pool primes exceed p), and CRT over the
+    chunk moduli with a symmetric lift gives the b_m.
     """
     n = len(rows)
     if n == 0:
         return [1]
-    primes = _prime_pool(_hadamard_bits(rows) // 29 + 2)
+    floors = _coefficient_floors(rows, p)
+    primes = _prime_pool(_crt_bits(rows, p, floors) // 29 + 2)
     moduli, residues = [], []
     for start in range(0, len(primes), _CHUNK):
         chunk = primes[start:start + _CHUNK]
         modulus = math.prod(chunk)
         res = _charpoly_mod(rows, modulus)
         if res is None:
-            moduli.extend(chunk)
-            residues.extend(_charpoly_mod(rows, p) for p in chunk)
+            parts = [(q, _charpoly_mod(rows, q)) for q in chunk]
         else:
-            moduli.append(modulus)
-            residues.append(res)
-    return _sym_crt(residues, moduli)
+            parts = [(modulus, res)]
+        for q, rs in parts:
+            inv = pow(p, -1, q)
+            moduli.append(q)
+            residues.append([r * pow(inv, l, q) % q
+                             for r, l in zip(rs, floors)])
+    return [p ** l * b for l, b in zip(floors, _sym_crt(residues, moduli))]
 
 
 class CharSeries:
@@ -104,7 +146,7 @@ def char_series_trunc(m, n=None, weight=0):
     """Characteristic series of the upper n x n truncation of a UMatrix."""
     n = m.n if n is None else n
     rows = m.truncation(n).rows if n < m.n else m.rows
-    return CharSeries(m.p, charpoly_crt(rows), n, weight=weight)
+    return CharSeries(m.p, charpoly_crt(rows, m.p), n, weight=weight)
 
 
 def p_from_q(q):
@@ -112,11 +154,6 @@ def p_from_q(q):
     a = q.coeffs
     b = [1] + [a[m] - a[m - 1] for m in range(1, len(a))] + [-a[-1]]
     return CharSeries(q.p, b, q.trunc_size, weight=q.weight)
-
-
-def row_bound(p, i):
-    """Proven valuation lower bound e(p-1)i - 1 for row i of the scaled matrix."""
-    return e_exponent(p) * (p - 1) * i - 1
 
 
 def check_scaled_integrality(p):
@@ -220,7 +257,14 @@ def cuspidal_char_series(p, size):
 
 
 def stable_valuations(p, m_max, size):
-    """Certified (m, v_p(a_m)) pairs for the weight-0 cuspidal series."""
+    """Certified (m, v_p(a_m)) pairs for the weight-0 cuspidal series.
+
+    The truncation bounds rest on the row bounds e(p-1)i - 1, so I_p must
+    pass check_scaled_integrality first."""
+    if not check_scaled_integrality(p):
+        raise ValueError("I_%d fails the scaled integrality check, so the "
+                         "row bounds behind the truncation certificate do "
+                         "not hold at p = %d" % (p, p))
     q1 = cuspidal_char_series(p, size)
     q2 = cuspidal_char_series(p, size + 10)
     return certify(q1, q2, m_max)

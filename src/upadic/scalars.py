@@ -8,14 +8,27 @@ from fractions import Fraction
 
 
 def vp_int(n, p):
-    """Exponent of p in a nonzero integer n."""
+    """Exponent of p in a nonzero integer n, in O(log v) big-int divisions.
+
+    Dividing out p, p^2, p^4, ... while they divide leaves a cofactor of
+    valuation below the last square tried; the same squares, largest first,
+    then take off its remaining valuation bit by bit.
+    """
     if n == 0:
         raise ValueError("vp_int requires n != 0")
     n = abs(n)
     v = 0
-    while n % p == 0:
-        v += 1
-        n //= p
+    squares = []
+    q = p
+    while n % q == 0:
+        n //= q
+        v += 1 << len(squares)
+        squares.append(q)
+        q *= q
+    for k in range(len(squares) - 1, -1, -1):
+        if n % squares[k] == 0:
+            n //= squares[k]
+            v += 1 << k
     return v
 
 

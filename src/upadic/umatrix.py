@@ -134,12 +134,18 @@ def build_matrix_genfun(p, n):
     return UMatrix(p, n, rows, provenance="genfun")
 
 
+def row_bound(p, i):
+    """Proven valuation lower bound e(p-1)i - 1 for row i of the scaled
+    matrix p^(e(j-i)) M_ij (3i - 1 at p = 3, where e = 3/2)."""
+    return e_exponent(p) * (p - 1) * i - 1
+
+
 def entry_bound(p, basis, i, j):
     """Proven lower bound on the valuation of entry (i, j): e(pi - j) - 1 in
     the basis of powers of d_p, and the row bound 3i - 1 in the scaled p=3
     basis."""
     if basis == SCALED_P3:
-        return 3 * i - 1
+        return row_bound(3, i)
     return e_exponent(p) * (p * i - j) - 1
 
 
@@ -210,7 +216,7 @@ def scaled_row_bound_report(mp):
         vals = [val_quad3(x) for x in mp.rows[i - 1] if not x.is_zero()]
         vmin = min(vals) if vals else INF
         report.append({"row": i, "min_valuation": vmin,
-                       "attains_3i_minus_1": vmin == Val(3 * i - 1),
+                       "attains_3i_minus_1": vmin == Val(row_bound(3, i)),
                        "meets_3i": vmin >= Val(3 * i)})
     return report
 
@@ -220,7 +226,7 @@ class DKFactor:
 
     def __init__(self, n, k_rows, kbar_rows):
         self.n = n
-        self.d_exponents = [3 * i - 1 for i in range(1, n + 1)]
+        self.d_exponents = [row_bound(3, i) for i in range(1, n + 1)]
         self.K = k_rows
         self.Kbar = kbar_rows
 
@@ -231,7 +237,8 @@ def dk_factor(mp):
     k_rows = []
     kbar_rows = []
     for i in range(1, mp.n + 1):
-        scale = 3 ** (3 * i - 1)
+        b = row_bound(3, i)
+        scale = 3 ** b
         krow = []
         for j in range(1, mp.n + 1):
             x = mp.entry(i, j)
@@ -239,7 +246,7 @@ def dk_factor(mp):
             qb, rb = divmod(x.b, scale)
             if ra or rb:
                 raise ValueError("entry (%d,%d) not divisible by 3^%d"
-                                 % (i, j, 3 * i - 1))
+                                 % (i, j, b))
             krow.append(QuadInt3(qa, qb))
         k_rows.append(krow)
         kbar_rows.append([reduce_mod_sqrt3(x) for x in krow])

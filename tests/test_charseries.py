@@ -6,9 +6,11 @@ import sys
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from upadic.scalars import Val, INF, val_p
 from upadic.newton import NewtonPolygon
+from upadic.modcurve import GENUS_ZERO_PRIMES
 from upadic.umatrix import UMatrix, build_matrix_genfun
 from upadic import charseries
 from upadic.charseries import (CharSeries, CoefficientRecord, certify, charpoly_leverrier,
@@ -36,18 +38,64 @@ def test_charpoly_crt_matches_leverrier_random():
         cases.append([[random.randint(-50, 50) for _ in range(n)]
                       for _ in range(n)])
     for rows in cases:
-        assert charpoly_crt(rows) == charpoly_leverrier(rows)
+        assert charpoly_crt(rows, 3) == charpoly_leverrier(rows)
 
 
 def test_charpoly_crt_big_entries():
     random.seed(22)
-    for n in (5, 9):
+    for n in (6, 9):
         rows = [[random.randint(-10 ** 40, 10 ** 40) for _ in range(n)]
                 for _ in range(n)]
         # several chunks, the last one short
-        need = charseries._hadamard_bits(rows) // 29 + 2
+        floors = charseries._coefficient_floors(rows, 3)
+        need = charseries._crt_bits(rows, 3, floors) // 29 + 2
         assert need > charseries._CHUNK and need % charseries._CHUNK
-        assert charpoly_crt(rows) == charpoly_leverrier(rows)
+        assert charpoly_crt(rows, 3) == charpoly_leverrier(rows)
+
+
+@st.composite
+def _valued_matrices(draw):
+    """(p, rows): entries p^k u, so that the floors are often positive, with
+    small k anywhere (below any row bound a U matrix would obey), some zero
+    rows, and sometimes a first Hessenberg pivot that is a pool prime."""
+    p = draw(st.sampled_from(GENUS_ZERO_PRIMES))
+    n = draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0),
+                      st.builds(lambda k, u: p ** k * u, st.integers(0, 12),
+                                st.integers(-10 ** 6, 10 ** 6)))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2)):
+        if i < n:
+            rows[i] = [0] * n
+    if n >= 3 and draw(st.booleans()):
+        rows[1][0] = charseries._prime_pool(1)[0]
+    return p, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valued_matrices())
+def test_charpoly_crt_matches_leverrier_property(case):
+    p, rows = case
+    want = charpoly_leverrier(rows)
+    floors = charseries._coefficient_floors(rows, p)
+    assert all(a % p ** l == 0 for a, l in zip(want, floors))
+    assert charpoly_crt(rows, p) == want
+
+
+def test_charpoly_crt_prime_count_at_size_40(monkeypatch):
+    class Enough(Exception):
+        pass
+
+    counts = []
+
+    def spy(count):
+        counts.append(count)
+        raise Enough
+
+    monkeypatch.setattr(charseries, "_prime_pool", spy)
+    with pytest.raises(Enough):
+        charpoly_crt(build_matrix_genfun(3, 40).rows, 3)
+    assert counts[0] <= 4421 // 29 + 3
 
 
 def test_prime_pool_grows_on_demand():
@@ -76,7 +124,7 @@ def test_charpoly_crt_non_unit_pivot_falls_back(monkeypatch):
         return hessenberg(a, p)
 
     monkeypatch.setattr(charseries, "_charpoly_mod", spy)
-    got = charpoly_crt(rows)
+    got = charpoly_crt(rows, 3)
     chunk = charseries._prime_pool(charseries._CHUNK)
     assert moduli[:1 + len(chunk)] == [math.prod(chunk)] + list(chunk)
     assert got == charpoly_leverrier(rows)
@@ -187,6 +235,14 @@ def test_certification_small():
         assert r.certified
     assert recs[1].v_obs == Val(2)
     assert recs[4].v_obs == Val(26)
+
+
+def test_stable_valuations_checks_the_row_bound_premise(monkeypatch):
+    monkeypatch.setattr(charseries, "check_scaled_integrality",
+                        lambda p: p != 5)
+    assert stable_valuations(3, 2, 12)[1].certified
+    with pytest.raises(ValueError, match="p = 5"):
+        stable_valuations(5, 2, 12)
 
 
 def test_equality_set_small():

@@ -1,6 +1,8 @@
 import random
 
+import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from upadic.scalars import (Val, INF, val_p, vp_int, QuadInt3, SQRT3,
                             val_quad3, reduce_mod_sqrt3)
@@ -11,6 +13,24 @@ def test_val_p_basics():
     assert val_p(Fraction(432000, 691), 13) == Val(0)
     assert val_p(3 ** 2420, 3) == Val(2420)
     assert val_p(Fraction(1, 9), 3) == Val(-2)
+
+
+def _vp_naive(n, p):
+    v = 0
+    while n % p == 0:
+        v += 1
+        n //= p
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7, 13)), k=st.integers(0, 3000),
+       u=st.integers(-10 ** 30, 10 ** 30).filter(bool))
+def test_vp_int_matches_the_naive_loop(p, k, u):
+    n = p ** k * u
+    assert vp_int(n, p) == _vp_naive(abs(n), p)
+    with pytest.raises(ValueError):
+        vp_int(0, p)
 
 
 def test_val_ordering_and_addition():
