@@ -5,9 +5,9 @@
 # the whole theory run.
 
 from upadic.umatrix import (build_matrix_oracle, build_matrix_genfun,
-                            entry_bound_violations, scaled_matrix_p3, dk_factor,
-                            scaled_row_bound_report)
-from upadic.scalars import val_quad3, vp_int
+                            entry_bound_violations, scaled_row_bound_report,
+                            kbar)
+from upadic.scalars import vp_int
 from upadic.modcurve import e_exponent
 
 # Route one: expand U(d_p^j) as a q-series and re-express it in powers of
@@ -28,14 +28,14 @@ print("v_3(M_11) =", vp_int(m.entry(1, 1), 3),
 
 # For p=3 the natural rescaling 3^((3/2)(j-i)) M_ij lands in Z[sqrt(3)].
 # Row i is divisible by 3^(3i-1), and that exponent is attained in every row:
-mp = scaled_matrix_p3(build_matrix_genfun(3, 12))
-for row in scaled_row_bound_report(mp)[:4]:
+g12 = build_matrix_genfun(3, 12)
+for row in scaled_row_bound_report(g12)[:4]:
     print("row %d: min valuation %s, attains 3i-1: %s"
           % (row["row"], row["min_valuation"], row["attains_3i_minus_1"]))
 
 # Factoring the row divisibility out, M' = diag(3^(3i-1)) * K, and K mod
 # sqrt(3) is a matrix over F_3 whose first row is concentrated in column 1.
-dk = dk_factor(mp)
-print("Kbar row 1:", dk.Kbar[0])
-print("Kbar row 2:", dk.Kbar[1])
-print("Kbar row 3:", dk.Kbar[2])
+kb = kbar(g12)
+print("Kbar row 1:", kb[0])
+print("Kbar row 2:", kb[1])
+print("Kbar row 3:", kb[2])

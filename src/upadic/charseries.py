@@ -48,22 +48,18 @@ def _matmul(a, b):
 def _coefficient_floors(rows, p):
     """L_0..L_n with p^(L_m) dividing the coefficient a_m of det(1 - tA).
 
-    Conjugating A by diag(p^(-e i)), e = e(p), leaves every principal minor
-    unchanged and moves v_p(x_ij) to r_ij = v_p(x_ij) + e(j - i).  Each term
-    of an m-row principal minor then has valuation at least the sum of its
-    rows' minima r_i, so L_m = max(0, ceil(sum of the m smallest r_i)) holds
-    for any integer matrix.  Rows that are zero drop out; with fewer than m
-    nonzero rows a_m = 0 and L_m = 0.
+    Each term of an m-row principal minor has valuation at least the sum of
+    its rows' scaled minima r_i (umatrix.scaled_row_minima), so
+    L_m = max(0, ceil(sum of the m smallest r_i)) holds for any integer
+    matrix.  Rows that are zero drop out; with fewer than m nonzero rows
+    a_m = 0 and L_m = 0.
     """
-    e = e_exponent(p)
-    a, b = e.numerator, e.denominator
-    mins = sorted(min(b * vp_int(x, p) + a * (j - i)
-                      for j, x in enumerate(row) if x)
-                  for i, row in enumerate(rows) if any(row))
+    mins = sorted(r for r in umatrix.scaled_row_minima(rows, p)
+                  if r is not None)
     floors, s = [0], 0
     for r in mins:
-        s += r                    # b times the sum of the m smallest r_i
-        floors.append(max(0, -(-s // b)))
+        s += r
+        floors.append(max(0, math.ceil(s)))
     return floors + [0] * (len(rows) - len(mins))
 
 
@@ -142,11 +138,9 @@ class CharSeries:
         return len(self.coeffs)
 
 
-def char_series_trunc(m, n=None, weight=0):
-    """Characteristic series of the upper n x n truncation of a UMatrix."""
-    n = m.n if n is None else n
-    rows = m.truncation(n).rows if n < m.n else m.rows
-    return CharSeries(m.p, charpoly_crt(rows, m.p), n, weight=weight)
+def char_series_trunc(m, weight=0):
+    """Characteristic series of a UMatrix, a truncation of U."""
+    return CharSeries(m.p, charpoly_crt(m.rows, m.p), m.n, weight=weight)
 
 
 def p_from_q(q):
@@ -169,22 +163,17 @@ def check_scaled_integrality(p):
     return True
 
 
-def truncation_error_bound(row_bounds, m, n_trunc):
-    """Valuation below which the n-truncation cannot change a_m.
+def trunc_bound(p, m, n_trunc):
+    """Valuation below which the n_trunc-truncation cannot change a_m.
 
-    row_bounds: nondecreasing function i -> rational bound for row i of the
-    scaled matrix.  Any size-m diagonal minor using a row beyond the
-    truncation has valuation at least (sum of the m-1 smallest row bounds)
-    plus the bound of the first omitted row.
+    The row bounds e(p-1)i - 1 increase with i, so any size-m diagonal
+    minor using a row beyond the truncation has valuation at least the sum
+    of the m-1 smallest row bounds plus the bound of the first omitted row.
     """
     if m == 0:
         return INF
-    s = sum(Fraction(row_bounds(i)) for i in range(1, m))
-    return Val(s + Fraction(row_bounds(n_trunc + 1)))
-
-
-def trunc_bound(p, m, n_trunc):
-    return truncation_error_bound(lambda i: row_bound(p, i), m, n_trunc)
+    return Val(sum(row_bound(p, i) for i in range(1, m))
+               + row_bound(p, n_trunc + 1))
 
 
 def parabola_floor(m):
@@ -253,7 +242,11 @@ def certify(q1, q2, m_max):
 
 @lru_cache(maxsize=None)
 def cuspidal_char_series(p, size):
-    return char_series_trunc(umatrix.build_matrix_genfun(p, size))
+    """Characteristic series of the weight-0 matrix, whose truncation
+    certificate rests on the row bounds e(p-1)i - 1: checked here first."""
+    m = umatrix.build_matrix_genfun(p, size)
+    umatrix.check_row_bounds(m)
+    return char_series_trunc(m)
 
 
 def stable_valuations(p, m_max, size):

@@ -48,13 +48,6 @@ class F3BiSeries:
             out[k] = out.get(k, 0) + v
         return F3BiSeries(out, ku, min(self.min_total, other.min_total))
 
-    def __sub__(self, other):
-        return self + other.scale(2)
-
-    def scale(self, s):
-        return F3BiSeries({k: v * s for k, v in self.data.items()},
-                          self.known_upto, self.min_total)
-
     def __mul__(self, other):
         if self.known_upto is None and other.known_upto is None:
             ku = None
@@ -282,9 +275,10 @@ def upper_minor_f3(rows, m):
     return (-1) ** m * _charpoly_mod(corner, 3)[-1] % 3
 
 
-def enumerate_excellent(m, rows=None, witness_limit=4):
+def enumerate_excellent(m, rows=None):
     """Count degree-m permutations pi whose selection against the upper
-    m x m corner of Kbar is all-nonzero; returns (count, witnesses).
+    m x m corner of Kbar is all-nonzero; returns (count, witnesses), the
+    first four found.
 
     Permutations are returned 1-indexed as tuples (pi(1), ..., pi(m)).
     Backtracking over the sparse nonzero support; the bandwidth of Kbar
@@ -302,7 +296,7 @@ def enumerate_excellent(m, rows=None, witness_limit=4):
         nonlocal count
         if i > m:
             count += 1
-            if len(witnesses) < witness_limit:
+            if len(witnesses) < 4:
                 witnesses.append(tuple(pick[1:]))
             return
         for j in support[i - 1]:

@@ -156,12 +156,6 @@ class HPoly:
             acc = acc * x + c
         return acc
 
-    def eval_series(self, f):
-        acc = QSeries.const(0, f.prec)
-        for c in reversed(self.coeffs):
-            acc = acc * f + c
-        return acc
-
     def __eq__(self, other):
         return (isinstance(other, HPoly) and self.p == other.p
                 and self.coeffs == other.coeffs)

@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic: p-adic valuations with +infinity and the ring Z[sqrt(3)].
+"""Exact scalars: p-adic valuations with +infinity, and elements of Z[sqrt(3)]
+with their valuation.
 
 All values are immutable.  Valuations are exact rationals (never floats),
 because half-integer and other fractional valuations occur throughout.
@@ -121,30 +122,6 @@ class QuadInt3:
         self.a = a
         self.b = b
 
-    def __add__(self, other):
-        other = _coerce3(other)
-        return QuadInt3(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce3(other)
-        return QuadInt3(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        return _coerce3(other) - self
-
-    def __neg__(self):
-        return QuadInt3(-self.a, -self.b)
-
-    def __mul__(self, other):
-        other = _coerce3(other)
-        # (a + b r)(c + d r) with r^2 = 3
-        return QuadInt3(self.a * other.a + 3 * self.b * other.b,
-                        self.a * other.b + self.b * other.a)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         try:
             other = _coerce3(other)
@@ -172,9 +149,6 @@ def _coerce3(x):
     raise TypeError("cannot coerce %r into Z[sqrt(3)]" % (x,))
 
 
-SQRT3 = QuadInt3(0, 1)
-
-
 def val_quad3(x):
     """Valuation on Z[sqrt(3)] normalized so v(sqrt(3)) = 1/2 and v(3) = 1.
 
@@ -189,7 +163,3 @@ def val_quad3(x):
         return Val(vp_int(x.a, 3))
     return Val(min(Fraction(vp_int(x.a, 3)), Fraction(2 * vp_int(x.b, 3) + 1, 2)))
 
-
-def reduce_mod_sqrt3(x):
-    """Residue of a + b sqrt3 in the residue field F_3 at the prime (sqrt3)."""
-    return _coerce3(x).a % 3

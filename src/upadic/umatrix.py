@@ -2,14 +2,16 @@
 of the hauptmodul d_p, built two independent ways: by expanding U(d_p^j) in
 q and re-expressing it in powers of d_p (oracle), and from the linear
 recurrence induced by the bivariate polynomial I_p (genfun).  Includes the
-proven entry valuation bounds, and the p=3 scaled matrix over Z[sqrt3] with
-its D*K factorization and K mod sqrt3.
+proven entry valuation bounds, the valuations of the rows of the scaled
+matrix p^(e(j-i)) M_ij with the row-bound premise check that every
+truncation certificate rests on, and at p=3 the scaled matrix over Z[sqrt3]
+and K mod sqrt3, where M' = diag(3^(3i-1)) K.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import QuadInt3, val_quad3, reduce_mod_sqrt3, val_p, Val, INF
+from .scalars import QuadInt3, val_quad3, val_p, vp_int, Val, INF
 from .series import eta_quotient
 from .modcurve import (d_series, d_expansion, powers, ip_poly, e_exponent,
                        GENUS_ZERO_PRIMES, _as_int)
@@ -44,13 +46,6 @@ class UMatrix:
 
     def entry(self, i, j):
         return self.rows[i - 1][j - 1]
-
-    def truncation(self, m):
-        if m > self.n:
-            raise ValueError("cannot truncate a size-%d matrix to size %d"
-                             % (self.n, m))
-        return UMatrix(self.p, m, [row[:m] for row in self.rows[:m]],
-                       self.basis, self.provenance)
 
     def __eq__(self, other):
         return (isinstance(other, UMatrix) and self.p == other.p
@@ -164,94 +159,94 @@ def entry_bound_violations(m):
             if entry_valuation(m, i, j) < Val(entry_bound(m.p, m.basis, i, j))]
 
 
-def _exact_shift3(m, k):
-    """m * 3^k for integer m and (possibly negative) integer k, exactly."""
-    if k >= 0:
-        return m * 3 ** k
-    q, r = divmod(m, 3 ** (-k))
-    if r:
-        raise ValueError("valuation bound violated: %d not divisible by 3^%d"
-                         % (m, -k))
-    return q
+def scaled_row_minima(rows, p):
+    """r_i = min_j v_p(x_ij) + e(j - i), e = e(p), for each row of an
+    integer matrix, or None for a zero row.
+
+    r_i is the valuation of row i of the scaled matrix p^(e(j-i)) x_ij:
+    conjugating x by diag(p^(-e i)) leaves every principal minor unchanged.
+    The per-entry arithmetic stays in integers, b v_p(x_ij) + a(j - i) with
+    e = a/b, and each row builds one Fraction.
+    """
+    e = e_exponent(p)
+    a, b = e.numerator, e.denominator
+    out = []
+    for i, row in enumerate(rows):
+        vals = [b * vp_int(x, p) + a * (j - i) for j, x in enumerate(row) if x]
+        out.append(Fraction(min(vals), b) if vals else None)
+    return out
+
+
+def check_row_bounds(m, weight=0):
+    """The premise of every truncation certificate on the exact matrix m:
+    each nonzero row i of its scaled matrix has valuation r_i at least the
+    row bound e(p-1)i - 1.  Raises ValueError naming p, the weight and the
+    first row that falls short."""
+    for i, r in enumerate(scaled_row_minima(m.rows, m.p), 1):
+        if r is not None and r < row_bound(m.p, i):
+            raise ValueError("p = %d%s: row %d of the scaled matrix has "
+                             "valuation %s, below the row bound %s"
+                             % (m.p, ", weight %d" % weight if weight else "",
+                                i, r, row_bound(m.p, i)))
+
+
+def _shift3(x, k):
+    """x * 3^k for an integer x and an integer k; for k < 0 the division is
+    exact whenever the row bounds hold."""
+    return x * 3 ** k if k >= 0 else x // 3 ** -k
 
 
 def scaled_matrix_p3(m):
     """The p=3 scaled matrix M'_ij = 3^((3/2)(j-i)) M_ij over Z[sqrt3]."""
     if m.p != 3:
         raise ValueError("scaled quadratic-ring form is specific to p=3")
+    check_row_bounds(m)
     rows = []
     for i in range(1, m.n + 1):
         row = []
         for j in range(1, m.n + 1):
             x = m.entry(i, j)
-            if x == 0:
-                row.append(QuadInt3(0, 0))
-                continue
-            if i > 3 * j or j > 3 * i:
+            if x and (i > 3 * j or j > 3 * i):
                 raise ValueError("entry (%d,%d) outside the band is nonzero" % (i, j))
             k = 3 * (j - i)
             if k % 2 == 0:
-                row.append(QuadInt3(_exact_shift3(x, k // 2), 0))
+                row.append(QuadInt3(_shift3(x, k // 2), 0))
             else:
-                row.append(QuadInt3(0, _exact_shift3(x, (k - 1) // 2)))
+                row.append(QuadInt3(0, _shift3(x, (k - 1) // 2)))
         rows.append(row)
-    out = UMatrix(3, m.n, rows, basis=SCALED_P3, provenance=m.provenance)
-    bad = entry_bound_violations(out)
-    if bad:
-        i, j, x = bad[0]
-        raise ValueError("scaled entry (%d,%d) has valuation %s < %d"
-                         % (i, j, val_quad3(x), entry_bound(3, SCALED_P3, i, j)))
-    return out
+    return UMatrix(3, m.n, rows, basis=SCALED_P3, provenance=m.provenance)
 
 
-def scaled_row_bound_report(mp):
-    """For each row of the p=3 scaled matrix, the minimal entry valuation.
+def scaled_row_bound_report(m):
+    """For each row of the p=3 scaled matrix of m, its minimal entry
+    valuation.
 
     Distinguishes the two candidate row bounds 3i-1 and 3i: the report says
     which rows attain 3i-1 exactly (making 3i-1 the tight bound) and whether
     any row violates either candidate.
     """
+    if m.p != 3:
+        raise ValueError("the row-bound report is specific to p=3")
     report = []
-    for i in range(1, mp.n + 1):
-        vals = [val_quad3(x) for x in mp.rows[i - 1] if not x.is_zero()]
-        vmin = min(vals) if vals else INF
+    for i, r in enumerate(scaled_row_minima(m.rows, 3), 1):
+        vmin = INF if r is None else Val(r)
         report.append({"row": i, "min_valuation": vmin,
                        "attains_3i_minus_1": vmin == Val(row_bound(3, i)),
                        "meets_3i": vmin >= Val(3 * i)})
     return report
 
 
-class DKFactor:
-    """M' = D K with D = diag(3^(3i-1)) and K over Z[sqrt3]; Kbar = K mod sqrt3."""
+def kbar(m):
+    """K mod sqrt3 for the p=3 matrix m, where M' = diag(3^(3i-1)) K.
 
-    def __init__(self, n, k_rows, kbar_rows):
-        self.n = n
-        self.d_exponents = [row_bound(3, i) for i in range(1, n + 1)]
-        self.K = k_rows
-        self.Kbar = kbar_rows
-
-
-def dk_factor(mp):
-    if mp.basis != SCALED_P3:
-        raise ValueError("factorization expects the scaled p=3 matrix")
-    k_rows = []
-    kbar_rows = []
-    for i in range(1, mp.n + 1):
-        b = row_bound(3, i)
-        scale = 3 ** b
-        krow = []
-        for j in range(1, mp.n + 1):
-            x = mp.entry(i, j)
-            qa, ra = divmod(x.a, scale)
-            qb, rb = divmod(x.b, scale)
-            if ra or rb:
-                raise ValueError("entry (%d,%d) not divisible by 3^%d"
-                                 % (i, j, b))
-            krow.append(QuadInt3(qa, qb))
-        k_rows.append(krow)
-        kbar_rows.append([reduce_mod_sqrt3(x) for x in krow])
-    out = DKFactor(mp.n, k_rows, kbar_rows)
-    # the only unit of row 1 sits in column 1
-    if out.Kbar[0][0] == 0 or any(out.Kbar[0][j] for j in range(1, mp.n)):
-        raise ValueError("row 1 of Kbar is not concentrated in column 1")
-    return out
+    Once m meets the row bounds, K lies over Z[sqrt3].  Its entries with
+    j - i odd lie in sqrt3 Z and reduce to 0; the others are the integers
+    M_ij 3^(3(j-i)/2 - (3i-1)), read mod 3.
+    """
+    if m.p != 3:
+        raise ValueError("K mod sqrt3 is specific to p=3")
+    check_row_bounds(m)
+    return [[0 if (j - i) % 2
+             else _shift3(x, 3 * (j - i) // 2 - int(row_bound(3, i))) % 3
+             for j, x in enumerate(row, 1)]
+            for i, row in enumerate(m.rows, 1)]

@@ -127,8 +127,7 @@ def suite_umatrix(sizes=None):
             "v_p(M_ij) >= e(pi - j) - 1 for every computed entry",
             "%d violations" % len(viol), "0 violations", not viol))
     m = umatrix.build_matrix_genfun(3, 40)
-    mp = umatrix.scaled_matrix_p3(m)
-    rep = umatrix.scaled_row_bound_report(mp)
+    rep = umatrix.scaled_row_bound_report(m)
     tight = [r["row"] for r in rep[:13] if r["attains_3i_minus_1"]]
     claims.append(_claim(
         "scaled-row-bound-tight",
@@ -136,15 +135,15 @@ def suite_umatrix(sizes=None):
         "1..13 (so 3i-1 is the operative bound, not 3i)",
         "attained in rows %r" % tight, "attained in rows 1..13",
         tight == list(range(1, 14))))
-    dk = umatrix.dk_factor(mp)
+    kbar = umatrix.kbar(m)
     claims.append(_claim(
         "dk-row1-unit",
         "after factoring out diag(3^(3i-1)), row 1 of K mod sqrt3 is "
         "concentrated in column 1",
-        "row 1 = %r..." % (dk.Kbar[0][:5],), "[1, 0, 0, ...]",
-        dk.Kbar[0][0] != 0 and not any(dk.Kbar[0][1:])))
+        "row 1 = %r..." % (kbar[0][:5],), "[1, 0, 0, ...]",
+        kbar[0][0] != 0 and not any(kbar[0][1:])))
     kb = mod3.kbar_rows(20)
-    ok = all(kb[i][j] == dk.Kbar[i][j] for i in range(20) for j in range(20))
+    ok = all(kb[i][j] == kbar[i][j] for i in range(20) for j in range(20))
     claims.append(_claim(
         "kbar-generating-function",
         "K mod sqrt3 equals the coefficient array of its rational "
@@ -307,7 +306,7 @@ def suite_weights():
         "and 27 divides every higher one (60 terms)",
         "holds" if ok else "fails", "holds", ok))
     for k in (6, 18, 54, 108, 162):
-        bad = weights.twist_matrix(k, 30).check_bounds()
+        bad = weights.TwistMatrix(k, 30).check_bounds()
         claims.append(_claim(
             "twist-bounds-k%d" % k,
             "twist matrix for weight %d: unit diagonal, scaled entries in "

@@ -89,10 +89,7 @@ class TwistMatrix:
         if k == 0:
             self.rho = (1,) + (0,) * size
         else:
-            power = k // 3
-            base = s_over_vs(size + 4)
-            self.rho = tuple(expand_in_d3(base ** power if power >= 0
-                                          else base.inv() ** (-power), size))
+            self.rho = tuple(expand_in_d3(s_over_vs(size + 4) ** (k // 3), size))
 
     def scaled_entry_valuation(self, m):
         """v_3 of the scaled-basis entry C_(j+m, j) = rho_m 3^(-3m/2)."""
@@ -163,11 +160,9 @@ def uk_matrix(k, size):
 def uk_char_series(k, size):
     """Characteristic series of the weight-k matrix M*C, whose truncation
     certificate rests on the scaled row bound 3i-1: checked here first."""
-    bad = scaled_product_row_check(k, size)
-    if bad is not None:
-        raise ValueError("weight %d: entry (%d,%d) of M*C breaks the scaled "
-                         "row bound" % ((k,) + bad[:2]))
-    return char_series_trunc(uk_matrix(k, size), weight=k)
+    m = uk_matrix(k, size)
+    umatrix.check_row_bounds(m, weight=k)
+    return char_series_trunc(m, weight=k)
 
 
 def certified_weight_records(k, m_max, size):
@@ -179,19 +174,6 @@ def certified_weight_records(k, m_max, size):
     q1 = uk_char_series(k, size)
     q2 = uk_char_series(k, size + 10)
     return certify(q1, q2, m_max)
-
-
-def scaled_product_row_check(k, size):
-    """Entrywise check that the scaled twisted matrix keeps the row bounds
-    v_3((MC)_ij) + (3/2)(j-i) >= 3i - 1, in integers: the first entry
-    (i, j, x) with 2 v_3(x) + 3(j-i) < 2(3i - 1), or None."""
-    mk = uk_matrix(k, size)
-    for i, row in enumerate(mk.rows, 1):
-        for j, x in enumerate(row, 1):
-            if x and (2 * vp_int(x, 3) + 3 * (j - i)
-                      < 2 * umatrix.entry_bound(3, umatrix.SCALED_P3, i, j)):
-                return (i, j, x)
-    return None
 
 
 def weight_contact_check(l, n, size=None):
@@ -275,18 +257,16 @@ def dim_level1(k):
     return k // 12 + 1
 
 
-def dimension_gap_bound(p, k, m, weight_step=None, prefactor=None):
+def dimension_gap_bound(p, k, m):
     """Quadratic lower bound for the weight-k polygon from dimension gaps.
 
     For p >= 5 this is the verbatim construction with steps of p-1.  For
     p in {2, 3} the classical ladder steps by weight 4 instead, and the
-    prefactor (p-1)/(p+1) is kept as the analogous default; reports flag
-    this variant as adapted, never as verbatim.
+    prefactor (p-1)/(p+1) is kept as the analogous one; reports flag this
+    variant as adapted, never as verbatim.
     """
-    if weight_step is None:
-        weight_step = p - 1 if p >= 5 else 4
-    if prefactor is None:
-        prefactor = Fraction(p - 1, p + 1)
+    weight_step = p - 1 if p >= 5 else 4
+    prefactor = Fraction(p - 1, p + 1)
     if m <= 0:
         return Val(0) if m == 0 else Val(-m)
     dims = [dim_level1(k)]
@@ -302,12 +282,10 @@ def dimension_gap_bound(p, k, m, weight_step=None, prefactor=None):
     return Val(prefactor * acc - m)
 
 
-def dimension_gap_infimum(p, m, k_samples=None):
-    """Measured infimum of the weight-indexed lower bounds over a set of
-    representative even weights."""
-    if k_samples is None:
-        k_samples = range(0, 24, 2)
-    return min(dimension_gap_bound(p, k, m) for k in k_samples)
+def dimension_gap_infimum(p, m):
+    """Measured infimum of the weight-indexed lower bounds over the
+    representative even weights 0, 2, ..., 22."""
+    return min(dimension_gap_bound(p, k, m) for k in range(0, 24, 2))
 
 
 def congruence_check(k, k2, m_max, size):

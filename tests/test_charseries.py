@@ -15,7 +15,7 @@ from upadic.umatrix import UMatrix, build_matrix_genfun
 from upadic import charseries
 from upadic.charseries import (CharSeries, CoefficientRecord, certify, charpoly_leverrier,
                                charpoly_crt, char_series_trunc, p_from_q,
-                               row_bound, trunc_bound, truncation_error_bound,
+                               row_bound, trunc_bound,
                                check_scaled_integrality, parabola_floor, m_index,
                                equality_indices_upto, stable_valuations,
                                equality_set, secant_line, cuspidal_char_series,
@@ -181,8 +181,8 @@ def test_trunc_bound_examples():
 
 
 def test_truncation_error_bound_generic():
-    b = truncation_error_bound(lambda i: 3 * i - 1, 4, 15)
-    assert b == Val((2 + 5 + 8) + 47)
+    # row bounds 3i - 1: rows 1..3 plus the first omitted row 16
+    assert trunc_bound(3, 4, 15) == Val((2 + 5 + 8) + 47)
 
 
 def test_scaled_integrality_all_primes():
@@ -243,6 +243,17 @@ def test_stable_valuations_checks_the_row_bound_premise(monkeypatch):
     assert stable_valuations(3, 2, 12)[1].certified
     with pytest.raises(ValueError, match="p = 5"):
         stable_valuations(5, 2, 12)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cuspidal_char_series_checks_the_row_bounds(monkeypatch, p):
+    from upadic import umatrix
+    rows = [list(row) for row in build_matrix_genfun(p, 6).rows]
+    rows[3][1] = 1              # v_p = 0 at (4, 2): row 4 scales to -2e(p)
+    patched = UMatrix(p, 6, rows)
+    monkeypatch.setattr(umatrix, "build_matrix_genfun", lambda p, size: patched)
+    with pytest.raises(ValueError, match=r"p = %d: row 4 " % p):
+        cuspidal_char_series.__wrapped__(p, 6)
 
 
 def test_equality_set_small():

@@ -9,7 +9,7 @@ from upadic.mod3 import (F3BiSeries, poly, gbar, gbar0, gbar_j, cbar_j,
                          kbar_rows, upper_minor_f3, enumerate_excellent,
                          recursive_witness_permutation, is_excellent,
                          SELFSIM_MULTIPLIER, SELFSIM_TAIL)
-from upadic.umatrix import build_matrix_genfun, scaled_matrix_p3, dk_factor
+from upadic.umatrix import build_matrix_genfun, kbar
 
 
 def test_gbar0_display():
@@ -84,9 +84,9 @@ def test_cube_ladder_and_factorization():
 
 
 def test_gbar_matches_matrix_kbar():
-    dk = dk_factor(scaled_matrix_p3(build_matrix_genfun(3, 15)))
+    kb = kbar(build_matrix_genfun(3, 15))
     rows = kbar_rows(15)
-    assert all(rows[i][j] == dk.Kbar[i][j]
+    assert all(rows[i][j] == kb[i][j]
                for i in range(15) for j in range(15))
 
 

@@ -4,8 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from upadic.scalars import (Val, INF, val_p, vp_int, QuadInt3, SQRT3,
-                            val_quad3, reduce_mod_sqrt3)
+from upadic.scalars import Val, INF, val_p, vp_int, QuadInt3, val_quad3
 
 
 def test_val_p_basics():
@@ -54,25 +53,8 @@ def test_ultrametric_on_random_pairs():
         assert val_p(x * y, 3) == vx + vy
 
 
-def test_quadint3_ring_axioms_random():
-    random.seed(2)
-    for _ in range(500):
-        a = QuadInt3(random.randint(-50, 50), random.randint(-50, 50))
-        b = QuadInt3(random.randint(-50, 50), random.randint(-50, 50))
-        c = QuadInt3(random.randint(-50, 50), random.randint(-50, 50))
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        # norm form (a+b sqrt3)(a-b sqrt3) = a^2 - 3b^2
-        assert a * QuadInt3(a.a, -a.b) == QuadInt3(a.a * a.a - 3 * a.b * a.b, 0)
-
-
-def test_sqrt3_square():
-    assert SQRT3 * SQRT3 == QuadInt3(3, 0)
-
-
 def test_val_quad3():
-    assert val_quad3(SQRT3) == Val(Fraction(1, 2))
+    assert val_quad3(QuadInt3(0, 1)) == Val(Fraction(1, 2))
     assert val_quad3(QuadInt3(9, 3)) == Val(Fraction(3, 2))
     assert val_quad3(QuadInt3(0, 0)) == INF
     assert val_quad3(QuadInt3(6, 0)) == Val(1)
@@ -83,24 +65,11 @@ def test_val_quad3_multiplicative_random():
     for _ in range(2000):
         a = QuadInt3(random.randint(-81, 81), random.randint(-81, 81))
         b = QuadInt3(random.randint(-81, 81), random.randint(-81, 81))
-        assert val_quad3(a * b) == val_quad3(a) + val_quad3(b)
-        s = val_quad3(a + b)
+        # (a + b r)(c + d r) with r^2 = 3
+        prod = QuadInt3(a.a * b.a + 3 * a.b * b.b, a.a * b.b + a.b * b.a)
+        assert val_quad3(prod) == val_quad3(a) + val_quad3(b)
+        s = val_quad3(QuadInt3(a.a + b.a, a.b + b.b))
         assert s >= min(val_quad3(a), val_quad3(b))
-
-
-def test_reduce_mod_sqrt3():
-    assert reduce_mod_sqrt3(QuadInt3(1, 4)) == 1
-    assert reduce_mod_sqrt3(QuadInt3(10, 0)) == 1
-    assert reduce_mod_sqrt3(QuadInt3(3, 1)) == 0
-
-
-def test_reduce_is_ring_hom():
-    random.seed(4)
-    for _ in range(1000):
-        a = QuadInt3(random.randint(-99, 99), random.randint(-99, 99))
-        b = QuadInt3(random.randint(-99, 99), random.randint(-99, 99))
-        assert reduce_mod_sqrt3(a + b) == (reduce_mod_sqrt3(a) + reduce_mod_sqrt3(b)) % 3
-        assert reduce_mod_sqrt3(a * b) == (reduce_mod_sqrt3(a) * reduce_mod_sqrt3(b)) % 3
 
 
 def test_vp_int():

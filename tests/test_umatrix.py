@@ -8,7 +8,7 @@ from upadic.scalars import QuadInt3, val_quad3, Val, vp_int
 from upadic.umatrix import (build_matrix_oracle, build_matrix_genfun,
                             column_recurrence, entry_bound_violations,
                             scaled_matrix_p3, scaled_row_bound_report,
-                            dk_factor)
+                            kbar)
 from upadic.modcurve import ip_poly
 from upadic.weights import uk_char_series, uk_matrix, twist_matrix
 from upadic.charseries import charpoly_leverrier, cuspidal_char_series
@@ -121,24 +121,36 @@ def test_scaled_matrix_similarity_preserves_charpoly():
 
 
 def test_scaled_row_bounds_tight_at_3i_minus_1():
-    mp = scaled_matrix_p3(build_matrix_genfun(3, 40))
-    rep = scaled_row_bound_report(mp)
+    m = build_matrix_genfun(3, 40)
+    rep = scaled_row_bound_report(m)
     for r in rep[:13]:
         assert r["attains_3i_minus_1"]
         assert not r["meets_3i"]
+    # the integer route agrees with the minima over Z[sqrt3] on every row
+    mp = scaled_matrix_p3(m)
+    assert [r["min_valuation"] for r in rep] == [
+        min(val_quad3(x) for x in row) for row in mp.rows]
 
 
-def test_dk_factorization():
-    mp = scaled_matrix_p3(build_matrix_genfun(3, 12))
-    dk = dk_factor(mp)
-    assert dk.d_exponents[:3] == [2, 5, 8]
-    # exact reconstruction M' = D K
-    for i in range(12):
-        scale = 3 ** (3 * (i + 1) - 1)
-        for j in range(12):
-            assert dk.K[i][j] * scale == mp.entry(i + 1, j + 1)
-    assert dk.Kbar[0][0] == 1
-    assert all(x == 0 for x in dk.Kbar[0][1:])
+def test_kbar_is_k_mod_sqrt3():
+    # reference: K = diag(3^-(3i-1)) M' over Z[sqrt3] by exact division,
+    # and a + b sqrt3 reduces to a mod 3 at the prime (sqrt3)
+    for n in (12, 40):
+        m = build_matrix_genfun(3, n)
+        mp = scaled_matrix_p3(m)
+        ref = []
+        for i in range(1, n + 1):
+            scale = 3 ** (3 * i - 1)
+            row = []
+            for j in range(1, n + 1):
+                x = mp.entry(i, j)
+                qa, ra = divmod(x.a, scale)
+                qb, rb = divmod(x.b, scale)
+                assert ra == rb == 0
+                row.append(qa % 3)
+            ref.append(row)
+        assert kbar(m) == ref
+        assert ref[0] == [1] + [0] * (n - 1)
 
 
 def _leibniz_det(rows):
@@ -190,9 +202,3 @@ def test_oracle_rejects_a_wrong_eta_power(monkeypatch):
     with pytest.raises(ValueError, match="not a polynomial of degree 2 in d"):
         build_matrix_oracle.__wrapped__(2, 3)
 
-
-def test_truncation_rejects_a_larger_size():
-    m = build_matrix_genfun(3, 4)
-    assert m.truncation(2).rows == tuple(row[:2] for row in m.rows[:2])
-    with pytest.raises(ValueError, match="size-4 matrix to size 5"):
-        m.truncation(5)

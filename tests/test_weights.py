@@ -4,12 +4,12 @@ from fractions import Fraction
 from upadic.scalars import Val, val_p, vp_int
 from upadic.series import QSeries
 from upadic.modcurve import d_series
-from upadic.umatrix import UMatrix
+from upadic.umatrix import UMatrix, check_row_bounds
 from upadic.weights import (s_series, s_eisenstein_character, d9_series,
                             s_over_vs, expand_in_d3, s_ratio_divisibility,
                             TwistMatrix, twist_matrix, uk_matrix,
                             uk_char_series, certified_weight_records,
-                            scaled_product_row_check, weight_contact_check,
+                            weight_contact_check,
                             slope_distribution, dim_level1, dimension_gap_bound,
                             dimension_gap_infimum, congruence_check, eisenstein_unit_congruence,
                             oldform_window_check)
@@ -84,17 +84,18 @@ def test_uk_matrix_weight0_is_plain():
 
 
 def test_uk_matrix_scaled_rows_keep_bound():
-    assert scaled_product_row_check(18, 10) is None
-    assert scaled_product_row_check(54, 10) is None
+    # raises on the first scaled row below its bound 3i - 1
+    check_row_bounds(uk_matrix(18, 10), weight=18)
+    check_row_bounds(uk_matrix(54, 10), weight=54)
 
 
 def test_uk_char_series_checks_the_scaled_row_bound(monkeypatch):
     from upadic import weights
     rows = [list(row) for row in uk_matrix(18, 6).rows]
-    rows[3][1] = 1              # v_3 = 0 at (4, 2): 2*0 + 3*(2-4) < 6*4 - 2
+    rows[3][1] = 1              # v_3 = 0 at (4, 2): row 4 scales to -3 < 11
     patched = UMatrix(3, 6, rows)
     monkeypatch.setattr(weights, "uk_matrix", lambda k, size: patched)
-    with pytest.raises(ValueError, match=r"weight 18: entry \(4,2\)"):
+    with pytest.raises(ValueError, match=r"p = 3, weight 18: row 4 "):
         uk_char_series.__wrapped__(18, 6)
 
 
