@@ -4,11 +4,11 @@
 # are the coefficients of a rational generating function Gbar whose
 # self-similarity under the Frobenius cube drives everything.
 
-from upadic.mod3 import (gbar, gbar0, kbar_rows, upper_minor_f3,
+from upadic.mod3 import (gbar, kbar_rows, upper_minor_f3,
                          enumerate_excellent, recursive_witness_permutation,
                          is_excellent, verify_selfsim_base, verify_selfsim_full,
                          verify_extraction, vanishing_check,
-                         verify_cube_ladder, SELFSIM_MULTIPLIER, SELFSIM_TAIL)
+                         verify_cube_ladder)
 
 # Gbar = xy(1 + 2xy + x^2) / (1 - xy(1 + x^2 + xy + y^2)) over F_3
 g = gbar(20)

@@ -92,15 +92,18 @@ def build_matrix_oracle(p, n):
     return UMatrix(p, n, rows, provenance="oracle")
 
 
-def column_recurrence(p, ip, jmax):
+def column_recurrence(p, ip, jmax, imax):
     """Columns of M as polynomials in the row index, from the recurrence
     C_j = sum_r c_r C_(j-r) + (j/p) c_j induced by I_p = 1 - sum_r c_r(x) y^r.
 
-    Returns a list whose j-th item (j >= 1) is a dict {i: M_ij}.
+    Returns a list whose j-th item (j >= 1) is a dict {i: M_ij} over the
+    rows i <= imax.  Dropping the rows above imax inside the recurrence is
+    exact: the c_r are polynomials in x, so a row index i1 + i2 with
+    i1 >= 0 never falls back below imax.
     """
     c = {}
     for r in range(1, p + 1):
-        c[r] = {i: -v for i, v in ip.y_part(r).items()}
+        c[r] = {i: -v for i, v in ip.y_part(r).items() if i <= imax}
     cols = [dict()]                      # C_0 = 0
     for j in range(1, jmax + 1):
         col = {}
@@ -109,7 +112,8 @@ def column_recurrence(p, ip, jmax):
             for i1, v1 in c[r].items():
                 for i2, v2 in prev.items():
                     k = i1 + i2
-                    col[k] = col.get(k, 0) + v1 * v2
+                    if k <= imax:
+                        col[k] = col.get(k, 0) + v1 * v2
         if j <= p:
             for i, v in c[j].items():
                 col[i] = col.get(i, 0) + Fraction(j * v, p)
@@ -124,7 +128,7 @@ def build_matrix_genfun(p, n):
     """Build M from the generating-function recurrence of I_p."""
     if n == 0:
         return UMatrix(p, 0, [], provenance="genfun")
-    cols = column_recurrence(p, ip_poly(p), n)
+    cols = column_recurrence(p, ip_poly(p), n, n)
     rows = [[cols[j].get(i, 0) for j in range(1, n + 1)] for i in range(1, n + 1)]
     return UMatrix(p, n, rows, provenance="genfun")
 

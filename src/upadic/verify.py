@@ -305,6 +305,7 @@ def suite_weights():
         "in the d_3 expansion of S/V(S): 9 divides the linear coefficient "
         "and 27 divides every higher one (60 terms)",
         "holds" if ok else "fails", "holds", ok))
+    claims.append(twist_routes_claim())
     for k in (6, 18, 54, 108, 162):
         bad = weights.TwistMatrix(k, 30).check_bounds()
         claims.append(_claim(
@@ -348,6 +349,20 @@ def suite_weights():
             "entering %s < %s" % (rep["entering_slope"], rep["threshold"]),
             "entering slope below threshold", rep["pass"]))
     return claims
+
+
+def twist_routes_claim():
+    """The closed-form twist coefficients against the independent q-series
+    route: (S/V(S))^(k/3) as a q-series, expanded in powers of d_3 by
+    triangular solve."""
+    bad = [k for k in (6, 162, -6)
+           if weights.expand_in_d3(weights.s_over_vs(64) ** (k // 3), 60)
+           != list(weights.TwistMatrix(k, 60).rho)]
+    return _claim(
+        "twist-routes-agree",
+        "the closed-form twist coefficients rho_0..rho_60 equal the d_3 "
+        "expansion of the q-series (S/V(S))^(k/3) for k = 6, 162, -6",
+        "differ for k = %r" % bad if bad else "agree", "agree", not bad)
 
 
 def slope_floor_claims():

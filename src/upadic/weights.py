@@ -72,12 +72,54 @@ def s_ratio_divisibility(nterms=60):
     return all(r % 27 == 0 for r in rho[2:])
 
 
+def _trinomial_power(e, n):
+    """Coefficients of (1 + 9x + 27x^2)^e below x^n, for an integer e.
+
+    g = 1 + 9x + 27x^2 and F = g^e satisfy g F' = e g' F, that is
+    j F_j = 9(e - j + 1) F_(j-1) + 27(2e - j + 2) F_(j-2).  Each division
+    by j must be exact.
+    """
+    f = [1] + [0] * (n - 1) if n > 0 else []
+    for j in range(1, n):
+        s = 9 * (e - j + 1) * f[j - 1]
+        if j >= 2:
+            s += 27 * (2 * e - j + 2) * f[j - 2]
+        q, r = divmod(s, j)
+        if r:
+            raise ValueError("trinomial power recurrence: inexact division "
+                             "at x^%d" % j)
+        f[j] = q
+    return f
+
+
+def twist_coefficients(k, size):
+    """rho_0..rho_size, the d_3-expansion of (S/V(S))^(k/3), by the closed
+    form of the TwistMatrix docstring.  Each division by m must be exact."""
+    a = k // 3
+    rho = [1]
+    for m in range(1, size + 1):
+        f = _trinomial_power(-(a + m + 1), m)
+        c = 9 * f[m - 1] + (54 * f[m - 2] if m >= 2 else 0)
+        q, r = divmod(-a * c, m)
+        if r:
+            raise ValueError("twist coefficient rho_%d for k = %d: inexact "
+                             "division by %d" % (m, k, m))
+        rho.append(q)
+    return rho
+
+
 class TwistMatrix:
     """Multiplication by (S/V(S))^(k/3) on the cuspidal space.
 
     In the plain basis of d_3 powers this is the unit lower-triangular
     Toeplitz matrix with subdiagonal coefficients rho_m; in the scaled basis
     its (j+m, j) entry is rho_m 3^(-3m/2), an element of Z[sqrt3].
+
+    The rho_m come in closed form from twist_coefficients: with a = k/3,
+    rho_m = -(a/m) [x^(m-1)] (9 + 54x) (1 + 9x + 27x^2)^(-(a+m+1)), by
+    Lagrange-Buermann inversion of d_3 = d_9 (1 + 9d_9 + 27d_9^2), the
+    identity the hauptmodul-tower claim checks.  No q-series is built; the
+    twist-routes-agree claim compares this with the q-series route.
     """
 
     def __init__(self, k, size):
@@ -86,10 +128,7 @@ class TwistMatrix:
         self.k = k
         self.size = size
         self.n_param = vp_int(k, 3) - 1 if k else None
-        if k == 0:
-            self.rho = (1,) + (0,) * size
-        else:
-            self.rho = tuple(expand_in_d3(s_over_vs(size + 4) ** (k // 3), size))
+        self.rho = tuple(twist_coefficients(k, size))
 
     def scaled_entry_valuation(self, m):
         """v_3 of the scaled-basis entry C_(j+m, j) = rho_m 3^(-3m/2)."""
@@ -139,7 +178,7 @@ def uk_matrix(k, size):
         return m
     from .modcurve import ip_poly
     wide = 3 * size
-    cols = umatrix.column_recurrence(3, ip_poly(3), wide)
+    cols = umatrix.column_recurrence(3, ip_poly(3), wide, size)
     rho = twist_matrix(k, wide).rho
     rows = []
     for i in range(1, size + 1):
@@ -282,6 +321,7 @@ def dimension_gap_bound(p, k, m):
     return Val(prefactor * acc - m)
 
 
+@lru_cache(maxsize=None)
 def dimension_gap_infimum(p, m):
     """Measured infimum of the weight-indexed lower bounds over the
     representative even weights 0, 2, ..., 22."""

@@ -16,7 +16,7 @@ import time
 import pytest
 from fractions import Fraction
 
-from upadic.scalars import Val, val_p
+from upadic.scalars import Val
 from upadic import modcurve, umatrix, charseries, tables
 
 CRITERIA_PRINTED = set()
@@ -170,9 +170,11 @@ def test_criterion_06_mod3_identities(full_reports):
 def test_criterion_07_hauptmodul_tower(full_reports):
     ok, bad = claims_pass(full_reports["claims"],
                           ["hauptmodul-tower", "twist-divisibility",
-                           "s-eisenstein", "s-ratio-hauptmodul"])
+                           "s-eisenstein", "s-ratio-hauptmodul",
+                           "twist-routes-agree"])
     report(7, ok, "d_3 = d_9 + 9d_9^2 + 27d_9^3 to q-precision 200; "
-                  "9 | r_1 and 27 | r_m (m >= 2) over 60 coefficients; "
+                  "9 | r_1 and 27 | r_m (m >= 2) over 60 coefficients; the "
+                  "closed-form and q-series twist routes agree; "
                   "failures: %r" % bad)
 
 

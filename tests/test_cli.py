@@ -146,7 +146,6 @@ def test_newton_trivial_and_p2(tmp_path):
 def test_threads_env_parallel_suites(tmp_path, monkeypatch):
     # UPADIC_THREADS caps worker processes; the assembled report must be
     # identical to the sequential one
-    import os
     from upadic.verify import run_suites
     seq, ok1 = run_suites(["mod3"], parallel=1)
     monkeypatch.setenv("UPADIC_THREADS", "2")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from upadic.mod3 import (F3BiSeries, poly, gbar, gbar0, gbar_j, cbar_j,
+from upadic.mod3 import (F3BiSeries, poly, gbar, gbar0,
                          r_factor, verify_selfsim_base, verify_selfsim_printed_display,
                          verify_selfsim_full, verify_extraction, vanishing_check,
                          verify_cube_ladder, verify_gbar_factorization,

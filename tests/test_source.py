@@ -52,3 +52,33 @@ def test_every_function_is_used_by_the_package():
                        for used, at, line in uses):
                 unused.append("%s:%s" % (path.name, name))
     assert unused == []
+
+
+def _unused_imports(source):
+    """Names a module imports but never reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [a.asname or a.name for a in node.names if a.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(imported) - used)
+
+
+def test_unused_imports_are_found():
+    source = "import os\nfrom math import gcd, lcm\nprint(gcd(4, 6))\n"
+    assert _unused_imports(source) == ["lcm", "os"]
+
+
+def test_every_imported_name_is_used():
+    # the tests, the demos and the package modules; __init__.py imports to
+    # re-export
+    root = pathlib.Path(__file__).resolve().parent.parent
+    files = (sorted((root / "tests").glob("*.py")) + sorted((root / "demos").glob("*.py"))
+             + [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"])
+    assert len(files) >= 25
+    unused = ["%s: %s" % (path.name, name) for path in files
+              for name in _unused_imports(path.read_text())]
+    assert unused == []

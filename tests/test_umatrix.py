@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from upadic.scalars import QuadInt3, val_quad3, Val, vp_int
+from upadic.scalars import val_quad3, Val, vp_int
 from upadic.umatrix import (build_matrix_oracle, build_matrix_genfun,
                             column_recurrence, entry_bound_violations,
                             scaled_matrix_p3, scaled_row_bound_report,
@@ -64,12 +64,24 @@ def test_genfun_entry_magnitude_p2():
 
 def test_column_recurrence_matches_oracle():
     m = build_matrix_oracle(3, 12)
-    cols = column_recurrence(3, ip_poly(3), 12)
+    cols = column_recurrence(3, ip_poly(3), 12, 36)   # keeps every row
     for j in range(1, 13):
         for i in range(1, 13):
             assert cols[j].get(i, 0) == m.entry(i, j)
     # recurrence order: each column only looks back p steps
     assert len(ip_poly(3).y_part(3)) >= 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_column_recurrence_row_cap_is_exact(p):
+    # the row index only grows inside the recurrence, so capping it at i
+    # gives the uncapped columns restricted to the rows <= i
+    jmax = 12 if p < 13 else 6
+    full = column_recurrence(p, ip_poly(p), jmax, math.inf)
+    assert max(max(col) for col in full[1:]) > jmax
+    for i in (1, 5, jmax, 3 * jmax):
+        capped = column_recurrence(p, ip_poly(p), jmax, i)
+        assert capped == [{r: x for r, x in col.items() if r <= i} for col in full]
 
 
 def test_entry_bound_small():

@@ -1,19 +1,21 @@
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
-from upadic.scalars import Val, val_p, vp_int
+from upadic import verify, weights
+from upadic.scalars import Val, val_p
 from upadic.series import QSeries
 from upadic.modcurve import d_series
 from upadic.umatrix import UMatrix, check_row_bounds
 from upadic.weights import (s_series, s_eisenstein_character, d9_series,
                             s_over_vs, expand_in_d3, s_ratio_divisibility,
+                            _trinomial_power, twist_coefficients,
                             TwistMatrix, twist_matrix, uk_matrix,
-                            uk_char_series, certified_weight_records,
-                            weight_contact_check,
+                            uk_char_series, weight_contact_check,
                             slope_distribution, dim_level1, dimension_gap_bound,
                             dimension_gap_infimum, congruence_check, eisenstein_unit_congruence,
                             oldform_window_check)
-from upadic.charseries import parabola_floor, trunc_bound
+from upadic.charseries import trunc_bound
 
 
 def test_hauptmodul_tower_identity():
@@ -48,6 +50,58 @@ def test_s_ratio_divisibility_pattern():
 def test_expand_in_d3_needs_precision():
     with pytest.raises(ValueError):
         expand_in_d3(s_over_vs(10), 30)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-10, 27), st.integers(0, 40))
+def test_closed_form_twist_equals_q_series_route(a, size):
+    # k = 6a runs over 6Z in [-60, 162]; the q-series route is the power of
+    # S/V(S) expanded in powers of d_3 by triangular solve
+    k = 6 * a
+    route = expand_in_d3(s_over_vs(size + 4) ** (k // 3), size)
+    assert list(TwistMatrix(k, size).rho) == route
+
+
+def test_trinomial_power_matches_dense_power():
+    for e in range(-12, 13):
+        dense = QSeries(0, [1, 9, 27], 25) ** e
+        assert _trinomial_power(e, 25) == dense.coeffs_from(0, 25)
+    assert _trinomial_power(3, 0) == []
+
+
+def test_closed_form_divisions_must_be_exact(monkeypatch):
+    # (1 + 9x + 27x^2)^(1/2) has the non-integral coefficient 9/2 at x
+    with pytest.raises(ValueError, match="inexact division at x\\^1"):
+        _trinomial_power(Fraction(1, 2), 3)
+    real = weights._trinomial_power
+
+    def off_by_one(e, n):
+        f = real(e, n)
+        f[-1] += 1
+        return f
+
+    monkeypatch.setattr(weights, "_trinomial_power", off_by_one)
+    with pytest.raises(ValueError, match="rho_4 for k = 6: inexact"):
+        twist_coefficients(6, 4)
+
+
+def test_weight_zero_twist_is_the_identity():
+    assert TwistMatrix(0, 5).rho == (1, 0, 0, 0, 0, 0)
+
+
+def test_twist_routes_claim_fails_on_a_perturbed_rho(monkeypatch):
+    assert verify.twist_routes_claim()["pass"]
+    real = weights.twist_coefficients
+
+    def perturbed(k, size):
+        rho = real(k, size)
+        rho[7] += 3 ** 20
+        return rho
+
+    monkeypatch.setattr(weights, "twist_coefficients", perturbed)
+    claim = verify.twist_routes_claim()
+    assert not claim["pass"]
+    assert claim["observed"] == "differ for k = [6, 162, -6]"
 
 
 def test_twist_matrix_unit_diagonal_any_k():
@@ -145,6 +199,9 @@ def test_dimension_gap_bound_structure():
 def test_dimension_gap_infimum_is_min():
     for m in (3, 5, 9):
         assert dimension_gap_infimum(3, m) <= dimension_gap_bound(3, 0, m)
+        assert dimension_gap_infimum(3, m) == min(
+            dimension_gap_bound(3, k, m) for k in range(0, 24, 2))
+    assert dimension_gap_infimum(3, 5) is dimension_gap_infimum(3, 5)
 
 
 def test_congruence_identity_case():
