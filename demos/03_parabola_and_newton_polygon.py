@@ -8,12 +8,13 @@
 # sits strictly below the truncation error bound (a column-valuation truncation bound from
 # the row divisibilities) and two truncation sizes agree.
 
-from upadic.charseries import (stable_valuations, parabola_floor, secant_line,
+from upadic.charseries import (parabola_floor, secant_line,
                                equality_indices_upto, polygon_from_records)
+from upadic.weights import stable_valuations
 
 TERMS, SIZE = 14, 24      # enough to see the contacts at 1, 4 and 13
 
-records = stable_valuations(3, TERMS, SIZE)
+records = stable_valuations(3, 0, TERMS, SIZE)     # p = 3, weight 0
 
 print(" m   v_3(a_m)  parabola  certified  contact")
 for r in records:

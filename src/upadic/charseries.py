@@ -5,7 +5,6 @@ p=3 parabola (3/2)m(m-1) + 2m with its equality set and secant upper bounds.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .scalars import Val, INF, val_p, vp_int
 from .newton import NewtonPolygon
@@ -238,29 +237,6 @@ def certify(q1, q2, m_max):
                  and val_p(q1.a(m) - q2.a(m), p) >= bound)
         out.append(CoefficientRecord(m, v, bound, agree))
     return out
-
-
-@lru_cache(maxsize=None)
-def cuspidal_char_series(p, size):
-    """Characteristic series of the weight-0 matrix, whose truncation
-    certificate rests on the row bounds e(p-1)i - 1: checked here first."""
-    m = umatrix.build_matrix_genfun(p, size)
-    umatrix.check_row_bounds(m)
-    return char_series_trunc(m)
-
-
-def stable_valuations(p, m_max, size):
-    """Certified (m, v_p(a_m)) pairs for the weight-0 cuspidal series.
-
-    The truncation bounds rest on the row bounds e(p-1)i - 1, so I_p must
-    pass check_scaled_integrality first."""
-    if not check_scaled_integrality(p):
-        raise ValueError("I_%d fails the scaled integrality check, so the "
-                         "row bounds behind the truncation certificate do "
-                         "not hold at p = %d" % (p, p))
-    q1 = cuspidal_char_series(p, size)
-    q2 = cuspidal_char_series(p, size + 10)
-    return certify(q1, q2, m_max)
 
 
 def equality_set(records):

@@ -101,12 +101,8 @@ def cmd_charpoly(args):
     size = max(args.terms + 10, 2 * args.terms) if args.size is None else args.size
     if _twist_off_p3(args) or _terms_past_size(args.terms, size):
         return 2
-    if args.weight:
-        q = weights.uk_char_series(args.weight, size)
-        recs = weights.certified_weight_records(args.weight, args.terms, size)
-    else:
-        q = charseries.cuspidal_char_series(p, size)
-        recs = charseries.stable_valuations(p, args.terms, size)
+    q = weights.cuspidal_char_series(p, args.weight, size)
+    recs = weights.stable_valuations(p, args.weight, args.terms, size)
     doc = charseries_json(q, recs)
     doc["coefficients"] = doc["coefficients"][:args.terms + 1]
     dump_json(doc, args.out)
@@ -118,10 +114,7 @@ def cmd_newton(args):
     size = max(args.terms + 10, 20) if args.size is None else args.size
     if _twist_off_p3(args) or _terms_past_size(args.terms, size):
         return 2
-    if args.weight:
-        recs = weights.certified_weight_records(args.weight, args.terms, size)
-    else:
-        recs = charseries.stable_valuations(p, args.terms, size)
+    recs = weights.stable_valuations(p, args.weight, args.terms, size)
     for r in recs:
         if not (r.certified or r.m == 0):
             print("warning: coefficient %d uncertified; plotted at its "

@@ -73,17 +73,21 @@ class F3BiSeries:
         return F3BiSeries({(3 * i, 3 * j): v for (i, j), v in self.data.items()},
                           ku, 3 * self.min_total)
 
+    def first_mismatch(self, other, window=None):
+        """The first key, in sorted order, whose coefficients differ on the
+        largest shared reliable window (capped at window if given), or
+        None."""
+        ku = _min_window(_min_window(self.known_upto, other.known_upto), window)
+        for k in sorted(set(self.data) | set(other.data)):
+            if ((ku is None or k[0] + k[1] <= ku)
+                    and self.data.get(k, 0) != other.data.get(k, 0)):
+                return k
+        return None
+
     def agrees_with(self, other, window=None):
         """Coefficientwise equality on the largest shared reliable window
         (or the requested one)."""
-        ku = _min_window(self.known_upto, other.known_upto)
-        if window is not None:
-            ku = window if ku is None else min(ku, window)
-        if ku is None:
-            return self.data == other.data
-        keys = set(self.data) | set(other.data)
-        return all(self.data.get(k, 0) == other.data.get(k, 0)
-                   for k in keys if k[0] + k[1] <= ku)
+        return self.first_mismatch(other, window) is None
 
     def __eq__(self, other):
         return (isinstance(other, F3BiSeries) and self.data == other.data
@@ -193,13 +197,8 @@ def verify_cube_ladder(j, window):
 def verify_selfsim_base():
     """Gbar_1 = (1 + x^-1 y + x^-2 y^2) Gbar_0^3 + tail, an exact polynomial
     identity.  Returns None, or the first mismatch."""
-    lhs = gbar_j(1)
     rhs = SELFSIM_MULTIPLIER * gbar0().cube() + SELFSIM_TAIL
-    keys = set(lhs.data) | set(rhs.data)
-    for k in sorted(keys):
-        if lhs.data.get(k, 0) != rhs.data.get(k, 0):
-            return k
-    return None
+    return gbar_j(1).first_mismatch(rhs)
 
 
 def verify_selfsim_printed_display():
@@ -208,14 +207,9 @@ def verify_selfsim_printed_display():
     orientation; both are expected to be non-None (display errata): an
     exhaustive affine-space search shows no identity with a 4-term Laurent
     multiplier and 3-term tail exists for either orientation of Gbar_0."""
-    out = []
-    for g0 in (gbar0(), PRINTED_GBAR0):
-        lhs = g0 * r_factor(0)
-        rhs = PRINTED_MULTIPLIER * g0.cube() + PRINTED_TAIL
-        keys = set(lhs.data) | set(rhs.data)
-        out.append(next((k for k in sorted(keys)
-                         if lhs.data.get(k, 0) != rhs.data.get(k, 0)), None))
-    return out
+    return [(g0 * r_factor(0)).first_mismatch(
+                PRINTED_MULTIPLIER * g0.cube() + PRINTED_TAIL)
+            for g0 in (gbar0(), PRINTED_GBAR0)]
 
 
 def verify_selfsim_full(window):
@@ -223,13 +217,7 @@ def verify_selfsim_full(window):
     window.  Returns None, or the first mismatching (i, j)."""
     g = gbar(window)
     rhs = SELFSIM_MULTIPLIER * g.cube() + SELFSIM_TAIL * cbar_j(1, window)
-    w = _min_window(g.known_upto, rhs.known_upto)
-    keys = set(g.data) | set(rhs.data)
-    for k in sorted(keys):
-        if k[0] + k[1] <= w:
-            if g.data.get(k, 0) != rhs.data.get(k, 0):
-                return k
-    return None
+    return g.first_mismatch(rhs)
 
 
 def verify_extraction(window):

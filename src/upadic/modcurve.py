@@ -150,12 +150,6 @@ class HPoly:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __eq__(self, other):
         return (isinstance(other, HPoly) and self.p == other.p
                 and self.coeffs == other.coeffs)
@@ -165,14 +159,13 @@ class HPoly:
 
 
 @lru_cache(maxsize=None)
-def solve_hauptmodul_poly(p, prec=None):
+def solve_hauptmodul_poly(p):
     """Solve d_p * j = H_p(d_p) for H_p by expanding d_p * j in powers of d_p.
 
     The residual beyond degree p+1 must vanish through the full working
     precision.
     """
-    if prec is None:
-        prec = 3 * (p + 2) + 16
+    prec = 3 * (p + 2) + 16
     d = d_series(p, prec)
     target = d * j_series(prec)
     coeffs, residual = d_expansion(target, powers(d, p + 2, target.prec))
@@ -340,10 +333,9 @@ def practical_ip_fit(p, n_eq=None):
     return BiPoly(dict(zip(cols, vec)))
 
 
-def certify_ip_laurent(p, ip, prec=None):
+def certify_ip_laurent(p, ip):
     """Check I_p(d_p(q^p), 1/d_p(q)) = 0 to the working precision."""
-    if prec is None:
-        prec = p * (p + 3) + 24
+    prec = p * (p + 3) + 24
     d = d_series(p, prec)
     dp = d_series(p, prec // p + 2).v_substitute(p).truncate(prec)
     val = ip.eval_series(dp, d.inv())

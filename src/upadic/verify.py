@@ -107,12 +107,10 @@ def suite_modcurve():
     return claims
 
 
-def suite_umatrix(sizes=None):
+def suite_umatrix():
     claims = []
-    if sizes is None:
-        sizes = {2: 15, 3: 15, 5: 15, 7: 15, 13: 8}
     for p in GENUS_ZERO_PRIMES:
-        n = sizes[p]
+        n = 8 if p == 13 else 15
         a = umatrix.build_matrix_oracle(p, n)
         b = umatrix.build_matrix_genfun(p, n)
         claims.append(_claim(
@@ -154,7 +152,7 @@ def suite_umatrix(sizes=None):
 
 def suite_p3_parabola(terms=45, size=60):
     claims = []
-    recs = charseries.stable_valuations(3, terms, size)
+    recs = weights.stable_valuations(3, 0, terms, size)
     all_cert = all(r.certified for r in recs[1:])
     claims.append(_claim(
         "parabola-certification",
@@ -198,8 +196,9 @@ def suite_p3_parabola(terms=45, size=60):
     return claims
 
 
-def suite_mod3(window=40, minor_range=45):
+def suite_mod3():
     claims = []
+    window, minor_range = 40, 45
     mism = mod3.verify_selfsim_base()
     claims.append(_claim(
         "selfsim-base",
@@ -299,7 +298,7 @@ def suite_weights():
     claims.append(_claim(
         "s-ratio-hauptmodul", "S/V(S) = d_9/d_3 as q-series",
         "holds" if ok else "fails", "holds", ok))
-    ok = weights.s_ratio_divisibility(60)
+    ok = weights.s_ratio_divisibility()
     claims.append(_claim(
         "twist-divisibility",
         "in the d_3 expansion of S/V(S): 9 divides the linear coefficient "
@@ -369,7 +368,7 @@ def slope_floor_claims():
     """The p=2 floor 3*C(m+1,2) for the weight-0 polygon, and the p=3 floor
     3*C(m,2) for weights divisible by 6."""
     claims = []
-    q2 = charseries.cuspidal_char_series(2, 25)
+    q2 = weights.cuspidal_char_series(2, 0, 25)
     ok2 = True
     for m in range(1, 16):
         floor2 = Val(3 * m * (m + 1) // 2)
@@ -381,7 +380,7 @@ def slope_floor_claims():
         "(points and truncation bound both clear the floor)",
         "holds" if ok2 else "fails", "holds", ok2))
     for k in (6, 18, 54):
-        qk = weights.uk_char_series(k, 26)
+        qk = weights.cuspidal_char_series(3, k, 26)
         ok = True
         for m in range(1, 16):
             floor3 = Val(Fraction(3 * m * (m - 1), 2))
@@ -394,10 +393,10 @@ def slope_floor_claims():
     return claims
 
 
-def suite_congruence(m_max=20, size=30):
+def suite_congruence():
     claims = []
     for k, k2 in ((0, 6), (0, 18), (6, 24), (18, 54), (0, 54), (54, 162)):
-        rep = weights.congruence_check(k, k2, m_max, size)
+        rep = weights.congruence_check(k, k2, 20, 30)
         margins = [r["strengthened_candidate_margin"] for r in rep["rows"]
                    if r["strengthened_candidate_margin"] is not None]
         claims.append(_claim(

@@ -1,18 +1,22 @@
-"""Weight twists for p=3 via multiplication by (S/V(S))^(k/3), the quadratic
-lower-bound function built from classical dimension gaps, congruences between
-characteristic series of nearby weights, and slope-distribution reports.
+"""Weight twists for p=3 via multiplication by (S/V(S))^(k/3); the one cached
+certified characteristic series, for every prime p at weight 0 and every
+weight k at p=3, with its certifier; the quadratic lower-bound function built
+from classical dimension gaps, congruences between characteristic series of
+nearby weights, and slope-distribution reports.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .scalars import Val, INF, val_p, vp_int
 from .series import QSeries, eta_quotient
-from .modcurve import d_series, d_expansion, powers
+from .modcurve import d_series, d_expansion, eisenstein, ip_poly, powers
 from .newton import NewtonPolygon
 from . import umatrix
-from .charseries import (char_series_trunc, certify, trunc_bound, m_index,
-                         parabola_floor, p_from_q, polygon_from_records)
+from .charseries import (char_series_trunc, certify, check_scaled_integrality,
+                         trunc_bound, m_index, parabola_floor, p_from_q,
+                         polygon_from_records)
 
 
 @lru_cache(maxsize=None)
@@ -61,10 +65,10 @@ def expand_in_d3(f, nterms):
     return d_expansion(f.truncate(prec), dpows)[0]
 
 
-def s_ratio_divisibility(nterms=60):
+def s_ratio_divisibility():
     """The expansion facts behind the twist bounds: S/V(S) - 1 has d_3
-    coefficients with 9 | r_1 and 27 | r_m for m >= 2."""
-    rho = expand_in_d3(s_over_vs(nterms + 4), nterms)
+    coefficients with 9 | r_1 and 27 | r_m for m >= 2 (60 terms)."""
+    rho = expand_in_d3(s_over_vs(64), 60)
     if rho[0] != 1:
         return False
     if rho[1] % 9:
@@ -172,58 +176,56 @@ def uk_matrix(k, size):
     Row i of M vanishes beyond column 3i, so taking M as an n x 3n slab makes
     every entry of the n x n window equal to the entry of the infinite
     product; the standard truncation certificate then applies unchanged.
+    C is Toeplitz, so row i of M * C is the correlation of row i of M with
+    rho.
     """
-    m = umatrix.build_matrix_genfun(3, size)
-    if k == 0:
-        return m
-    from .modcurve import ip_poly
     wide = 3 * size
     cols = umatrix.column_recurrence(3, ip_poly(3), wide, size)
     rho = twist_matrix(k, wide).rho
     rows = []
     for i in range(1, size + 1):
-        mrow = [cols[l].get(i, 0) for l in range(wide + 1)]   # M_il, l = 0..wide
-        row = []
-        for j in range(1, size + 1):
-            acc = 0
-            for l in range(j, min(3 * i, wide) + 1):
-                x = mrow[l]
-                if x:
-                    acc += x * rho[l - j]
-            row.append(acc)
-        rows.append(row)
+        mrow = [cols[l].get(i, 0) for l in range(min(3 * i, wide) + 1)]
+        rows.append([sum(map(mul, mrow[j:], rho)) for j in range(1, size + 1)])
     return umatrix.UMatrix(3, size, rows, provenance="genfun*twist")
 
 
 @lru_cache(maxsize=None)
-def uk_char_series(k, size):
-    """Characteristic series of the weight-k matrix M*C, whose truncation
-    certificate rests on the scaled row bound 3i-1: checked here first."""
-    m = uk_matrix(k, size)
+def cuspidal_char_series(p, k, size):
+    """Characteristic series of the weight-k cuspidal matrix: M at k = 0 for
+    every genus-zero p, M * C at p = 3.
+
+    Its truncation certificate rests on the row bounds e(p-1)i - 1, so both
+    premises are checked first: the scaled integrality of I_p, which proves
+    the bounds for the rows beyond the truncation, and the bounds themselves
+    on the exact rows certified.
+    """
+    if k and p != 3:
+        raise ValueError("weight twists are implemented for p = 3, not "
+                         "p = %d" % p)
+    if not check_scaled_integrality(p):
+        raise ValueError("I_%d fails the scaled integrality check, so the "
+                         "row bounds behind the truncation certificate do "
+                         "not hold at p = %d" % (p, p))
+    m = uk_matrix(k, size) if k else umatrix.build_matrix_genfun(p, size)
     umatrix.check_row_bounds(m, weight=k)
     return char_series_trunc(m, weight=k)
 
 
-def certified_weight_records(k, m_max, size):
-    """Certified coefficient records for Q_k from truncations size, size+10.
-
-    The scaled rows of M'C' obey the same bound 3i-1 as M' (uk_char_series
-    checks it), so the same truncation certificate applies.
-    """
-    q1 = uk_char_series(k, size)
-    q2 = uk_char_series(k, size + 10)
-    return certify(q1, q2, m_max)
+def stable_valuations(p, k, m_max, size):
+    """Certified coefficient records of the weight-k series, from the
+    truncations size and size + 10."""
+    return certify(cuspidal_char_series(p, k, size),
+                   cuspidal_char_series(p, k, size + 10), m_max)
 
 
-def weight_contact_check(l, n, size=None):
+def weight_contact_check(l, n):
     """For k = 2*3^(n+1)*l: at every parabola-contact point s = m_i below
     2*3^(n-1), the weight-k series keeps v_3(a_s) = (3/2)s(s-1) + 2s."""
     k = 2 * 3 ** (n + 1) * l
     limit = 2 * 3 ** (n - 1)
     points = [m for m in (m_index(i) for i in range(0, 10)) if m < limit]
-    if size is None:
-        size = max(3 * max(points) + 12, 24)
-    recs = certified_weight_records(k, max(points), size)
+    size = max(3 * max(points) + 12, 24)
+    recs = stable_valuations(3, k, max(points), size)
     report = {"k": k, "n": n, "l": l, "points": []}
     ok = True
     for s in points:
@@ -256,16 +258,15 @@ def exact_polygon_between(recs, a, b):
     return inner
 
 
-def slope_distribution(n, l=1, size=None):
-    """Slope statistics of the weight-k polygon, k = 2*3^(n+1)*l, between the
+def slope_distribution(n):
+    """Slope statistics of the weight-k polygon, k = 2*3^(n+1), between the
     forced vertices m_i and m_(i+1) for i < n-1: exactly 3^i slopes, lying in
     [m_(i+1)+1, m_(i+2)-2], average 3^(i+1)-1, min >= 3m_i+2, max <= 3m_(i+1)-1.
     """
-    k = 2 * 3 ** (n + 1) * l
+    k = 2 * 3 ** (n + 1)
     top = m_index(n - 1)
-    if size is None:
-        size = max(3 * top + 12, 30)
-    recs = certified_weight_records(k, min(size - 2, 3 * top + 6), size)
+    size = max(3 * top + 12, 30)
+    recs = stable_valuations(3, k, min(size - 2, 3 * top + 6), size)
     report = {"k": k, "n": n, "bands": [], "pass": True}
     for i in range(0, n - 1):
         a, b = m_index(i), m_index(i + 1)
@@ -342,8 +343,8 @@ def congruence_check(k, k2, m_max, size):
     n = vp_int(diff, 3)
     if diff % 2:
         raise ValueError("weight difference must be even")
-    p1 = p_from_q(uk_char_series(k, size))
-    p2 = p_from_q(uk_char_series(k2, size))
+    p1 = p_from_q(cuspidal_char_series(3, k, size))
+    p2 = p_from_q(cuspidal_char_series(3, k2, size))
     rows = []
     ok = True
     for m in range(0, m_max + 1):
@@ -365,7 +366,6 @@ def congruence_check(k, k2, m_max, size):
 def eisenstein_unit_congruence(p, n, prec=51, dterms=40):
     """E_(p-1)^(p^n)(q) / E_(p-1)^(p^n)(q^p) - 1 must be divisible by p^(n+1),
     both as a q-series (prec coefficients) and in its d_p-expansion."""
-    from .modcurve import eisenstein
     if p not in (5, 7):
         raise ValueError("classical route needs p in {5, 7}")
     e = eisenstein(p - 1, prec)
@@ -382,15 +382,13 @@ def eisenstein_unit_congruence(p, n, prec=51, dterms=40):
             "pass": q_ok and d_ok}
 
 
-def oldform_window_check(n, size=None):
+def oldform_window_check(n):
     """Newton-polygon content of the oldform slope window for k = 2*3^(n+1):
     the polygon value at m_n equals the parabola, the slope entering m_n is
     below k/4 - 1, and each such slope s pairs with a mate k-1-s above 3k/4."""
     k = 2 * 3 ** (n + 1)
     mn = m_index(n)
-    if size is None:
-        size = max(3 * mn + 12, 24)
-    recs = certified_weight_records(k, mn, size)
+    recs = stable_valuations(3, k, mn, max(3 * mn + 12, 24))
     rec = recs[mn]
     contact = rec.certified and rec.v_obs == Val(parabola_floor(mn))
     poly = exact_polygon_between(recs, 0, mn)

@@ -17,7 +17,7 @@ import pytest
 from fractions import Fraction
 
 from upadic.scalars import Val
-from upadic import modcurve, umatrix, charseries, tables
+from upadic import modcurve, umatrix, charseries, tables, weights
 
 CRITERIA_PRINTED = set()
 
@@ -54,7 +54,7 @@ def full_reports(tmp_path_factory):
 @pytest.fixture(scope="session")
 def parabola_records():
     t0 = time.time()
-    recs = charseries.stable_valuations(3, 45, 60)
+    recs = weights.stable_valuations(3, 0, 45, 60)
     return recs, time.time() - t0
 
 

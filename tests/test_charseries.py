@@ -12,14 +12,14 @@ from upadic.scalars import Val, INF, val_p
 from upadic.newton import NewtonPolygon
 from upadic.modcurve import GENUS_ZERO_PRIMES
 from upadic.umatrix import UMatrix, build_matrix_genfun
-from upadic import charseries
+from upadic import charseries, umatrix, weights
 from upadic.charseries import (CharSeries, CoefficientRecord, certify, charpoly_leverrier,
                                charpoly_crt, char_series_trunc, p_from_q,
                                row_bound, trunc_bound,
                                check_scaled_integrality, parabola_floor, m_index,
-                               equality_indices_upto, stable_valuations,
-                               equality_set, secant_line, cuspidal_char_series,
+                               equality_indices_upto, equality_set, secant_line,
                                polygon_from_records)
+from upadic.weights import cuspidal_char_series, stable_valuations
 
 SRC = os.path.dirname(os.path.dirname(charseries.__file__))
 
@@ -154,7 +154,7 @@ def test_certify_rejects_misordered_sizes():
 
 
 def test_trace_valuation_p3():
-    q = cuspidal_char_series(3, 20)
+    q = cuspidal_char_series(3, 0, 20)
     assert val_p(q.a(1), 3) == Val(2)
     assert val_p(q.a(4), 3) == Val(26)
 
@@ -230,7 +230,7 @@ def test_newton_polygon_value_at():
 
 
 def test_certification_small():
-    recs = stable_valuations(3, 6, 16)
+    recs = stable_valuations(3, 0, 6, 16)
     for r in recs[1:]:
         assert r.certified
     assert recs[1].v_obs == Val(2)
@@ -238,36 +238,36 @@ def test_certification_small():
 
 
 def test_stable_valuations_checks_the_row_bound_premise(monkeypatch):
-    monkeypatch.setattr(charseries, "check_scaled_integrality",
+    monkeypatch.setattr(weights, "check_scaled_integrality",
                         lambda p: p != 5)
-    assert stable_valuations(3, 2, 12)[1].certified
+    cuspidal_char_series.cache_clear()
+    assert stable_valuations(3, 0, 2, 12)[1].certified
     with pytest.raises(ValueError, match="p = 5"):
-        stable_valuations(5, 2, 12)
+        stable_valuations(5, 0, 2, 12)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_cuspidal_char_series_checks_the_row_bounds(monkeypatch, p):
-    from upadic import umatrix
     rows = [list(row) for row in build_matrix_genfun(p, 6).rows]
     rows[3][1] = 1              # v_p = 0 at (4, 2): row 4 scales to -2e(p)
     patched = UMatrix(p, 6, rows)
     monkeypatch.setattr(umatrix, "build_matrix_genfun", lambda p, size: patched)
     with pytest.raises(ValueError, match=r"p = %d: row 4 " % p):
-        cuspidal_char_series.__wrapped__(p, 6)
+        cuspidal_char_series.__wrapped__(p, 0, 6)
 
 
 def test_equality_set_small():
-    assert equality_set(stable_valuations(3, 5, 16)) == {0, 1, 4}
+    assert equality_set(stable_valuations(3, 0, 5, 16)) == {0, 1, 4}
 
 
 def test_unpinned_coefficient_fails_the_equality_set_claim(monkeypatch):
     # an uncertified record whose lower bound 5 does not clear the
     # parabola value 7 at m = 2
-    recs = list(stable_valuations(3, 5, 16))
+    recs = list(stable_valuations(3, 0, 5, 16))
     recs[2] = CoefficientRecord(2, recs[2].v_obs, Val(5), False)
     with pytest.raises(ValueError, match="coefficient 2 neither certified"):
         equality_set(recs)
-    monkeypatch.setattr(charseries, "stable_valuations", lambda p, m, n: recs)
+    monkeypatch.setattr(weights, "stable_valuations", lambda p, k, m, n: recs)
     from upadic.verify import suite_p3_parabola
     claims = {c["id"]: c for c in suite_p3_parabola(terms=5, size=16)}
     claim = claims["parabola-equality-set"]
@@ -283,14 +283,14 @@ def test_secant_line():
 
 
 def test_polygon_from_records_uses_lower_bounds():
-    recs = stable_valuations(3, 10, 16)
+    recs = stable_valuations(3, 0, 10, 16)
     poly = polygon_from_records(recs)
     assert poly.vertices[0] == (0, Fraction(0))
     assert poly.value_at(1) == 2
 
 
 def test_secant_upper_pinch():
-    recs = stable_valuations(3, 13, 20)
+    recs = stable_valuations(3, 0, 13, 20)
     from upadic.charseries import secant_upper
     rep = secant_upper(1, 2, recs)
     assert rep["pass"] and rep["secant"] == 10 and rep["parabola"] == 7
@@ -315,7 +315,7 @@ def test_newton_polygon_rejects_slopes_out_of_order(monkeypatch):
 def test_p2_polygon_floor_to_20():
     # weight-0 cuspidal polygon for p = 2 stays above 3*C(m+1,2) through
     # m = 20 (points and the truncation bound both clear the floor)
-    q2 = cuspidal_char_series(2, 25)
+    q2 = cuspidal_char_series(2, 0, 25)
     for m in range(1, 21):
         floor = Val(3 * m * (m + 1) // 2)
         assert val_p(q2.a(m), 2) >= floor

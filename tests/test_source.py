@@ -82,3 +82,29 @@ def test_every_imported_name_is_used():
     unused = ["%s: %s" % (path.name, name) for path in files
               for name in _unused_imports(path.read_text())]
     assert unused == []
+
+
+def _package_imports_in_functions(source):
+    """Lines of a module where a function imports from the package itself."""
+    tree = ast.parse(source)
+    return sorted({node.lineno for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom) and node.level})
+
+
+def test_package_imports_in_functions_are_found():
+    source = ("from . import series\n"
+              "def f():\n    from .scalars import vp_int\n    import math\n"
+              "def g():\n    from . import umatrix\n"
+              "    from concurrent.futures import ProcessPoolExecutor\n")
+    assert _package_imports_in_functions(source) == [3, 6]
+
+
+def test_no_package_import_inside_a_function():
+    # package modules import each other at module level, so the import
+    # graph is visible at the top of each file; a stdlib import that only
+    # one path needs (concurrent.futures in verify.run_suites) stays lazy
+    found = ["%s:%d" % (path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in _package_imports_in_functions(path.read_text())]
+    assert found == []

@@ -6,12 +6,13 @@ from upadic import verify, weights
 from upadic.scalars import Val, val_p
 from upadic.series import QSeries
 from upadic.modcurve import d_series
-from upadic.umatrix import UMatrix, check_row_bounds
+from upadic.umatrix import UMatrix, build_matrix_genfun, check_row_bounds
 from upadic.weights import (s_series, s_eisenstein_character, d9_series,
                             s_over_vs, expand_in_d3, s_ratio_divisibility,
                             _trinomial_power, twist_coefficients,
                             TwistMatrix, twist_matrix, uk_matrix,
-                            uk_char_series, weight_contact_check,
+                            cuspidal_char_series, stable_valuations,
+                            weight_contact_check,
                             slope_distribution, dim_level1, dimension_gap_bound,
                             dimension_gap_infimum, congruence_check, eisenstein_unit_congruence,
                             oldform_window_check)
@@ -40,7 +41,7 @@ def test_s_over_vs_equals_d9_over_d3():
 
 
 def test_s_ratio_divisibility_pattern():
-    assert s_ratio_divisibility(60)
+    assert s_ratio_divisibility()
     rho = expand_in_d3(s_over_vs(24), 20)
     assert rho[0] == 1 and rho[1] == -9
     assert rho[1] % 9 == 0
@@ -133,7 +134,6 @@ def test_twist_subdiagonal_valuations():
 
 def test_uk_matrix_weight0_is_plain():
     assert uk_matrix(0, 8).rows == uk_matrix(0, 8).rows
-    from upadic.umatrix import build_matrix_genfun
     assert uk_matrix(0, 8).rows == build_matrix_genfun(3, 8).rows
 
 
@@ -143,18 +143,43 @@ def test_uk_matrix_scaled_rows_keep_bound():
     check_row_bounds(uk_matrix(54, 10), weight=54)
 
 
+def test_uk_matrix_is_the_product_with_the_toeplitz_twist():
+    # reference: the n x 3n slab of the square genfun matrix times the
+    # lower-triangular Toeplitz twist, entry by entry
+    n = 10
+    m = build_matrix_genfun(3, 3 * n).rows
+    for k in (6, 18, -6, 162):
+        rho = twist_matrix(k, 3 * n).rho
+        want = [[sum(m[i][l] * rho[l - j] for l in range(j, 3 * n))
+                 for j in range(n)] for i in range(n)]
+        assert [list(row) for row in uk_matrix(k, n).rows] == want
+
+
 def test_uk_char_series_checks_the_scaled_row_bound(monkeypatch):
-    from upadic import weights
     rows = [list(row) for row in uk_matrix(18, 6).rows]
     rows[3][1] = 1              # v_3 = 0 at (4, 2): row 4 scales to -3 < 11
     patched = UMatrix(3, 6, rows)
     monkeypatch.setattr(weights, "uk_matrix", lambda k, size: patched)
     with pytest.raises(ValueError, match=r"p = 3, weight 18: row 4 "):
-        uk_char_series.__wrapped__(18, 6)
+        cuspidal_char_series.__wrapped__(3, 18, 6)
+
+
+def test_every_weight_checks_the_integrality_premise(monkeypatch):
+    monkeypatch.setattr(weights, "check_scaled_integrality", lambda p: False)
+    cuspidal_char_series.cache_clear()
+    with pytest.raises(ValueError, match="I_3 fails the scaled integrality"):
+        stable_valuations(3, 18, 2, 12)
+    with pytest.raises(ValueError, match="I_3 fails the scaled integrality"):
+        congruence_check(0, 18, 2, 12)
+
+
+def test_weight_twists_need_p3():
+    with pytest.raises(ValueError, match="p = 5"):
+        cuspidal_char_series.__wrapped__(5, 6, 10)
 
 
 def test_uk_trace_valuation_k18():
-    q18 = uk_char_series(18, 12)
+    q18 = cuspidal_char_series(3, 18, 12)
     assert val_p(q18.a(1), 3) >= Val(2)
 
 
