@@ -46,7 +46,7 @@ for row in rep["rows"][1:6]:
 # the same unit-congruence mechanism for p = 5 and 7
 for p in (5, 7):
     print("\nE_%d power ratio divisibility:" % (p - 1),
-          eisenstein_unit_congruence(p, 1, prec=30, dterms=12))
+          eisenstein_unit_congruence(p, 1))
 
 # and the oldform slope window: the polygon's entering slope at the last
 # forced contact stays below k/4 - 1

@@ -1,5 +1,6 @@
-"""Exact characteristic series det(1 - tM) of truncated U matrices, rigorous
-truncation certificates for their coefficients, Newton polygons, and the
+"""Exact characteristic series det(1 - tM) of truncated U matrices and their
+graded residues modulo proven powers of p, rigorous truncation certificates
+for their coefficients from either, Newton polygons, and the
 p=3 parabola (3/2)m(m-1) + 2m with its equality set and secant upper bounds.
 """
 
@@ -137,6 +138,18 @@ class CharSeries:
         return len(self.coeffs)
 
 
+class GradedSeries:
+    """Coefficients a_0..a_t of det(1 - tM) for a truncation of U, each known
+    modulo a proven power of p: v_p(a_m - residues[m]) >= precisions[m]."""
+
+    def __init__(self, p, residues, precisions, trunc_size, weight=0):
+        self.p = p
+        self.weight = weight
+        self.residues = tuple(residues)
+        self.precisions = tuple(precisions)
+        self.trunc_size = trunc_size
+
+
 def char_series_trunc(m, weight=0):
     """Characteristic series of a UMatrix, a truncation of U."""
     return CharSeries(m.p, charpoly_crt(m.rows, m.p), m.n, weight=weight)
@@ -235,6 +248,35 @@ def certify(q1, q2, m_max):
         bound = trunc_bound(p, m, q1.trunc_size)
         agree = (v == val_p(q2.a(m), p)
                  and val_p(q1.a(m) - q2.a(m), p) >= bound)
+        out.append(CoefficientRecord(m, v, bound, agree))
+    return out
+
+
+def certify_graded(g1, g2, m_max):
+    """The records certify gives on the exact series behind the graded
+    series g1 and g2, or None unless the residues settle every one of them.
+
+    For each 1 <= m <= m_max both residues must have valuation below their
+    precision, so that it is the valuation of a_m, and both precisions must
+    reach the truncation bound T_m, so that a_m(n) - a_m(n + 10), known
+    modulo the smaller one, shows whether its valuation reaches T_m.  A
+    coefficient known below its bound is never certified: the whole call
+    returns None and the exact series decide.
+    """
+    p = g1.p
+    if g2.trunc_size <= g1.trunc_size:
+        raise ValueError("the second truncation (size %d) must be larger "
+                         "than the first (size %d)"
+                         % (g2.trunc_size, g1.trunc_size))
+    out = [CoefficientRecord(0, Val(0), INF, True)]         # a_0 = 1
+    for m in range(1, m_max + 1):
+        r1, r2 = g1.residues[m], g2.residues[m]
+        pi1, pi2 = Val(g1.precisions[m]), Val(g2.precisions[m])
+        v = val_p(r1, p)
+        bound = trunc_bound(p, m, g1.trunc_size)
+        if not (v < pi1 and val_p(r2, p) < pi2 and bound <= min(pi1, pi2)):
+            return None
+        agree = v == val_p(r2, p) and val_p(r1 - r2, p) >= bound
         out.append(CoefficientRecord(m, v, bound, agree))
     return out
 

@@ -1,11 +1,18 @@
 """Exact linear algebra modulo word-size primes and their products: the one
 prime pool of the package, its chunk size, the kernel of an integer system
 and the characteristic polynomial of an integer matrix modulo any integer,
-and the symmetric CRT lift back to the integers.  Every row reduction of the
+and the symmetric CRT lift back to the integers; and the characteristic
+polynomial of a graded matrix diag(p^c) K from K modulo a power of p, with
+the precision of each coefficient proven.  Every row reduction of the
 package happens here.
 """
 
+from bisect import insort
+from fractions import Fraction
+from itertools import accumulate
 from operator import mul
+
+from .scalars import vp_int
 
 
 def _is_probable_prime(n):
@@ -174,3 +181,114 @@ def _sym_crt(residues, moduli):
             mod *= q
         out.append(x - mod if x > mod // 2 else x)
     return out
+
+
+def _charpoly_graded(grades, rows, p, prec, terms):
+    """Coefficients a_0..a_terms of det(1 - tH) for H = diag(p^grades) K,
+    K the integer matrix ``rows`` and p prime, each modulo a proven power of
+    p.  Returns (residues, precisions) with v_p(a_m - residues[m]) >=
+    precisions[m]; a residue is an integer unless its grade is negative.
+
+    Only a matrix S = K mod p^prec is stored, under the invariant that row
+    i of H is known modulo p^(c_i + prec) for its current grade c_i: the
+    matrix reached from H by the similarities so far is diag(p^c) K' with
+    K' integral and K' = S mod p^prec.  Every step of the Hessenberg
+    reduction keeps it:
+
+    - the pivot of column k is a row r > k minimising c_r + v_p(S_rk), ties
+      going to the smaller v_p (fewer rows then drop: 42 trits in all
+      against 72 on the weight-162 twist at size 30); with pv = v_p of the
+      pivot entry, every multiplier f_i = H_ik / H_pk has valuation >= 0;
+    - a row with w = v_p(S_ik) < pv first drops its grade by s = pv - w,
+      H_i = p^(c_i - s) (p^s K'_i), so it is known modulo p^(c_i - s + prec)
+      from then on;
+    - the row update S_i -= g S_piv, with g = f_i p^(c_piv - c_i) of
+      valuation w - pv >= 0, and the column update S_j,piv += f_i S_j,i
+      apply one exact similarity with integral g and f_i to S and K' alike;
+      the entry it clears is 0 modulo p^prec, which the invariant absorbs;
+    - swapping two rows and the same two columns permutes the grades too.
+
+    Each term of an m-row minor of diag(p^c) K takes one entry from each of
+    m rows, so a_m is known modulo p^(G_m + prec), G_m the sum of the m
+    smallest final grades.  The recurrence of _charpoly_mod runs on graded
+    coefficients: coefficient j of the leading m-block is p^(G_m[j]) B_m[j]
+    with G_m[j] the sum of the j smallest grades among its rows, and each
+    update multiplies by p to a non-negative excess modulo p^prec.
+    """
+    n = len(rows)
+    mod = p ** prec
+    c = list(grades)
+    h = [[x % mod for x in row] for row in rows]
+    for k in range(n - 2):
+        vals = {r: vp_int(h[r][k], p) for r in range(k + 1, n) if h[r][k]}
+        if not vals:
+            continue
+        piv = min(vals, key=lambda r: (c[r] + vals[r], vals[r], r))
+        if piv != k + 1:
+            h[k + 1], h[piv] = h[piv], h[k + 1]
+            c[k + 1], c[piv] = c[piv], c[k + 1]
+            vals[k + 1], vals[piv] = vals[piv], vals.get(k + 1)
+            for row in h:
+                row[k + 1], row[piv] = row[piv], row[k + 1]
+        pv, cp = vals[k + 1], c[k + 1]
+        inv = pow(h[k + 1][k] // p ** pv, -1, mod)
+        hk1 = h[k + 1][k:]
+        fs = []
+        for i in range(k + 2, n):
+            w = vals.get(i)
+            if w is None:
+                fs.append(0)
+                continue
+            if w < pv:
+                scale = p ** (pv - w)
+                h[i][k:] = [x * scale % mod for x in h[i][k:]]
+                c[i] -= pv - w
+            g = h[i][k] // p ** pv * inv % mod
+            h[i][k:] = [(x - g * y) % mod for x, y in zip(h[i][k:], hk1)]
+            d = c[i] - cp
+            fs.append(g * p ** d % mod if d >= 0 else g // p ** -d)
+        for row in h:
+            row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % mod
+    # p_m(t) = det(tI - H_m), coefficient j that of t^(m-j), as in
+    # _charpoly_mod; polys[m][j] = B_m[j] and sums[m][j] = G_m[j], j <= terms
+    pw = [p ** e for e in range(prec)]
+    polys, sums = [[1]], [[0]]
+    srt = []
+    for m in range(1, n + 1):
+        insort(srt, c[m - 1])
+        top = min(m, terms)
+        gm = list(accumulate(srt[:top], initial=0))
+        prev, gp = polys[-1], sums[-1]
+        hm, cm = h[m - 1][m - 1], c[m - 1]
+        pm = [0] * (top + 1)
+        for j in range(top + 1):
+            x = 0
+            if j < len(prev):
+                e = gp[j] - gm[j]
+                if e < prec:
+                    x = prev[j] * pw[e]
+            if j and hm:
+                e = cm + gp[j - 1] - gm[j]
+                if e < prec:
+                    x -= hm * prev[j - 1] * pw[e]
+            pm[j] = x
+        prod, cprod = 1, cm
+        for i in range(1, m):
+            prod = prod * h[m - i][m - i - 1] % mod
+            if not prod:
+                break
+            cprod += c[m - 1 - i]
+            coef = h[m - 1 - i][m - 1] * prod % mod
+            if coef:
+                q, gq = polys[m - 1 - i], sums[m - 1 - i]
+                for jq in range(min(len(q), top - i)):
+                    e = cprod + gq[jq] - gm[jq + i + 1]
+                    if e < prec:
+                        pm[jq + i + 1] -= coef * q[jq] * pw[e]
+        polys.append([x % mod for x in pm])
+        sums.append(gm)
+    residues, precisions = [], []
+    for b, g in zip(polys[n], sums[n]):
+        residues.append(b * p ** g if g >= 0 else Fraction(b, p ** -g))
+        precisions.append(g + prec)
+    return residues, precisions

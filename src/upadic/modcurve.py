@@ -116,11 +116,12 @@ def d_expansion(f, dpows):
     return coeffs, residual
 
 
-def verify_eisenstein_power(p, prec=60):
-    """Check E_{t_p(p-1)}^(12/(t_p(p-1))) = (j - c_p) Delta to precision.
+def verify_eisenstein_power(p):
+    """Check E_{t_p(p-1)}^(12/(t_p(p-1))) = (j - c_p) Delta to precision 60.
 
     Returns None on success, else (exponent, lhs, rhs) for the first mismatch.
     """
+    prec = 60
     k = T_P[p] * (p - 1)
     lhs = eisenstein(k, prec) ** (12 // k)
     rhs = (j_series(prec) - C_P[p]) * delta_series(prec)

@@ -4,7 +4,8 @@ q and re-expressing it in powers of d_p (oracle), and from the linear
 recurrence induced by the bivariate polynomial I_p (genfun).  Includes the
 proven entry valuation bounds, the valuations of the rows of the scaled
 matrix p^(e(j-i)) M_ij with the row-bound premise check that every
-truncation certificate rests on, and at p=3 the scaled matrix over Z[sqrt3]
+truncation certificate rests on, the graded form diag(p^c) K of M that the
+graded char-series kernel reads, and at p=3 the scaled matrix over Z[sqrt3]
 and K mod sqrt3, where M' = diag(3^(3i-1)) K.
 """
 
@@ -185,13 +186,48 @@ def check_row_bounds(m, weight=0):
     """The premise of every truncation certificate on the exact matrix m:
     each nonzero row i of its scaled matrix has valuation r_i at least the
     row bound e(p-1)i - 1.  Raises ValueError naming p, the weight and the
-    first row that falls short."""
-    for i, r in enumerate(scaled_row_minima(m.rows, m.p), 1):
+    first row that falls short; returns the scaled row minima it checked."""
+    minima = scaled_row_minima(m.rows, m.p)
+    for i, r in enumerate(minima, 1):
         if r is not None and r < row_bound(m.p, i):
             raise ValueError("p = %d%s: row %d of the scaled matrix has "
                              "valuation %s, below the row bound %s"
                              % (m.p, ", weight %d" % weight if weight else "",
                                 i, r, row_bound(m.p, i)))
+    return minima
+
+
+def graded(m, weight=0):
+    """(c, K) with diag(p^-f) M diag(p^f) = diag(p^c) K for f_i = floor(e i),
+    K an integer matrix and c_i the least valuation of row i of the left
+    side, after check_row_bounds, whose scaled row minima r_i give c.
+
+    Entry (i, j) of the conjugate is M_ij p^(f_j - f_i), of valuation
+    v_p(M_ij) + e(j - i) + {e i} - {e j}: an integer above r_i + {e i} - 1,
+    equal to r_i + {e i} - {e j} where r_i is attained.  So every entry
+    meets c_i = floor(r_i + e i) - f_i, and one entry attains it.  A zero
+    row takes the row bound in place of r_i.
+    """
+    p, e = m.p, e_exponent(m.p)
+    grades, krows = [], []
+    for i, (row, r) in enumerate(zip(m.rows, check_row_bounds(m, weight)), 1):
+        f = e * i // 1
+        r = row_bound(p, i) if r is None else r
+        c = (r + e * i) // 1 - f
+        krow = []
+        for j, x in enumerate(row, 1):
+            t = e * j // 1 - f - c
+            if t >= 0:
+                krow.append(x * p ** t)
+            else:
+                q, rem = divmod(x, p ** -t)
+                if rem:
+                    raise ValueError("entry (%d,%d) is not divisible by "
+                                     "p^%d" % (i, j, -t))
+                krow.append(q)
+        grades.append(c)
+        krows.append(tuple(krow))
+    return tuple(grades), tuple(krows)
 
 
 def _shift3(x, k):

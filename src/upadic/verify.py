@@ -4,6 +4,7 @@ pass/fail flag.  Suites are pure functions of their parameters, so reports
 are byte-identical across runs.
 """
 
+import math
 from fractions import Fraction
 
 from .scalars import Val, val_p, vp_int
@@ -20,7 +21,7 @@ def _claim(cid, statement, observed, expected, ok):
 def suite_modcurve():
     claims = []
     for p in GENUS_ZERO_PRIMES:
-        mism = modcurve.verify_eisenstein_power(p, 60)
+        mism = modcurve.verify_eisenstein_power(p)
         claims.append(_claim(
             "eisenstein-power-p%d" % p,
             "the weight-12 power of the distinguished Eisenstein series equals (j - c_p) Delta",
@@ -305,6 +306,7 @@ def suite_weights():
         "and 27 divides every higher one (60 terms)",
         "holds" if ok else "fails", "holds", ok))
     claims.append(twist_routes_claim())
+    claims.append(graded_residues_claim())
     for k in (6, 18, 54, 108, 162):
         bad = weights.TwistMatrix(k, 30).check_bounds()
         claims.append(_claim(
@@ -362,6 +364,28 @@ def twist_routes_claim():
         "the closed-form twist coefficients rho_0..rho_60 equal the d_3 "
         "expansion of the q-series (S/V(S))^(k/3) for k = 6, 162, -6",
         "differ for k = %r" % bad if bad else "agree", "agree", not bad)
+
+
+def graded_residues_claim():
+    """The graded residues that certify p3-parabola and the weight twists,
+    against the exact coefficients charpoly_crt reconstructs: every
+    coefficient of the weight-0 series at size 40 and of the weight-162
+    series at size 30, modulo its proven precision."""
+    bad = []
+    for k, size in ((0, 40), (162, 30)):
+        need = tuple(math.ceil(charseries.trunc_bound(3, m, size).v)
+                     for m in range(1, size + 1))
+        g = weights.graded_char_series(3, k, size, need)
+        q = weights.cuspidal_char_series(3, k, size)
+        bad += [(k, m) for m, (r, pi) in enumerate(zip(g.residues,
+                                                        g.precisions))
+                if val_p(q.a(m) - r, 3) < Val(pi)]
+    return _claim(
+        "graded-residues-agree",
+        "the graded residues of a_0..a_n agree with the exact CRT "
+        "coefficients modulo their proven precision, for p = 3 at weight 0, "
+        "n = 40, and weight 162, n = 30",
+        "differ at (k, m) = %r" % bad if bad else "agree", "agree", not bad)
 
 
 def slope_floor_claims():

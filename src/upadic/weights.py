@@ -1,12 +1,14 @@
-"""Weight twists for p=3 via multiplication by (S/V(S))^(k/3); the one cached
-certified characteristic series, for every prime p at weight 0 and every
-weight k at p=3, with its certifier; the quadratic lower-bound function built
+"""Weight twists for p=3 via multiplication by (S/V(S))^(k/3); the cached
+characteristic series, for every prime p at weight 0 and every weight k at
+p=3, exact and as graded residues, with the one certifier; the quadratic lower-bound function built
 from classical dimension gaps, congruences between characteristic series of
 nearby weights, and slope-distribution reports.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 
 from .scalars import Val, INF, val_p, vp_int
@@ -14,7 +16,9 @@ from .series import QSeries, eta_quotient
 from .modcurve import d_series, d_expansion, eisenstein, ip_poly, powers
 from .newton import NewtonPolygon
 from . import umatrix
-from .charseries import (char_series_trunc, certify, check_scaled_integrality,
+from .linalg import _charpoly_graded
+from .charseries import (GradedSeries, char_series_trunc, certify,
+                         certify_graded, check_scaled_integrality,
                          trunc_bound, m_index, parabola_floor, p_from_q,
                          polygon_from_records)
 
@@ -189,15 +193,14 @@ def uk_matrix(k, size):
     return umatrix.UMatrix(3, size, rows, provenance="genfun*twist")
 
 
-@lru_cache(maxsize=None)
-def cuspidal_char_series(p, k, size):
-    """Characteristic series of the weight-k cuspidal matrix: M at k = 0 for
-    every genus-zero p, M * C at p = 3.
+def _cuspidal_matrix(p, k, size):
+    """The weight-k cuspidal matrix: M at k = 0 for every genus-zero p,
+    M * C at p = 3.
 
-    Its truncation certificate rests on the row bounds e(p-1)i - 1, so both
-    premises are checked first: the scaled integrality of I_p, which proves
-    the bounds for the rows beyond the truncation, and the bounds themselves
-    on the exact rows certified.
+    Its truncation certificate rests on the row bounds e(p-1)i - 1, so the
+    scaled integrality of I_p, which proves the bounds for the rows beyond
+    the truncation, is checked first; each builder then checks the bounds
+    themselves on the exact rows it certifies.
     """
     if k and p != 3:
         raise ValueError("weight twists are implemented for p = 3, not "
@@ -206,16 +209,62 @@ def cuspidal_char_series(p, k, size):
         raise ValueError("I_%d fails the scaled integrality check, so the "
                          "row bounds behind the truncation certificate do "
                          "not hold at p = %d" % (p, p))
-    m = uk_matrix(k, size) if k else umatrix.build_matrix_genfun(p, size)
+    return uk_matrix(k, size) if k else umatrix.build_matrix_genfun(p, size)
+
+
+@lru_cache(maxsize=None)
+def cuspidal_char_series(p, k, size):
+    """Exact characteristic series of the weight-k cuspidal matrix."""
+    m = _cuspidal_matrix(p, k, size)
     umatrix.check_row_bounds(m, weight=k)
     return char_series_trunc(m, weight=k)
 
 
+# Runs of the graded kernel per series at most: the first at the precision
+# the grades call for, each further one at a higher precision.
+GRADED_RUNS = 3
+
+
+@lru_cache(maxsize=None)
+def graded_char_series(p, k, size, need):
+    """Residues of a_0..a_t of the weight-k cuspidal series, t = len(need),
+    from the graded kernel: need[m - 1] is the absolute precision wanted
+    for a_m.
+
+    The kernel first runs at the relative precision max_m need_m - G_m,
+    G_m the sum of the m smallest grades of umatrix.graded.  Grade drops
+    can leave some a_m short; the next run adds the largest shortfall, and
+    a run where every precision is reached but a residue is 0 modulo its
+    precision (its valuation unknown) is followed by one at twice the
+    precision.  After GRADED_RUNS runs the last result stands, whatever it
+    reached; certify_graded decides what it settles.
+    """
+    grades, krows = umatrix.graded(_cuspidal_matrix(p, k, size), weight=k)
+    lows = accumulate(sorted(grades))
+    prec = max([t - g for t, g in zip(need, lows)] + [1])
+    for _ in range(GRADED_RUNS):
+        res, pis = _charpoly_graded(grades, krows, p, prec, len(need))
+        short = max([t - pi for t, pi in zip(need, pis[1:])] + [0])
+        if not short and all(val_p(r, p) < Val(pi)
+                             for r, pi in zip(res, pis)):
+            break
+        prec = prec + short if short else 2 * prec
+    return GradedSeries(p, res, pis, size, weight=k)
+
+
 def stable_valuations(p, k, m_max, size):
     """Certified coefficient records of the weight-k series, from the
-    truncations size and size + 10."""
-    return certify(cuspidal_char_series(p, k, size),
-                   cuspidal_char_series(p, k, size + 10), m_max)
+    truncations size and size + 10: from their graded residues when those
+    settle every record, else from the exact series.  Either way the
+    records are those certify gives on the exact series."""
+    need = tuple(math.ceil(trunc_bound(p, m, size).v)
+                 for m in range(1, m_max + 1))
+    recs = certify_graded(graded_char_series(p, k, size, need),
+                          graded_char_series(p, k, size + 10, need), m_max)
+    if recs is None:
+        recs = certify(cuspidal_char_series(p, k, size),
+                       cuspidal_char_series(p, k, size + 10), m_max)
+    return recs
 
 
 def weight_contact_check(l, n):
@@ -363,11 +412,12 @@ def congruence_check(k, k2, m_max, size):
     return {"k": k, "k2": k2, "n": n, "rows": rows, "pass": ok}
 
 
-def eisenstein_unit_congruence(p, n, prec=51, dterms=40):
+def eisenstein_unit_congruence(p, n):
     """E_(p-1)^(p^n)(q) / E_(p-1)^(p^n)(q^p) - 1 must be divisible by p^(n+1),
-    both as a q-series (prec coefficients) and in its d_p-expansion."""
+    both as a q-series (51 coefficients) and in its d_p-expansion (40)."""
     if p not in (5, 7):
         raise ValueError("classical route needs p in {5, 7}")
+    prec, dterms = 51, 40
     e = eisenstein(p - 1, prec)
     en = e ** (p ** n)
     env = (eisenstein(p - 1, prec // p + 2) ** (p ** n)).v_substitute(p).truncate(prec)

@@ -31,18 +31,17 @@ def report(num, ok, note):
 
 @pytest.fixture(scope="session")
 def full_reports(tmp_path_factory):
-    """Two independent `verify --suite all` runs (fresh processes)."""
+    """Two independent `verify --suite all` runs (fresh processes, started
+    together and awaited together)."""
     tmp = tmp_path_factory.mktemp("verify")
-    texts = []
-    codes = []
-    for tag in ("a", "b"):
-        out = tmp / ("report_%s.json" % tag)
-        proc = subprocess.run(
-            [sys.executable, "-m", "upadic.cli", "verify", "--suite", "all",
-             "--out", str(out)],
-            capture_output=True, text=True, timeout=3600)
-        codes.append(proc.returncode)
-        texts.append(out.read_bytes())
+    outs = [tmp / ("report_%s.json" % tag) for tag in ("a", "b")]
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "upadic.cli", "verify", "--suite", "all",
+         "--out", str(out)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        for out in outs]
+    codes = [proc.wait(timeout=3600) for proc in procs]
+    texts = [out.read_bytes() for out in outs]
     report_doc = json.loads(texts[0])
     claims = {}
     for s in report_doc["suites"]:

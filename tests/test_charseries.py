@@ -241,6 +241,7 @@ def test_stable_valuations_checks_the_row_bound_premise(monkeypatch):
     monkeypatch.setattr(weights, "check_scaled_integrality",
                         lambda p: p != 5)
     cuspidal_char_series.cache_clear()
+    weights.graded_char_series.cache_clear()
     assert stable_valuations(3, 0, 2, 12)[1].certified
     with pytest.raises(ValueError, match="p = 5"):
         stable_valuations(5, 0, 2, 12)

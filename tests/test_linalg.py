@@ -1,7 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
-from upadic.linalg import _CHUNK, _mod_kernel, _prime_pool
+from hypothesis import given, settings, strategies as st
+
+from upadic.charseries import charpoly_leverrier
+from upadic.linalg import _CHUNK, _charpoly_graded, _mod_kernel, _prime_pool
+from upadic.scalars import Val, val_p
 
 
 def _system_with_kernel(seed, nrows, ncols):
@@ -38,3 +43,63 @@ def test_mod_kernel_none_off_dimension_one_or_on_non_unit_pivot():
                        modulus) is None
     assert _mod_kernel([[first * x for x in row] for row in rows],
                        math.prod(_prime_pool(2 * _CHUNK)[_CHUNK:])) is not None
+
+
+@st.composite
+def _graded_matrices(draw):
+    """(p, grades, K, prec): grades from -3 to 8, K with entries p^k u, so
+    that pivots are often not units and rows often drop their grade, and
+    sometimes a zero row."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    n = draw(st.integers(0, 7))
+    grades = draw(st.lists(st.integers(-3, 8), min_size=n, max_size=n))
+    entry = st.one_of(st.just(0),
+                      st.builds(lambda k, u: p ** k * u, st.integers(0, 5),
+                                st.integers(-10 ** 4, 10 ** 4)))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [0] * n
+    return p, grades, rows, draw(st.integers(1, 12))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_graded_matrices())
+def test_charpoly_graded_meets_its_precision(case):
+    # diag(p^(c + s)) K is an integer matrix for s = -min(c), with
+    # a_m = p^(s m) a_m(diag(p^c) K)
+    p, grades, rows, prec = case
+    n = len(rows)
+    s = max([0] + [-c for c in grades])
+    h = [[p ** (c + s) * x for x in row] for c, row in zip(grades, rows)]
+    want = charpoly_leverrier(h)
+    residues, precisions = _charpoly_graded(grades, rows, p, prec, n)
+    assert len(residues) == len(precisions) == n + 1
+    assert residues[0] == 1
+    low = sorted(grades)
+    for m in range(n + 1):
+        a = Fraction(want[m], p ** (s * m))
+        assert val_p(a - residues[m], p) >= Val(precisions[m])
+        # grade drops only lower the precision below prec + G_m
+        assert precisions[m] <= prec + sum(low[:m])
+
+
+def test_charpoly_graded_drops_a_grade_below_a_non_unit_pivot():
+    # column 0: the pivot is row 1 (c + v = 0 + 2); row 2 has c + v = 3 + 0
+    # with v < 2, so its grade drops to 1 and a_3 is known modulo 3^11,
+    # not 3^13
+    p, prec = 3, 10
+    grades = [0, 0, 3]
+    rows = [[1, 2, 4], [9, 1, 1], [1, 5, 7]]
+    residues, precisions = _charpoly_graded(grades, rows, p, prec, 3)
+    assert precisions == [10, 10, 10, 11]
+    want = charpoly_leverrier([[p ** c * x for x in row]
+                               for c, row in zip(grades, rows)])
+    assert all(val_p(a - r, p) >= Val(pi)
+               for a, r, pi in zip(want, residues, precisions))
+
+
+def test_charpoly_graded_truncates_to_the_terms_asked():
+    rows = [[3, 1, 0, 2], [9, 3, 1, 0], [0, 27, 1, 5], [1, 0, 3, 9]]
+    full = _charpoly_graded([0, 1, 2, 3], rows, 3, 20, 4)
+    part = _charpoly_graded([0, 1, 2, 3], rows, 3, 20, 2)
+    assert part == (full[0][:3], full[1][:3])

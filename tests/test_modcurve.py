@@ -54,7 +54,7 @@ def test_j_times_delta_is_e4_cubed():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_eisenstein_power_identity(p):
-    assert verify_eisenstein_power(p, 50) is None
+    assert verify_eisenstein_power(p) is None
 
 
 def test_hauptmodul_poly_p2():

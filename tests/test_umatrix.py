@@ -10,7 +10,8 @@ from upadic.umatrix import (build_matrix_oracle, build_matrix_genfun,
                             scaled_matrix_p3, scaled_row_bound_report,
                             kbar)
 from upadic.modcurve import ip_poly
-from upadic.weights import cuspidal_char_series, uk_matrix, twist_matrix
+from upadic.weights import (cuspidal_char_series, graded_char_series,
+                            uk_matrix, twist_matrix)
 from upadic.charseries import charpoly_leverrier
 
 
@@ -46,8 +47,12 @@ def test_cached_matrices_are_immutable(build):
 @pytest.mark.parametrize("build, field", [
     (lambda: cuspidal_char_series(3, 0, 6), "coeffs"),
     (lambda: cuspidal_char_series(3, 6, 6), "coeffs"),
+    (lambda: graded_char_series(3, 6, 6, (10, 20)), "residues"),
+    (lambda: graded_char_series(3, 6, 6, (10, 20)), "precisions"),
     (lambda: twist_matrix(6, 6), "rho")],
-    ids=["cuspidal_char_series", "uk_char_series", "twist_matrix"])
+    ids=["cuspidal_char_series", "cuspidal_char_series_twisted",
+         "graded_char_series_residues", "graded_char_series_precisions",
+         "twist_matrix"])
 def test_cached_series_and_twists_are_immutable(build, field):
     obj = build()
     before = list(getattr(obj, field))

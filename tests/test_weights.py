@@ -1,22 +1,27 @@
+import math
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from upadic import verify, weights
+from upadic import umatrix, verify, weights
 from upadic.scalars import Val, val_p
 from upadic.series import QSeries
 from upadic.modcurve import d_series
-from upadic.umatrix import UMatrix, build_matrix_genfun, check_row_bounds
+from upadic.linalg import _charpoly_graded
+from upadic.umatrix import UMatrix, build_matrix_genfun, check_row_bounds, graded
 from upadic.weights import (s_series, s_eisenstein_character, d9_series,
                             s_over_vs, expand_in_d3, s_ratio_divisibility,
                             _trinomial_power, twist_coefficients,
                             TwistMatrix, twist_matrix, uk_matrix,
-                            cuspidal_char_series, stable_valuations,
+                            cuspidal_char_series, graded_char_series,
+                            stable_valuations,
                             weight_contact_check,
                             slope_distribution, dim_level1, dimension_gap_bound,
                             dimension_gap_infimum, congruence_check, eisenstein_unit_congruence,
                             oldform_window_check)
-from upadic.charseries import trunc_bound
+from upadic.charseries import (GradedSeries, certify, certify_graded,
+                               trunc_bound)
 
 
 def test_hauptmodul_tower_identity():
@@ -155,7 +160,7 @@ def test_uk_matrix_is_the_product_with_the_toeplitz_twist():
         assert [list(row) for row in uk_matrix(k, n).rows] == want
 
 
-def test_uk_char_series_checks_the_scaled_row_bound(monkeypatch):
+def test_twisted_series_checks_the_scaled_row_bound(monkeypatch):
     rows = [list(row) for row in uk_matrix(18, 6).rows]
     rows[3][1] = 1              # v_3 = 0 at (4, 2): row 4 scales to -3 < 11
     patched = UMatrix(3, 6, rows)
@@ -167,6 +172,7 @@ def test_uk_char_series_checks_the_scaled_row_bound(monkeypatch):
 def test_every_weight_checks_the_integrality_premise(monkeypatch):
     monkeypatch.setattr(weights, "check_scaled_integrality", lambda p: False)
     cuspidal_char_series.cache_clear()
+    graded_char_series.cache_clear()
     with pytest.raises(ValueError, match="I_3 fails the scaled integrality"):
         stable_valuations(3, 18, 2, 12)
     with pytest.raises(ValueError, match="I_3 fails the scaled integrality"):
@@ -244,8 +250,8 @@ def test_congruence_small():
 
 
 def test_unit_congruence_n0():
-    assert eisenstein_unit_congruence(5, 0, prec=30, dterms=15)["pass"]
-    assert eisenstein_unit_congruence(7, 0, prec=30, dterms=15)["pass"]
+    assert eisenstein_unit_congruence(5, 0)["pass"]
+    assert eisenstein_unit_congruence(7, 0)["pass"]
     with pytest.raises(ValueError):
         eisenstein_unit_congruence(3, 0)
 
@@ -261,3 +267,91 @@ def test_trunc_bound_covers_congruence_soundness():
     # the truncation bound exceeds every congruence requirement n+1 used
     for m in range(1, 21):
         assert trunc_bound(3, m, 30) >= Val(4)
+
+
+def _exact_records(p, k, m_max, size):
+    return certify(cuspidal_char_series(p, k, size),
+                   cuspidal_char_series(p, k, size + 10), m_max)
+
+
+def _fields(recs):
+    return [(r.m, r.v_obs, r.bound, r.agree, r.certified) for r in recs]
+
+
+def _need(p, m_max, size):
+    return tuple(math.ceil(trunc_bound(p, m, size).v)
+                 for m in range(1, m_max + 1))
+
+
+@pytest.mark.parametrize("p, k, m_max, size", [
+    (2, 0, 10, 12), (3, 0, 12, 16), (5, 0, 10, 12), (7, 0, 8, 10),
+    (13, 0, 8, 12), (3, 18, 10, 12), (3, 162, 10, 12)])
+def test_graded_records_equal_the_exact_ones(p, k, m_max, size):
+    need = _need(p, m_max, size)
+    recs = certify_graded(graded_char_series(p, k, size, need),
+                          graded_char_series(p, k, size + 10, need), m_max)
+    assert recs is not None                   # the graded route settles all
+    assert _fields(recs) == _fields(_exact_records(p, k, m_max, size))
+    assert _fields(stable_valuations(p, k, m_max, size)) == _fields(recs)
+
+
+def _graded_at(p, size, prec, terms):
+    grades, krows = graded(build_matrix_genfun(p, size))
+    res, pis = _charpoly_graded(grades, krows, p, prec, terms)
+    return GradedSeries(p, res, pis, size)
+
+
+def test_precision_below_the_bound_never_certifies():
+    # at prec 30 the size-16 residues of a_m are known modulo 3^(G_m + 30),
+    # below the truncation bound T_m = G_(m-1) + 50 for every m
+    size, m_max = 16, 8
+    short = _graded_at(3, size, 30, m_max)
+    full = _graded_at(3, size + 10, 60, m_max)
+    assert all(Val(pi) < trunc_bound(3, m, size)
+               for m, pi in enumerate(short.precisions[1:], 1))
+    assert certify_graded(short, full, m_max) is None
+    assert certify_graded(_graded_at(3, size, 60, m_max),
+                          _graded_at(3, size + 10, 30, m_max), m_max) is None
+    assert (_fields(certify_graded(_graded_at(3, size, 60, m_max), full,
+                                   m_max))
+            == _fields(_exact_records(3, 0, m_max, size)))
+
+
+def test_short_graded_series_falls_back_to_the_exact_route(monkeypatch):
+    # a builder stuck below the bound: the records come from the exact series
+    monkeypatch.setattr(weights, "graded_char_series",
+                        lambda p, k, size, need: _graded_at(p, size, 30,
+                                                            len(need)))
+    calls = []
+    exact = weights.cuspidal_char_series
+    monkeypatch.setattr(weights, "cuspidal_char_series",
+                        lambda *args: calls.append(args) or exact(*args))
+    recs = stable_valuations(3, 0, 8, 16)
+    assert calls == [(3, 0, 16), (3, 0, 26)]
+    assert _fields(recs) == _fields(_exact_records(3, 0, 8, 16))
+
+
+def test_graded_route_reads_the_row_minima_once(monkeypatch):
+    calls = []
+    minima = umatrix.scaled_row_minima
+    monkeypatch.setattr(umatrix, "scaled_row_minima",
+                        lambda rows, p: calls.append(len(rows))
+                        or minima(rows, p))
+    graded_char_series.__wrapped__(3, 0, 14, _need(3, 6, 14))
+    assert calls == [14]
+
+
+def test_graded_residues_claim_fails_on_one_perturbed_residue(monkeypatch):
+    assert verify.graded_residues_claim()["pass"]
+    real = weights.graded_char_series
+
+    def perturbed(p, k, size, need):
+        g = real(p, k, size, need)
+        res = list(g.residues)
+        res[5] += p ** (g.precisions[5] - 1)
+        return GradedSeries(p, res, g.precisions, size, k)
+
+    monkeypatch.setattr(weights, "graded_char_series", perturbed)
+    claim = verify.graded_residues_claim()
+    assert not claim["pass"]
+    assert claim["observed"] == "differ at (k, m) = [(0, 5), (162, 5)]"
