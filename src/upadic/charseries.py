@@ -142,9 +142,8 @@ class GradedSeries:
     """Coefficients a_0..a_t of det(1 - tM) for a truncation of U, each known
     modulo a proven power of p: v_p(a_m - residues[m]) >= precisions[m]."""
 
-    def __init__(self, p, residues, precisions, trunc_size, weight=0):
+    def __init__(self, p, residues, precisions, trunc_size):
         self.p = p
-        self.weight = weight
         self.residues = tuple(residues)
         self.precisions = tuple(precisions)
         self.trunc_size = trunc_size

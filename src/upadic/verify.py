@@ -4,7 +4,6 @@ pass/fail flag.  Suites are pure functions of their parameters, so reports
 are byte-identical across runs.
 """
 
-import math
 from fractions import Fraction
 
 from .scalars import Val, val_p, vp_int
@@ -373,8 +372,7 @@ def graded_residues_claim():
     series at size 30, modulo its proven precision."""
     bad = []
     for k, size in ((0, 40), (162, 30)):
-        need = tuple(math.ceil(charseries.trunc_bound(3, m, size).v)
-                     for m in range(1, size + 1))
+        need = weights.certificate_need(3, size, size)
         g = weights.graded_char_series(3, k, size, need)
         q = weights.cuspidal_char_series(3, k, size)
         bad += [(k, m) for m, (r, pi) in enumerate(zip(g.residues,

@@ -249,7 +249,14 @@ def graded_char_series(p, k, size, need):
                              for r, pi in zip(res, pis)):
             break
         prec = prec + short if short else 2 * prec
-    return GradedSeries(p, res, pis, size, weight=k)
+    return GradedSeries(p, res, pis, size)
+
+
+def certificate_need(p, m_max, size):
+    """The least integer at or above each truncation bound T_1..T_m_max at
+    this size: the precisions the graded residues must reach."""
+    return tuple(math.ceil(trunc_bound(p, m, size).v)
+                 for m in range(1, m_max + 1))
 
 
 def stable_valuations(p, k, m_max, size):
@@ -257,8 +264,7 @@ def stable_valuations(p, k, m_max, size):
     truncations size and size + 10: from their graded residues when those
     settle every record, else from the exact series.  Either way the
     records are those certify gives on the exact series."""
-    need = tuple(math.ceil(trunc_bound(p, m, size).v)
-                 for m in range(1, m_max + 1))
+    need = certificate_need(p, m_max, size)
     recs = certify_graded(graded_char_series(p, k, size, need),
                           graded_char_series(p, k, size + 10, need), m_max)
     if recs is None:

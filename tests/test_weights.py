@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -14,7 +12,8 @@ from upadic.weights import (s_series, s_eisenstein_character, d9_series,
                             s_over_vs, expand_in_d3, s_ratio_divisibility,
                             _trinomial_power, twist_coefficients,
                             TwistMatrix, twist_matrix, uk_matrix,
-                            cuspidal_char_series, graded_char_series,
+                            cuspidal_char_series, certificate_need,
+                            graded_char_series,
                             stable_valuations,
                             weight_contact_check,
                             slope_distribution, dim_level1, dimension_gap_bound,
@@ -278,16 +277,11 @@ def _fields(recs):
     return [(r.m, r.v_obs, r.bound, r.agree, r.certified) for r in recs]
 
 
-def _need(p, m_max, size):
-    return tuple(math.ceil(trunc_bound(p, m, size).v)
-                 for m in range(1, m_max + 1))
-
-
 @pytest.mark.parametrize("p, k, m_max, size", [
     (2, 0, 10, 12), (3, 0, 12, 16), (5, 0, 10, 12), (7, 0, 8, 10),
     (13, 0, 8, 12), (3, 18, 10, 12), (3, 162, 10, 12)])
 def test_graded_records_equal_the_exact_ones(p, k, m_max, size):
-    need = _need(p, m_max, size)
+    need = certificate_need(p, m_max, size)
     recs = certify_graded(graded_char_series(p, k, size, need),
                           graded_char_series(p, k, size + 10, need), m_max)
     assert recs is not None                   # the graded route settles all
@@ -337,7 +331,7 @@ def test_graded_route_reads_the_row_minima_once(monkeypatch):
     monkeypatch.setattr(umatrix, "scaled_row_minima",
                         lambda rows, p: calls.append(len(rows))
                         or minima(rows, p))
-    graded_char_series.__wrapped__(3, 0, 14, _need(3, 6, 14))
+    graded_char_series.__wrapped__(3, 0, 14, certificate_need(3, 6, 14))
     assert calls == [14]
 
 
@@ -349,7 +343,7 @@ def test_graded_residues_claim_fails_on_one_perturbed_residue(monkeypatch):
         g = real(p, k, size, need)
         res = list(g.residues)
         res[5] += p ** (g.precisions[5] - 1)
-        return GradedSeries(p, res, g.precisions, size, k)
+        return GradedSeries(p, res, g.precisions, size)
 
     monkeypatch.setattr(weights, "graded_char_series", perturbed)
     claim = verify.graded_residues_claim()
