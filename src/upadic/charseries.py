@@ -227,6 +227,13 @@ class CoefficientRecord:
                 % (self.m, self.v_obs, self.bound, self.certified))
 
 
+def _check_sizes(q1, q2):
+    if q2.trunc_size <= q1.trunc_size:
+        raise ValueError("the second truncation (size %d) must be larger "
+                         "than the first (size %d)"
+                         % (q2.trunc_size, q1.trunc_size))
+
+
 def certify(q1, q2, m_max):
     """Certification of v_p(a_m) from two truncations (sizes n and n+10).
 
@@ -237,10 +244,7 @@ def certify(q1, q2, m_max):
     integer difference must be divisible as the certificate predicts.
     """
     p = q1.p
-    if q2.trunc_size <= q1.trunc_size:
-        raise ValueError("the second truncation (size %d) must be larger "
-                         "than the first (size %d)"
-                         % (q2.trunc_size, q1.trunc_size))
+    _check_sizes(q1, q2)
     out = []
     for m in range(0, m_max + 1):
         v = val_p(q1.a(m), p)
@@ -263,10 +267,7 @@ def certify_graded(g1, g2, m_max):
     returns None and the exact series decide.
     """
     p = g1.p
-    if g2.trunc_size <= g1.trunc_size:
-        raise ValueError("the second truncation (size %d) must be larger "
-                         "than the first (size %d)"
-                         % (g2.trunc_size, g1.trunc_size))
+    _check_sizes(g1, g2)
     out = [CoefficientRecord(0, Val(0), INF, True)]         # a_0 = 1
     for m in range(1, m_max + 1):
         r1, r2 = g1.residues[m], g2.residues[m]
