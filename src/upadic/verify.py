@@ -4,8 +4,6 @@ pass/fail flag.  Suites are pure functions of their parameters, so reports
 are byte-identical across runs.
 """
 
-from fractions import Fraction
-
 from .scalars import Val, val_p, vp_int
 from . import modcurve, umatrix, charseries, weights, mod3, tables
 from .modcurve import GENUS_ZERO_PRIMES
@@ -386,28 +384,34 @@ def graded_residues_claim():
         "differ at (k, m) = %r" % bad if bad else "agree", "agree", not bad)
 
 
+def _clears_floors(p, k, size, floors):
+    """v_p(a_m) >= floors[m - 1] for every m of the weight-k series at this
+    size, read from graded residues asked for precision floors[m - 1]: a
+    residue known that far is 0 modulo p^floor exactly when a_m is, and a
+    precision that falls short fails."""
+    g = weights.graded_char_series(p, k, size, tuple(floors))
+    return all(Val(pi) >= f and val_p(r, p) >= f
+               for f, r, pi in zip(floors, g.residues[1:], g.precisions[1:]))
+
+
 def slope_floor_claims():
     """The p=2 floor 3*C(m+1,2) for the weight-0 polygon, and the p=3 floor
     3*C(m,2) for weights divisible by 6."""
     claims = []
-    q2 = weights.cuspidal_char_series(2, 0, 25)
-    ok2 = True
-    for m in range(1, 16):
-        floor2 = Val(3 * m * (m + 1) // 2)
-        ok2 &= val_p(q2.a(m), 2) >= floor2
-        ok2 &= charseries.trunc_bound(2, m, 25) >= floor2
+    floors2 = [3 * m * (m + 1) // 2 for m in range(1, 16)]
+    ok2 = (_clears_floors(2, 0, 25, floors2)
+           and all(charseries.trunc_bound(2, m, 25) >= f
+                   for m, f in enumerate(floors2, 1)))
     claims.append(_claim(
         "p2-slope-floor",
         "for p=2, weight 0: v_2(a_m) >= 3 C(m+1,2) for m <= 15 "
         "(points and truncation bound both clear the floor)",
         "holds" if ok2 else "fails", "holds", ok2))
+    floors3 = [3 * m * (m - 1) // 2 for m in range(1, 16)]
     for k in (6, 18, 54):
-        qk = weights.cuspidal_char_series(3, k, 26)
-        ok = True
-        for m in range(1, 16):
-            floor3 = Val(Fraction(3 * m * (m - 1), 2))
-            ok &= val_p(qk.a(m), 3) >= floor3
-            ok &= charseries.trunc_bound(3, m, 26) >= floor3
+        ok = (_clears_floors(3, k, 26, floors3)
+              and all(charseries.trunc_bound(3, m, 26) >= f
+                      for m, f in enumerate(floors3, 1)))
         claims.append(_claim(
             "p3-slope-floor-k%d" % k,
             "for p=3, weight %d: v_3(a_m) >= 3 C(m,2) for m <= 15" % k,

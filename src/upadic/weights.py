@@ -1,8 +1,10 @@
 """Weight twists for p=3 via multiplication by (S/V(S))^(k/3); the cached
 characteristic series, for every prime p at weight 0 and every weight k at
-p=3, exact and as graded residues, with the one certifier; the quadratic lower-bound function built
-from classical dimension gaps, congruences between characteristic series of
-nearby weights, and slope-distribution reports.
+p=3, exact and as graded residues, with the one certifier; the quadratic
+lower-bound function built from classical dimension gaps, congruences
+between characteristic series of nearby weights (read from graded residues,
+the exact series deciding what those leave open), and slope-distribution
+reports.
 """
 
 import math
@@ -384,13 +386,54 @@ def dimension_gap_infimum(p, m):
     return min(dimension_gap_bound(p, k, m) for k in range(0, 24, 2))
 
 
+def _full_residues(g, m_max):
+    """Residues and precisions of P_1..P_m_max, P = (1 - t) Q the full
+    series, from graded residues of the cuspidal Q: P_m = a_m - a_(m-1)
+    (as in p_from_q) is known to the lesser of the two precisions.  a_0 = 1
+    is exact, and so is a_(size+1) = 0, which m_max = size + 1 reads."""
+    a = [1] + list(g.residues[1:]) + [0]
+    pis = [INF] + [Val(pi) for pi in g.precisions[1:]] + [INF]
+    return [(a[m] - a[m - 1], min(pis[m], pis[m - 1]))
+            for m in range(1, m_max + 1)]
+
+
+def _graded_differences(k, k2, m_max, size):
+    """v_3(P_m(k) - P_m(k2)) for 0 <= m <= m_max from graded residues, or
+    None unless the residues prove every one of them.
+
+    The residue of each difference is known to the least of its four
+    precisions, so a valuation below that precision is the valuation of the
+    difference.  A pair that leaves a row unproven at the certificate's
+    need is run once more, every need raised by the larger relative
+    precision of the two first runs (GradedSeries.precisions[0]).
+    """
+    needs = [certificate_need(3, m_max, size)] * 2
+    for _ in range(2):
+        gs = [graded_char_series(3, w, size, need)
+              for w, need in zip((k, k2), needs)]
+        vals = [INF]                                    # a_0 = 1 at both
+        for (d1, pi1), (d2, pi2) in zip(*(_full_residues(g, m_max)
+                                           for g in gs)):
+            v = val_p(d1 - d2, 3)
+            if not v < min(pi1, pi2):
+                break
+            vals.append(v)
+        else:
+            return vals
+        raise_by = max(g.precisions[0] for g in gs)
+        needs = [tuple(t + raise_by for t in need) for need in needs]
+    return None
+
+
 def congruence_check(k, k2, m_max, size):
     """v_3 of coefficient differences of the full series for two weights.
 
     With k2 - k = 2 * 3^n * l (3 not dividing l), every coefficient
     difference must have v_3 >= n+1; the margin against the strengthened
     candidate bound (adapted quadratic term + n + 1) is measured and
-    reported, not asserted.
+    reported, not asserted.  The valuations come from graded residues
+    when those prove them, else from the exact series; either way they
+    are the valuations of the exact differences.
     """
     if k == k2:
         raise ValueError("weights must differ")
@@ -398,13 +441,19 @@ def congruence_check(k, k2, m_max, size):
     n = vp_int(diff, 3)
     if diff % 2:
         raise ValueError("weight difference must be even")
-    p1 = p_from_q(cuspidal_char_series(3, k, size))
-    p2 = p_from_q(cuspidal_char_series(3, k2, size))
+    if m_max > size + 1:
+        raise ValueError("m_max = %d exceeds size + 1 = %d: the full series "
+                         "of a size-%d truncation stops at a_%d"
+                         % (m_max, size + 1, size, size + 1))
+    vals = _graded_differences(k, k2, m_max, size)
+    if vals is None:
+        p1 = p_from_q(cuspidal_char_series(3, k, size))
+        p2 = p_from_q(cuspidal_char_series(3, k2, size))
+        vals = [val_p(p1.a(m) - p2.a(m), 3) for m in range(0, m_max + 1)]
     rows = []
     ok = True
     for m in range(0, m_max + 1):
-        d = p1.a(m) - p2.a(m)
-        v = val_p(d, 3)
+        v = vals[m]
         need = Val(n + 1)
         sound = m == 0 or trunc_bound(3, m, size) >= need
         passed = v >= need and sound

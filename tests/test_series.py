@@ -166,3 +166,23 @@ def test_eta_quotient_rejects_an_inexact_recurrence_step():
     # leaves a remainder
     with pytest.raises(ValueError, match="inexact division at q\\^1"):
         eta_quotient([(1, Fraction(1, 2))], 5)
+
+
+@st.composite
+def _units(draw):
+    # a series with a nonzero leading coefficient, Laurent or not
+    start = draw(st.integers(-3, 3))
+    lead = draw(st.fractions(min_value=-50, max_value=50, max_denominator=9)
+                .filter(bool))
+    rest = draw(st.lists(st.fractions(min_value=-50, max_value=50,
+                                      max_denominator=9), max_size=12))
+    prec = start + 1 + draw(st.integers(0, 15))
+    return QSeries(start, [lead] + rest, prec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_units())
+def test_inverse_of_a_unit_to_its_precision(f):
+    # f * f.inv() = 1 + O(q^(f.prec - f.start)): the inverse keeps f's
+    # relative precision, and every known coefficient past q^0 vanishes
+    assert f * f.inv() == QSeries.const(1, f.prec - f.start)

@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from upadic import umatrix, verify, weights
+from upadic import charseries, umatrix, verify, weights
 from upadic.scalars import Val, val_p
 from upadic.series import QSeries
 from upadic.modcurve import d_series
@@ -349,3 +349,131 @@ def test_graded_residues_claim_fails_on_one_perturbed_residue(monkeypatch):
     claim = verify.graded_residues_claim()
     assert not claim["pass"]
     assert claim["observed"] == "differ at (k, m) = [(0, 5), (162, 5)]"
+
+
+def _exact_congruence(monkeypatch, *args):
+    # the report of the exact route: residues that never prove a valuation
+    with monkeypatch.context() as m:
+        m.setattr(weights, "_graded_differences", lambda *a: None)
+        return congruence_check(*args)
+
+
+def _no_exact(*args):
+    raise AssertionError("exact series built for %r" % (args,))
+
+
+@pytest.mark.parametrize("k, k2, m_max, size, runs", [
+    (0, 18, 8, 16, 1), (138, 156, 20, 30, 2)])
+def test_graded_congruence_rows_equal_the_exact_ones(monkeypatch, k, k2,
+                                                      m_max, size, runs):
+    # (138, 156) leaves m = 19 and 20 unproven at the certificate's need:
+    # v_diff 648 and 724 against precisions 646 and 696, so it takes the retry
+    exact = _exact_congruence(monkeypatch, k, k2, m_max, size)
+    calls = []
+    real = weights.graded_char_series
+    monkeypatch.setattr(weights, "graded_char_series",
+                        lambda *a: calls.append(a[1]) or real(*a))
+    monkeypatch.setattr(weights, "cuspidal_char_series", _no_exact)
+    rep = congruence_check(k, k2, m_max, size)
+    assert rep == exact                 # every field of every row, margins too
+    assert calls == [k, k2] * runs
+    if runs == 2:
+        assert [r["v_diff"] for r in rep["rows"][19:]] == [Val(648), Val(724)]
+
+
+def _blank_residues(p, k, size, need):
+    # residues known modulo p^0, which prove nothing
+    return GradedSeries(p, [0] * (len(need) + 1), [0] * (len(need) + 1), size)
+
+
+def _short_residues(p, k, size, need):
+    # the weight-18 residues cut to one trit above their grade floor, so a
+    # difference is known only that far, whatever the other weight's
+    # precision
+    g = graded_char_series(p, k, size, need)
+    if k != 18:
+        return g
+    pis = [pi - g.precisions[0] + 1 for pi in g.precisions]
+    return GradedSeries(p, [r % p ** pi for r, pi in zip(g.residues, pis)],
+                        pis, size)
+
+
+@pytest.mark.parametrize("short", [_blank_residues, _short_residues])
+def test_short_graded_congruence_falls_back_to_the_exact_series(monkeypatch,
+                                                                short):
+    # both tries leave a row open, so the pair reads the exact series
+    exact = _exact_congruence(monkeypatch, 0, 18, 8, 16)
+    monkeypatch.setattr(weights, "graded_char_series", short)
+    calls = []
+    real = weights.cuspidal_char_series
+    monkeypatch.setattr(weights, "cuspidal_char_series",
+                        lambda *a: calls.append(a) or real(*a))
+    assert congruence_check(0, 18, 8, 16) == exact
+    assert calls == [(3, 0, 16), (3, 18, 16)]
+
+
+def test_settled_congruence_makes_no_crt_call(monkeypatch):
+    calls = []
+    crt = charseries.charpoly_crt
+    monkeypatch.setattr(charseries, "charpoly_crt",
+                        lambda rows, p: calls.append(len(rows))
+                        or crt(rows, p))
+    # uncached, so an exact series would reach the spy
+    monkeypatch.setattr(weights, "cuspidal_char_series",
+                        cuspidal_char_series.__wrapped__)
+    assert congruence_check(0, 18, 8, 16)["pass"]
+    assert calls == []
+    weights.cuspidal_char_series(3, 0, 6)      # the spy sees an exact series
+    assert calls == [6]
+
+
+def test_suite_congruence_claims_do_not_depend_on_the_route(monkeypatch):
+    calls = []
+    real = weights.cuspidal_char_series
+    monkeypatch.setattr(weights, "cuspidal_char_series",
+                        lambda *a: calls.append(a) or real(*a))
+    claims = verify.suite_congruence()
+    assert calls == []                      # the residues settle every pair
+    monkeypatch.setattr(weights, "_graded_differences", lambda *a: None)
+    assert verify.suite_congruence() == claims
+    assert len(calls) == 12
+    assert all(c["pass"] for c in claims)
+
+
+def test_congruence_m_max_beyond_the_series_is_a_usage_error(monkeypatch):
+    with pytest.raises(ValueError, match=r"m_max = 14 exceeds size \+ 1 = 13"):
+        congruence_check(0, 6, 14, 12)
+    # m_max = size + 1 reads P_13 = -a_12, the last coefficient
+    rep = congruence_check(0, 6, 13, 12)
+    assert len(rep["rows"]) == 14
+    assert rep == _exact_congruence(monkeypatch, 0, 6, 13, 12)
+
+
+def _perturbed_floor_residue(p0, k0, m, shortfall):
+    # one residue of the weight-k0 series at p0 moved to valuation floor - 1,
+    # or left alone with its precision cut below the floor
+    def builder(p, k, size, need):
+        g = graded_char_series(p, k, size, need)
+        if (p, k) != (p0, k0):
+            return g
+        res, pis = list(g.residues), list(g.precisions)
+        if shortfall:
+            pis[m] = need[m - 1] - 1
+            res[m] %= p ** pis[m]
+        else:
+            res[m] += p ** (need[m - 1] - 1)
+        return GradedSeries(p, res, pis, size)
+    return builder
+
+
+@pytest.mark.parametrize("shortfall", [False, True])
+@pytest.mark.parametrize("p, k, cid", [
+    (2, 0, "p2-slope-floor"), (3, 18, "p3-slope-floor-k18")])
+def test_slope_floor_claims_read_each_residue(monkeypatch, p, k, cid,
+                                              shortfall):
+    assert all(c["pass"] for c in verify.slope_floor_claims())
+    monkeypatch.setattr(weights, "graded_char_series",
+                        _perturbed_floor_residue(p, k, 9, shortfall))
+    monkeypatch.setattr(weights, "cuspidal_char_series", _no_exact)
+    failed = [c["id"] for c in verify.slope_floor_claims() if not c["pass"]]
+    assert failed == [cid]
