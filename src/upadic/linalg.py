@@ -68,47 +68,64 @@ _CHUNK = 8
 
 def _mod_kernel(rows, modulus):
     """A kernel vector of the integer matrix ``rows`` modulo ``modulus``,
-    when the kernel there is one-dimensional; None when it is not, or when a
-    pivot is not a unit.
+    in the caller's column order, when the kernel there is one-dimensional;
+    None when it is not, or when a pivot is not a unit.
 
     The modulus may be composite: echelon form and back-substitution use ring
     operations and inverses of units only, so without a None the result
     reduced mod each prime factor q is a kernel vector mod q, and the kernel
     mod q is one-dimensional too.
+
+    The columns are eliminated in order of their first nonzero row (a stable
+    sort, so ties keep the caller's order), and a row update stops at the
+    last nonzero entry of the pivot row.  In that order every row is zero in
+    the columns that start below it, so on a staircase system such as the
+    I_p fit's, whose columns start at distinct rows up to a few ties, an
+    update touches a few entries instead of the whole row.
     """
-    ncols = len(rows[0])
+    nrows, ncols = len(rows), len(rows[0])
     mat = [[x % modulus for x in row] for row in rows]
-    pivots = []
+    lead = [next((r for r, row in enumerate(mat) if row[c]), nrows)
+            for c in range(ncols)]
+    order = sorted(range(ncols), key=lead.__getitem__)
+    mat = [[row[c] for c in order] for row in mat]
+    pivots = []                           # (column, end of its pivot row)
     free = []
     for col in range(ncols):
         rank = len(pivots)
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        piv = next((r for r in range(rank, nrows) if mat[r][col]), None)
         if piv is None:
             free.append(col)
             if len(free) > 1:
                 return None
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
         try:
-            inv = pow(mat[rank][col], -1, modulus)
+            inv = pow(prow[col], -1, modulus)
         except ValueError:
             return None
-        prow = mat[rank] = [x * inv % modulus for x in mat[rank]]
-        tail = prow[col:]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col]
+        end = len(prow)
+        while not prow[end - 1]:
+            end -= 1
+        prow[col:end] = tail = [x * inv % modulus for x in prow[col:end]]
+        for row in mat[rank + 1:]:
+            f = row[col]
             if f:
-                mat[r][col:] = [(a - f * b) % modulus
-                                for a, b in zip(mat[r][col:], tail)]
-        pivots.append(col)
+                row[col:end] = [(a - f * b) % modulus
+                                for a, b in zip(row[col:end], tail)]
+        pivots.append((col, end))
     if len(free) != 1:
         return None
     vec = [0] * ncols
     vec[free[0]] = 1
-    # each pivot row is 1 at its pivot and 0 before it
-    for row, col in reversed(list(zip(mat, pivots))):
-        vec[col] = -sum(a * b for a, b in zip(row[col + 1:], vec[col + 1:])) % modulus
-    return vec
+    # each pivot row is 1 at its pivot and 0 before it and from its end on
+    for row, (col, end) in reversed(list(zip(mat, pivots))):
+        vec[col] = -sum(map(mul, row[col + 1:end], vec[col + 1:end])) % modulus
+    out = [0] * ncols
+    for c, v in zip(order, vec):
+        out[c] = v
+    return out
 
 
 def _charpoly_mod(a, p):

@@ -10,7 +10,7 @@ from math import comb, gcd, prod
 from operator import mul
 
 from .scalars import val_p
-from .series import QSeries, eta_quotient
+from .series import PrecisionError, QSeries, eta_quotient
 from .newton import NewtonPolygon
 from .linalg import _CHUNK, _mod_kernel, _prime_pool, _sym_crt
 
@@ -87,15 +87,17 @@ def _as_int(x, what="value"):
 
 
 def powers(d, count, prec):
-    """Yield 1, d, ..., d^(count-1), with d truncated to precision prec.
+    """Yield 1, d, ..., d^(count-1), each truncated to precision prec.
 
-    Lazy, so that an expansion that walks the powers once holds one of them
-    at a time."""
+    Each product is taken against d truncated to what it can reach below
+    q^prec, so no coefficient at or past q^prec is computed; a power whose
+    operands know less keeps their lower precision.  Lazy, so that an
+    expansion that walks the powers once holds one of them at a time."""
     d = d.truncate(prec)
     power = QSeries.const(1, prec)
     for i in range(count):
         if i:
-            power = power * d
+            power = power * d.truncate(prec - power.start)
         yield power
 
 
@@ -104,16 +106,33 @@ def d_expansion(f, dpows):
     by triangular solve: the coefficient of q^i of what is left pins r_i.
 
     Returns the integer coefficients r_0..r_(k-1) and the residual
-    f - sum r_i d^i, which the caller checks; a non-integer r_i raises.
+    f - sum r_i d^i, which the caller checks; a non-integer r_i raises, and
+    so does a degree i at or past the residual's precision.  The residual
+    is one list of the coefficients of q^lo .. q^(prec-1): each step with
+    r_i != 0 lowers prec to that of d^i and subtracts r_i d^i in one slice
+    update, as f - r_0 - r_1 d - ... in QSeries arithmetic would.
     """
     coeffs = []
-    residual = f
+    lo, prec = f.start, f.prec
+    res = f.c + [0] * (prec - lo - len(f.c))
     for i, dpow in enumerate(dpows):
-        r = _as_int(residual.coeff(i), "d-expansion coefficient of degree %d" % i)
+        if i >= prec:
+            raise PrecisionError("coefficient of q^%d unknown (precision %d)"
+                                 % (i, prec))
+        r = _as_int(res[i - lo] if i >= lo else 0,
+                    "d-expansion coefficient of degree %d" % i)
         coeffs.append(r)
-        if r:
-            residual = residual - dpow.scalar_mul(r)
-    return coeffs, residual
+        if not r:
+            continue
+        if dpow.start < lo:
+            res[:0] = [0] * (lo - dpow.start)
+            lo = dpow.start
+        prec = min(prec, dpow.prec)
+        del res[max(prec - lo, 0):]
+        a = dpow.start - lo
+        seg = dpow.c[:max(len(res) - a, 0)]
+        res[a:a + len(seg)] = [x - r * y for x, y in zip(res[a:a + len(seg)], seg)]
+    return coeffs, QSeries(lo, res, prec)
 
 
 def verify_eisenstein_power(p):

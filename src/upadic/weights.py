@@ -441,6 +441,9 @@ def congruence_check(k, k2, m_max, size):
     n = vp_int(diff, 3)
     if diff % 2:
         raise ValueError("weight difference must be even")
+    if m_max < 0:
+        raise ValueError("m_max = %d is negative: no coefficient to compare"
+                         % m_max)
     if m_max > size + 1:
         raise ValueError("m_max = %d exceeds size + 1 = %d: the full series "
                          "of a size-%d truncation stops at a_%d"

@@ -45,6 +45,70 @@ def test_mod_kernel_none_off_dimension_one_or_on_non_unit_pivot():
                        math.prod(_prime_pool(2 * _CHUNK)[_CHUNK:])) is not None
 
 
+def _rank_mod(rows, q):
+    """Rank of the rows modulo the prime q, by plain elimination."""
+    rows = [[x % q for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, q)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv
+            rows[r] = [(a - f * b) % q for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _planted_kernels(draw):
+    """(rows, w): small integer rows with row . w = 0 and w[0] = 1.  Column
+    0 is solved for; with ``staircase`` every other column c is zero above
+    a drawn first row, as in the I_p fit system.  Then the columns are
+    permuted, w with them."""
+    small = st.integers(-3, 3)
+    ncols = draw(st.integers(1, 7))
+    nrows = draw(st.integers(1, 9))
+    w = [1] + draw(st.lists(small, min_size=ncols - 1, max_size=ncols - 1))
+    starts = [0] * ncols
+    if draw(st.booleans()):                 # staircase
+        starts[1:] = sorted(draw(st.lists(st.integers(0, nrows),
+                                          min_size=ncols - 1,
+                                          max_size=ncols - 1)))
+    rows = []
+    for r in range(nrows):
+        row = [0] + [draw(small) if r >= starts[c] else 0
+                     for c in range(1, ncols)]
+        row[0] = -sum(a * b for a, b in zip(row, w))
+        rows.append(row)
+    perm = draw(st.permutations(range(ncols)))
+    return [[row[c] for c in perm] for row in rows], [w[c] for c in perm]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planted_kernels())
+def test_mod_kernel_on_planted_kernels(case):
+    rows, w = case
+    ncols = len(w)
+    q, q2 = _prime_pool(2)
+    vec = _mod_kernel(rows, q)
+    if ncols - _rank_mod(rows, q) != 1:
+        assert vec is None
+    else:
+        # the kernel is spanned by w, and vec comes in the caller's order
+        assert vec is not None and any(vec)
+        assert all(sum(a * v for a, v in zip(row, vec)) % q == 0
+                   for row in rows)
+        assert all((vec[i] * w[j] - vec[j] * w[i]) % q == 0
+                   for i in range(ncols) for j in range(ncols))
+    # every entry a nonzero non-unit modulo q q2: the first pivot fails
+    scaled = _mod_kernel([[q * x for x in row] for row in rows], q * q2)
+    if any(any(row) for row in rows):
+        assert scaled is None
+
+
 @st.composite
 def _graded_matrices(draw):
     """(p, grades, K, prec): grades from -3 to 8, K with entries p^k u, so

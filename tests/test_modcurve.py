@@ -3,6 +3,8 @@ import math
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from upadic import modcurve
 from upadic.linalg import _CHUNK, _prime_pool
 from upadic.modcurve import (bernoulli, eisenstein, delta_series, j_series,
@@ -10,7 +12,7 @@ from upadic.modcurve import (bernoulli, eisenstein, delta_series, j_series,
                              check_hauptmodul_polygon, modular_equation_ip,
                              practical_ip_fit, ip_poly, certify_ip_laurent,
                              e_exponent, HPoly, C_P, d_expansion, powers)
-from upadic.series import QSeries
+from upadic.series import PrecisionError, QSeries
 from upadic.umatrix import GUARD
 from upadic import tables
 
@@ -108,22 +110,93 @@ def test_d_expansion_needs_precision_for_every_term():
 @pytest.mark.parametrize("p, n", [(2, 6), (13, 2)])
 def test_powers_match_the_hand_written_loops(p, n):
     # the oracle's list at its solve precision, and the loop that multiplied
-    # a constant 1 by d over and over
+    # a constant 1 by d over and over, each product truncated to the
+    # precision asked
     solve_prec = p * n + GUARD
     d = d_series(p, p * solve_prec)
     oracle = [QSeries.const(1, solve_prec), d.truncate(solve_prec)]
     for _ in range(2, p * n + 1):
-        oracle.append(oracle[-1] * oracle[1])
+        oracle.append((oracle[-1] * oracle[1]).truncate(solve_prec))
     new = list(powers(d, p * n + 1, solve_prec))
     assert new == oracle                      # == compares the precision too
-    assert [f.prec for f in new] == [f.prec for f in oracle]
+    assert [f.prec for f in new] == [solve_prec] * (p * n + 1)
     small = d_series(p, 40)
     loop = [QSeries.const(1, 40)]
     for _ in range(p):
-        loop.append(loop[-1] * small)
+        loop.append((loop[-1] * small).truncate(40))
     assert list(powers(small, p + 1, 40)) == loop
+    assert [f.prec for f in loop] == [40] * (p + 1)
     assert list(powers(small, 0, 40)) == []
     assert list(powers(small, 1, 40)) == loop[:1]
+
+
+def _d_expansion_by_qseries(f, dpows):
+    # the expansion as QSeries arithmetic, one subtraction per nonzero r_i
+    coeffs, residual = [], f
+    for i, dpow in enumerate(dpows):
+        r = modcurve._as_int(residual.coeff(i),
+                             "d-expansion coefficient of degree %d" % i)
+        coeffs.append(r)
+        if r:
+            residual = residual - dpow.scalar_mul(r)
+    return coeffs, residual
+
+
+def _outcome(expand, f, dpows):
+    try:
+        coeffs, residual = expand(f, dpows)
+    except ValueError as exc:           # PrecisionError is a ValueError
+        return type(exc), str(exc)
+    return coeffs, (residual.start, residual.prec, residual.c)
+
+
+@st.composite
+def _expansions(draw):
+    """(f, dpows): f a Laurent or power series with integer or Fraction
+    coefficients, near a polynomial in d so that most r_i are integers;
+    the powers of d at f's precision or lower, some cut shorter or given a
+    stray term below q^k, and sometimes more of them than f has
+    coefficients."""
+    small = st.integers(-4, 4)
+    dprec = draw(st.integers(2, 14))
+    d = QSeries(1, [1] + draw(st.lists(small, max_size=dprec)), dprec)
+    fprec = draw(st.integers(0, 14))
+    pprec = draw(st.integers(max(fprec - 4, 0), fprec))
+    dpows = list(powers(d, draw(st.integers(0, fprec + 2)), pprec))
+    for k in draw(st.lists(st.integers(0, max(len(dpows) - 1, 0)),
+                           max_size=2)):
+        if k >= len(dpows):
+            continue
+        if draw(st.booleans()):
+            dpows[k] = dpows[k].truncate(draw(st.integers(0, pprec)))
+        else:
+            dpows[k] = dpows[k] + QSeries(draw(st.integers(-3, k)), [1],
+                                          pprec)
+    poly = QSeries(0, draw(st.lists(small, max_size=fprec)), fprec)
+    f = sum((p.scalar_mul(c) for p, c in zip(powers(d, fprec, fprec),
+                                              poly.coeffs_from(0, fprec))),
+            QSeries.zero(fprec))
+    start = draw(st.integers(-3, fprec))
+    noise = st.one_of(small, st.builds(Fraction, small, st.integers(1, 3)))
+    extra = draw(st.lists(noise, max_size=max(fprec - start, 0)))
+    return f + QSeries(start, extra, fprec), dpows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expansions())
+def test_d_expansion_matches_the_qseries_loop(case):
+    f, dpows = case
+    assert (_outcome(d_expansion, f, dpows)
+            == _outcome(_d_expansion_by_qseries, f, dpows))
+
+
+def test_d_expansion_raises_past_the_precision():
+    d = d_series(3, 30)
+    with pytest.raises(PrecisionError, match=r"q\^10 unknown \(precision 10\)"):
+        d_expansion(d.truncate(10), powers(d, 11, 30))
+    # a power of lower precision lowers the residual's
+    coeffs, residual = d_expansion(d, list(powers(d, 3, 20)))
+    assert coeffs == [0, 1, 0] and residual == QSeries.zero(20)
 
 
 def test_ip_tables_exact():
@@ -140,6 +213,22 @@ def test_ip_two_routes_agree():
 def test_ip_laurent_certificate():
     for p in (2, 3, 5):
         assert certify_ip_laurent(p, ip_poly(p))
+
+
+def test_laurent_certificate_keeps_its_precision(monkeypatch):
+    # I_p(d_p(q^p), 1/d_p(q)) vanishes to these q-precisions, one per prime
+    ips = [ip_poly(p) for p in PRIMES]       # cached before the spy
+    seen = []
+    evaluate = modcurve.BiPoly.eval_series
+
+    def spy(ip, fx, fy):
+        seen.append(evaluate(ip, fx, fy))
+        return seen[-1]
+
+    monkeypatch.setattr(modcurve.BiPoly, "eval_series", spy)
+    assert all(certify_ip_laurent(p, ip) for p, ip in zip(PRIMES, ips))
+    assert [v.prec for v in seen] == [32, 39, 59, 87, 219]
+    assert all(v.is_zero() for v in seen)
 
 
 def test_ip7_displayed_and_corrected():

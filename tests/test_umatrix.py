@@ -219,3 +219,23 @@ def test_oracle_rejects_a_wrong_eta_power(monkeypatch):
     with pytest.raises(ValueError, match="not a polynomial of degree 2 in d"):
         build_matrix_oracle.__wrapped__(2, 3)
 
+
+@pytest.mark.parametrize("p, n", [(2, 3), (5, 2)])
+def test_oracle_residual_check_reaches_the_end_of_the_band(monkeypatch, p, n):
+    # U(d^j) = E^(tj) U(q^j E^(-tj)) is checked to q-precision p n + 16.
+    # U(q E^(-t)) starts at q^1, so a stray q^(p n + 14) in the short factor
+    # E^t reaches U(d^1) at q^(p n + 15), the last coefficient of the band
+    from upadic import umatrix
+    from upadic.series import QSeries, eta_quotient
+    band = p * n + 16
+
+    def stray(pairs, prec):
+        f = eta_quotient(pairs, prec)
+        if pairs[0][1] > 0:                 # E^(tj), not E^(-tj)
+            f = f + QSeries(band - 2, [1], prec)
+        return f
+
+    monkeypatch.setattr(umatrix, "eta_quotient", stray)
+    with pytest.raises(ValueError, match="U\\(d\\^1\\) is not a polynomial"):
+        build_matrix_oracle.__wrapped__(p, n)
+

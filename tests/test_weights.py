@@ -449,6 +449,13 @@ def test_congruence_m_max_beyond_the_series_is_a_usage_error(monkeypatch):
     assert rep == _exact_congruence(monkeypatch, 0, 6, 13, 12)
 
 
+def test_congruence_negative_m_max_is_a_usage_error():
+    # no rows would make a vacuous pass
+    with pytest.raises(ValueError, match=r"m_max = -1 is negative"):
+        congruence_check(0, 6, -1, 12)
+    assert len(congruence_check(0, 6, 0, 12)["rows"]) == 1
+
+
 def _perturbed_floor_residue(p0, k0, m, shortfall):
     # one residue of the weight-k0 series at p0 moved to valuation floor - 1,
     # or left alone with its precision cut below the floor
