@@ -65,9 +65,9 @@ def _rank_mod(rows, q):
 @st.composite
 def _planted_kernels(draw):
     """(rows, w): small integer rows with row . w = 0 and w[0] = 1.  Column
-    0 is solved for; with ``staircase`` every other column c is zero above
-    a drawn first row, as in the I_p fit system.  Then the columns are
-    permuted, w with them."""
+    0 is solved for; in about half the cases every other column is zero
+    above a drawn first row, a staircase as in the I_p fit system.  Then
+    the columns are permuted, w with them."""
     small = st.integers(-3, 3)
     ncols = draw(st.integers(1, 7))
     nrows = draw(st.integers(1, 9))

@@ -238,4 +238,3 @@ def test_oracle_residual_check_reaches_the_end_of_the_band(monkeypatch, p, n):
     monkeypatch.setattr(umatrix, "eta_quotient", stray)
     with pytest.raises(ValueError, match="U\\(d\\^1\\) is not a polynomial"):
         build_matrix_oracle.__wrapped__(p, n)
-
