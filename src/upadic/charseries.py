@@ -1,11 +1,13 @@
-"""Exact characteristic series det(1 - tM) of truncated U matrices and their
-graded residues modulo proven powers of p, rigorous truncation certificates
-for their coefficients from either, Newton polygons, and the
-p=3 parabola (3/2)m(m-1) + 2m with its equality set and secant upper bounds.
+"""Characteristic series det(1 - tM) of truncated U matrices, each
+coefficient known modulo a proven power of p (exact CRT coefficients at
+infinite precision), the one truncation certificate for them, Newton
+polygons, and the p=3 parabola (3/2)m(m-1) + 2m with its equality set and
+secant upper bounds.
 """
 
 import math
 from fractions import Fraction
+from operator import sub
 
 from .scalars import Val, INF, val_p, vp_int
 from .newton import NewtonPolygon
@@ -120,45 +122,47 @@ def charpoly_crt(rows, p):
 
 
 class CharSeries:
-    """Exact coefficients a_0..a_n of det(1 - tM) for a truncation of U."""
-
-    def __init__(self, p, coeffs, trunc_size, weight=0):
-        if coeffs[0] != 1:
-            raise ValueError("a characteristic series starts with 1, not %r"
-                             % (coeffs[0],))
-        self.p = p
-        self.weight = weight
-        self.coeffs = tuple(coeffs)
-        self.trunc_size = trunc_size
-
-    def a(self, m):
-        return self.coeffs[m]
-
-    def __len__(self):
-        return len(self.coeffs)
-
-
-class GradedSeries:
-    """Coefficients a_0..a_t of det(1 - tM) for a truncation of U, each known
-    modulo a proven power of p: v_p(a_m - residues[m]) >= precisions[m]."""
+    """Coefficients a_0..a_t of det(1 - tM) for a truncation of U, known
+    modulo proven powers of p: v_p(a_m - residues[m]) >= precisions[m], INF
+    for an exact a_m.  a_0 = 1 is exact; a graded series keeps the kernel's
+    relative precision in precisions[0]."""
 
     def __init__(self, p, residues, precisions, trunc_size):
+        if residues[0] != 1:
+            raise ValueError("a characteristic series starts with 1, not %r"
+                             % (residues[0],))
         self.p = p
         self.residues = tuple(residues)
         self.precisions = tuple(precisions)
         self.trunc_size = trunc_size
 
+    def valuation(self, m):
+        """v_p(a_m), or None when the residue leaves it open."""
+        return _known_valuation(self.residues[m], self.precisions[m], self.p)
 
-def char_series_trunc(m, weight=0):
-    """Characteristic series of a UMatrix, a truncation of U."""
-    return CharSeries(m.p, charpoly_crt(m.rows, m.p), m.n, weight=weight)
+
+def _known_valuation(x, pi, p):
+    """v_p of a number known to be x modulo p^pi (exactly if pi is INF), or
+    None unless v_p(x) lies below pi, which makes it the number's."""
+    v = val_p(x, p)
+    return v if pi == INF or v < pi else None
 
 
-def p_from_q(q):
-    """The full characteristic series (1 - t) * Q from the cuspidal one."""
-    a = q.coeffs
-    b = [1] + [a[m] - a[m - 1] for m in range(1, len(a))] + [-a[-1]]
-    return CharSeries(q.p, b, q.trunc_size, weight=q.weight)
+def char_series_trunc(m):
+    """Exact characteristic series of a UMatrix, a truncation of U."""
+    coeffs = charpoly_crt(m.rows, m.p)
+    return CharSeries(m.p, coeffs, [INF] * len(coeffs), m.n)
+
+
+def full_series(q):
+    """The full characteristic series (1 - t) Q from the cuspidal Q:
+    P_m = a_m - a_(m-1), known to the lesser of the two precisions.  a_0 = 1
+    is exact, and so is a_(size+1) = 0 when Q has every coefficient."""
+    a, pis = q.residues, (INF,) + q.precisions[1:]
+    if len(a) == q.trunc_size + 1:
+        a, pis = a + (0,), pis + (INF,)
+    return CharSeries(q.p, [1, *map(sub, a[1:], a)],
+                      [INF, *map(min, pis[1:], pis)], q.trunc_size)
 
 
 def check_scaled_integrality(p):
@@ -227,56 +231,32 @@ class CoefficientRecord:
                 % (self.m, self.v_obs, self.bound, self.certified))
 
 
-def _check_sizes(q1, q2):
+def certify(q1, q2, m_max):
+    """Certification of v_p(a_m) from two truncations (sizes n and n+10), or
+    None unless the residues settle every record (exact series always do).
+
+    Enlarging the truncation changes each coefficient by an error of
+    valuation at least the truncation bound T_m, so the observed valuation is
+    exact once it sits strictly below T_m.  Both residues must prove their
+    valuation and both precisions reach T_m; the second truncation is an
+    independent recomputation, whose valuation must coincide and whose
+    difference from the first, known modulo p^(T_m), must be divisible as
+    the certificate predicts.
+    """
+    p = q1.p
     if q2.trunc_size <= q1.trunc_size:
         raise ValueError("the second truncation (size %d) must be larger "
                          "than the first (size %d)"
                          % (q2.trunc_size, q1.trunc_size))
-
-
-def certify(q1, q2, m_max):
-    """Certification of v_p(a_m) from two truncations (sizes n and n+10).
-
-    Enlarging the truncation changes each coefficient by an error of
-    valuation at least the truncation bound, so the observed valuation is exact
-    once it sits strictly below that bound.  The second truncation is an
-    independent recomputation: its observed valuation must coincide and the
-    integer difference must be divisible as the certificate predicts.
-    """
-    p = q1.p
-    _check_sizes(q1, q2)
-    out = []
-    for m in range(0, m_max + 1):
-        v = val_p(q1.a(m), p)
-        bound = trunc_bound(p, m, q1.trunc_size)
-        agree = (v == val_p(q2.a(m), p)
-                 and val_p(q1.a(m) - q2.a(m), p) >= bound)
-        out.append(CoefficientRecord(m, v, bound, agree))
-    return out
-
-
-def certify_graded(g1, g2, m_max):
-    """The records certify gives on the exact series behind the graded
-    series g1 and g2, or None unless the residues settle every one of them.
-
-    For each 1 <= m <= m_max both residues must have valuation below their
-    precision, so that it is the valuation of a_m, and both precisions must
-    reach the truncation bound T_m, so that a_m(n) - a_m(n + 10), known
-    modulo the smaller one, shows whether its valuation reaches T_m.  A
-    coefficient known below its bound is never certified: the whole call
-    returns None and the exact series decide.
-    """
-    p = g1.p
-    _check_sizes(g1, g2)
     out = [CoefficientRecord(0, Val(0), INF, True)]         # a_0 = 1
     for m in range(1, m_max + 1):
-        r1, r2 = g1.residues[m], g2.residues[m]
-        pi1, pi2 = Val(g1.precisions[m]), Val(g2.precisions[m])
-        v = val_p(r1, p)
-        bound = trunc_bound(p, m, g1.trunc_size)
-        if not (v < pi1 and val_p(r2, p) < pi2 and bound <= min(pi1, pi2)):
+        v, v2 = q1.valuation(m), q2.valuation(m)
+        bound = trunc_bound(p, m, q1.trunc_size)
+        if (v is None or v2 is None
+                or min(q1.precisions[m], q2.precisions[m]) < bound):
             return None
-        agree = v == val_p(r2, p) and val_p(r1 - r2, p) >= bound
+        agree = (v == v2 and val_p(q1.residues[m] - q2.residues[m], p)
+                 >= bound)
         out.append(CoefficientRecord(m, v, bound, agree))
     return out
 

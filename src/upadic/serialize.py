@@ -48,14 +48,12 @@ def bipoly_json(bp):
                       for (i, j), c in sorted(bp.terms.items())]}
 
 
-def charseries_json(q, records=None):
-    out = {"prime": q.p, "weight": q.weight, "truncation_size": q.trunc_size,
-           "coefficients": [int_str(c) for c in q.coeffs]}
-    if records is not None:
-        out["certified"] = [{"m": r.m, "valuation": val_str(r.v_obs),
-                             "truncation_bound": val_str(r.bound),
-                             "certified": r.certified} for r in records]
-    return out
+def charseries_json(q, weight, records):
+    return {"prime": q.p, "weight": weight, "truncation_size": q.trunc_size,
+            "coefficients": [int_str(c) for c in q.residues],
+            "certified": [{"m": r.m, "valuation": val_str(r.v_obs),
+                           "truncation_bound": val_str(r.bound),
+                           "certified": r.certified} for r in records]}
 
 
 def polygon_json(poly):

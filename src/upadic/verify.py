@@ -373,9 +373,9 @@ def graded_residues_claim():
         need = weights.certificate_need(3, size, size)
         g = weights.graded_char_series(3, k, size, need)
         q = weights.cuspidal_char_series(3, k, size)
-        bad += [(k, m) for m, (r, pi) in enumerate(zip(g.residues,
-                                                        g.precisions))
-                if val_p(q.a(m) - r, 3) < Val(pi)]
+        bad += [(k, m) for m, (a, r, pi) in enumerate(zip(
+                    q.residues, g.residues, g.precisions))
+                if val_p(a - r, 3) < pi]
     return _claim(
         "graded-residues-agree",
         "the graded residues of a_0..a_n agree with the exact CRT "
@@ -390,7 +390,7 @@ def _clears_floors(p, k, size, floors):
     residue known that far is 0 modulo p^floor exactly when a_m is, and a
     precision that falls short fails."""
     g = weights.graded_char_series(p, k, size, tuple(floors))
-    return all(Val(pi) >= f and val_p(r, p) >= f
+    return all(pi >= f and val_p(r, p) >= f
                for f, r, pi in zip(floors, g.residues[1:], g.precisions[1:]))
 
 

@@ -1,10 +1,10 @@
 """Weight twists for p=3 via multiplication by (S/V(S))^(k/3); the cached
 characteristic series, for every prime p at weight 0 and every weight k at
-p=3, exact and as graded residues, with the one certifier; the quadratic
-lower-bound function built from classical dimension gaps, congruences
-between characteristic series of nearby weights (read from graded residues,
-the exact series deciding what those leave open), and slope-distribution
-reports.
+p=3, as graded residues and exactly, certified from the residues when they
+settle every record, else from the exact series; the quadratic lower-bound
+function built from classical dimension gaps, congruences between
+characteristic series of nearby weights (read the same way), and
+slope-distribution reports.
 """
 
 import math
@@ -13,16 +13,16 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .scalars import Val, INF, val_p, vp_int
+from .scalars import Val, INF, vp_int
 from .series import QSeries, eta_quotient
 from .modcurve import d_series, d_expansion, eisenstein, ip_poly, powers
 from .newton import NewtonPolygon
 from . import umatrix
 from .linalg import _charpoly_graded
-from .charseries import (GradedSeries, char_series_trunc, certify,
-                         certify_graded, check_scaled_integrality,
-                         trunc_bound, m_index, parabola_floor, p_from_q,
-                         polygon_from_records)
+from .charseries import (CharSeries, char_series_trunc, certify,
+                         check_scaled_integrality, full_series, trunc_bound,
+                         m_index, parabola_floor, polygon_from_records,
+                         _known_valuation)
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +219,7 @@ def cuspidal_char_series(p, k, size):
     """Exact characteristic series of the weight-k cuspidal matrix."""
     m = _cuspidal_matrix(p, k, size)
     umatrix.check_row_bounds(m, weight=k)
-    return char_series_trunc(m, weight=k)
+    return char_series_trunc(m)
 
 
 # Runs of the graded kernel per series at most: the first at the precision
@@ -239,19 +239,20 @@ def graded_char_series(p, k, size, need):
     a run where every precision is reached but a residue is 0 modulo its
     precision (its valuation unknown) is followed by one at twice the
     precision.  After GRADED_RUNS runs the last result stands, whatever it
-    reached; certify_graded decides what it settles.
+    reached; certify decides what it settles.
     """
     grades, krows = umatrix.graded(_cuspidal_matrix(p, k, size), weight=k)
     lows = accumulate(sorted(grades))
     prec = max([t - g for t, g in zip(need, lows)] + [1])
     for _ in range(GRADED_RUNS):
-        res, pis = _charpoly_graded(grades, krows, p, prec, len(need))
-        short = max([t - pi for t, pi in zip(need, pis[1:])] + [0])
-        if not short and all(val_p(r, p) < Val(pi)
-                             for r, pi in zip(res, pis)):
+        g = CharSeries(p, *_charpoly_graded(grades, krows, p, prec, len(need)),
+                       size)
+        short = max([t - pi for t, pi in zip(need, g.precisions[1:])] + [0])
+        if not short and all(g.valuation(m) is not None
+                             for m in range(len(g.residues))):
             break
         prec = prec + short if short else 2 * prec
-    return GradedSeries(p, res, pis, size)
+    return g
 
 
 def certificate_need(p, m_max, size):
@@ -262,17 +263,19 @@ def certificate_need(p, m_max, size):
 
 
 def stable_valuations(p, k, m_max, size):
-    """Certified coefficient records of the weight-k series, from the
-    truncations size and size + 10: from their graded residues when those
-    settle every record, else from the exact series.  Either way the
-    records are those certify gives on the exact series."""
+    """Certified records of a_0..a_m_max of the weight-k series, from the
+    truncations size and size + 10: certify on their graded residues, or on
+    the exact series when the residues leave a record unsettled.  Either
+    way the records are those certify gives on the exact series."""
+    if not 0 <= m_max <= size:
+        raise ValueError("m_max = %d lies outside 0..size = %d: a size-%d "
+                         "truncation has a_0..a_%d"
+                         % (m_max, size, size, size))
     need = certificate_need(p, m_max, size)
-    recs = certify_graded(graded_char_series(p, k, size, need),
-                          graded_char_series(p, k, size + 10, need), m_max)
-    if recs is None:
-        recs = certify(cuspidal_char_series(p, k, size),
-                       cuspidal_char_series(p, k, size + 10), m_max)
-    return recs
+    return (certify(graded_char_series(p, k, size, need),
+                    graded_char_series(p, k, size + 10, need), m_max)
+            or certify(cuspidal_char_series(p, k, size),
+                       cuspidal_char_series(p, k, size + 10), m_max))
 
 
 def weight_contact_check(l, n):
@@ -386,39 +389,27 @@ def dimension_gap_infimum(p, m):
     return min(dimension_gap_bound(p, k, m) for k in range(0, 24, 2))
 
 
-def _full_residues(g, m_max):
-    """Residues and precisions of P_1..P_m_max, P = (1 - t) Q the full
-    series, from graded residues of the cuspidal Q: P_m = a_m - a_(m-1)
-    (as in p_from_q) is known to the lesser of the two precisions.  a_0 = 1
-    is exact, and so is a_(size+1) = 0, which m_max = size + 1 reads."""
-    a = [1] + list(g.residues[1:]) + [0]
-    pis = [INF] + [Val(pi) for pi in g.precisions[1:]] + [INF]
-    return [(a[m] - a[m - 1], min(pis[m], pis[m - 1]))
-            for m in range(1, m_max + 1)]
+def _differences(f1, f2, m_max):
+    """v_p(f1_m - f2_m) for 0 <= m <= m_max, or None when the residues leave
+    one of them unproven: a difference is known to the lesser of its two
+    precisions."""
+    vals = [_known_valuation(f1.residues[m] - f2.residues[m],
+                             min(f1.precisions[m], f2.precisions[m]), f1.p)
+            for m in range(m_max + 1)]
+    return None if any(v is None for v in vals) else vals
 
 
 def _graded_differences(k, k2, m_max, size):
-    """v_3(P_m(k) - P_m(k2)) for 0 <= m <= m_max from graded residues, or
-    None unless the residues prove every one of them.
-
-    The residue of each difference is known to the least of its four
-    precisions, so a valuation below that precision is the valuation of the
-    difference.  A pair that leaves a row unproven at the certificate's
-    need is run once more, every need raised by the larger relative
-    precision of the two first runs (GradedSeries.precisions[0]).
-    """
+    """_differences of the full series of weights k and k2 from graded
+    residues.  A pair that leaves a row unproven at the certificate's need
+    is run once more, every need raised by the larger relative precision
+    of the two first runs (CharSeries.precisions[0])."""
     needs = [certificate_need(3, m_max, size)] * 2
     for _ in range(2):
         gs = [graded_char_series(3, w, size, need)
               for w, need in zip((k, k2), needs)]
-        vals = [INF]                                    # a_0 = 1 at both
-        for (d1, pi1), (d2, pi2) in zip(*(_full_residues(g, m_max)
-                                           for g in gs)):
-            v = val_p(d1 - d2, 3)
-            if not v < min(pi1, pi2):
-                break
-            vals.append(v)
-        else:
+        vals = _differences(*map(full_series, gs), m_max)
+        if vals is not None:
             return vals
         raise_by = max(g.precisions[0] for g in gs)
         needs = [tuple(t + raise_by for t in need) for need in needs]
@@ -431,9 +422,9 @@ def congruence_check(k, k2, m_max, size):
     With k2 - k = 2 * 3^n * l (3 not dividing l), every coefficient
     difference must have v_3 >= n+1; the margin against the strengthened
     candidate bound (adapted quadratic term + n + 1) is measured and
-    reported, not asserted.  The valuations come from graded residues
-    when those prove them, else from the exact series; either way they
-    are the valuations of the exact differences.
+    reported, not asserted.  The valuations come from _differences on the
+    full series of graded residues when those prove them, else of the exact
+    ones; either way they are the valuations of the exact differences.
     """
     if k == k2:
         raise ValueError("weights must differ")
@@ -448,11 +439,9 @@ def congruence_check(k, k2, m_max, size):
         raise ValueError("m_max = %d exceeds size + 1 = %d: the full series "
                          "of a size-%d truncation stops at a_%d"
                          % (m_max, size + 1, size, size + 1))
-    vals = _graded_differences(k, k2, m_max, size)
-    if vals is None:
-        p1 = p_from_q(cuspidal_char_series(3, k, size))
-        p2 = p_from_q(cuspidal_char_series(3, k2, size))
-        vals = [val_p(p1.a(m) - p2.a(m), 3) for m in range(0, m_max + 1)]
+    vals = (_graded_differences(k, k2, m_max, size)
+            or _differences(*(full_series(cuspidal_char_series(3, w, size))
+                              for w in (k, k2)), m_max))
     rows = []
     ok = True
     for m in range(0, m_max + 1):

@@ -8,13 +8,13 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from upadic.scalars import Val, INF, val_p
+from upadic.scalars import Val, INF, val_p, vp_int
 from upadic.newton import NewtonPolygon
 from upadic.modcurve import GENUS_ZERO_PRIMES
 from upadic.umatrix import UMatrix, build_matrix_genfun
 from upadic import charseries, umatrix, weights
 from upadic.charseries import (CharSeries, CoefficientRecord, certify, charpoly_leverrier,
-                               charpoly_crt, char_series_trunc, p_from_q,
+                               charpoly_crt, char_series_trunc, full_series,
                                row_bound, trunc_bound,
                                check_scaled_integrality, parabola_floor, m_index,
                                equality_indices_upto, equality_set, secant_line,
@@ -133,8 +133,8 @@ def test_charpoly_crt_non_unit_pivot_falls_back(monkeypatch):
 def test_char_series_methods_agree_on_umatrix():
     m = build_matrix_genfun(3, 18)
     a = char_series_trunc(m)
-    assert a.coeffs == tuple(charpoly_leverrier(m.rows))
-    assert a.coeffs[0] == 1
+    assert a.residues == tuple(charpoly_leverrier(m.rows))
+    assert a.residues[0] == 1
 
 
 def test_leverrier_rejects_inexact_division():
@@ -144,7 +144,7 @@ def test_leverrier_rejects_inexact_division():
 
 def test_char_series_must_start_with_one():
     with pytest.raises(ValueError):
-        CharSeries(3, [2, 1], 1)
+        CharSeries(3, [2, 1], [INF, INF], 1)
 
 
 def test_certify_rejects_misordered_sizes():
@@ -155,15 +155,45 @@ def test_certify_rejects_misordered_sizes():
 
 def test_trace_valuation_p3():
     q = cuspidal_char_series(3, 0, 20)
-    assert val_p(q.a(1), 3) == Val(2)
-    assert val_p(q.a(4), 3) == Val(26)
+    assert val_p(q.residues[1], 3) == Val(2)
+    assert val_p(q.residues[4], 3) == Val(26)
 
 
-def test_p_from_q():
+def test_full_series_of_an_exact_series():
     q = char_series_trunc(UMatrix(3, 2, [[3, 0], [0, 9]]))
-    p = p_from_q(q)
-    assert p.coeffs == (1, -13, 39, -27)   # (1 - t)(1 - 12t + 27t^2)
-    assert val_p(p.a(1) - (q.a(1) - 1), 3).is_infinite
+    p = full_series(q)
+    assert p.residues == (1, -13, 39, -27)   # (1 - t)(1 - 12t + 27t^2)
+    assert val_p(p.residues[1] - (q.residues[1] - 1), 3).is_infinite
+
+
+def test_full_series_precisions():
+    q = char_series_trunc(UMatrix(3, 2, [[3, 0], [0, 9]]))
+    assert full_series(q).precisions == (INF,) * 4
+    # graded residues of every coefficient of a size-2 truncation: P_m is
+    # known to the lesser precision of a_m and a_(m-1), a_0 = 1 and
+    # a_3 = 0 exactly; precisions[0] = 7 is the kernel's, not a_0's
+    g = full_series(CharSeries(3, [1, 3, 9], [7, 5, 4], 2))
+    assert g.residues == (1, 2, 6, -9)
+    assert g.precisions == (INF, 5, 4, 4)
+    # a_0..a_2 of a size-5 truncation: no P_3, since a_3 is not 0
+    g = full_series(CharSeries(3, [1, 3, 9], [7, 5, 4], 5))
+    assert g.residues == (1, 2, 6)
+    assert g.precisions == (INF, 5, 4)
+
+
+def test_valuation_reads_only_what_the_residue_proves():
+    exact = CharSeries(3, [1, 0, 18], [INF] * 3, 2)
+    assert exact.valuation(1).is_infinite     # an exact zero: known, INF
+    assert exact.valuation(2) == Val(2)
+    graded = CharSeries(3, [1, 0, 18, 27], [5, 4, 2, 4], 3)
+    assert graded.valuation(1) is None        # 0 modulo 3^4
+    assert graded.valuation(2) is None        # v_3(18) = 2 is not below 2
+    assert graded.valuation(3) == Val(3)
+    # certify leaves the records to the exact series when a residue is open
+    assert certify(graded, CharSeries(3, [1, 0, 18, 27], [5] * 4, 4),
+                   1) is None
+    assert certify(exact, CharSeries(3, [1, 0, 18], [INF] * 3, 3),
+                   2) is not None
 
 
 def test_row_bound_values():
@@ -313,11 +343,29 @@ def test_newton_polygon_rejects_slopes_out_of_order(monkeypatch):
         NewtonPolygon([(0, 0), (1, 5), (2, 6)])
 
 
+def _buzzard_calegari(m):
+    # Buzzard-Calegari: the 2-adic slopes of U at weight 0 are
+    # 1 + 2 v_2((3n)!/n!), n = 1, 2, ..., so v_2(a_m) is the sum of the first m
+    return sum(1 + 2 * vp_int(math.factorial(3 * n) // math.factorial(n), 2)
+               for n in range(1, m + 1))
+
+
+def test_p2_valuations_match_buzzard_calegari():
+    # an independent published result, through the graded and the exact route
+    want = [_buzzard_calegari(m) for m in range(16)]
+    assert want[:4] == [0, 3, 10, 23] and want[15] == 475
+    exact = certify(cuspidal_char_series(2, 0, 25),
+                    cuspidal_char_series(2, 0, 35), 15)
+    for recs in (stable_valuations(2, 0, 15, 25), exact):
+        assert all(r.certified for r in recs)
+        assert [r.v_obs for r in recs] == [Val(v) for v in want]
+
+
 def test_p2_polygon_floor_to_20():
     # weight-0 cuspidal polygon for p = 2 stays above 3*C(m+1,2) through
     # m = 20 (points and the truncation bound both clear the floor)
     q2 = cuspidal_char_series(2, 0, 25)
     for m in range(1, 21):
         floor = Val(3 * m * (m + 1) // 2)
-        assert val_p(q2.a(m), 2) >= floor
+        assert val_p(q2.residues[m], 2) >= floor
         assert trunc_bound(2, m, 25) >= floor

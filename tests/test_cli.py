@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from upadic import cli
+from upadic import cli, weights
+from upadic.charseries import certify
 from upadic.cli import main
+from upadic.serialize import val_str
 
 
 def run_cli(*args):
@@ -91,6 +93,24 @@ def test_charpoly_and_newton(tmp_path):
     assert [4, "26"] in doc["vertices"]
     header = ncsv.read_text().splitlines()[0]
     assert header == "m,valuation,parabola,secant,certified"
+
+
+def test_newton_csv_through_the_exact_fallback(tmp_path, monkeypatch):
+    # at weight 54 and size 8 the graded residues leave a record unsettled,
+    # so the records come from certify on the exact series
+    calls = []
+    real = weights.cuspidal_char_series
+    monkeypatch.setattr(weights, "cuspidal_char_series",
+                        lambda *a: calls.append(a) or real(*a))
+    csv = tmp_path / "np.csv"
+    assert main(["newton", "--prime", "3", "--weight", "54", "--terms", "8",
+                 "--size", "8", "--csv", str(csv),
+                 "--out", str(tmp_path / "np.json")]) == 0
+    assert calls == [(3, 54, 8), (3, 54, 18)]
+    recs = certify(real(3, 54, 8), real(3, 54, 18), 8)
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [(m, v, c) for m, v, _, _, c in rows] == [
+        (str(r.m), val_str(r.v_obs), str(r.certified)) for r in recs]
 
 
 def test_twist_command(tmp_path):

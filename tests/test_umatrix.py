@@ -45,8 +45,8 @@ def test_cached_matrices_are_immutable(build):
 
 
 @pytest.mark.parametrize("build, field", [
-    (lambda: cuspidal_char_series(3, 0, 6), "coeffs"),
-    (lambda: cuspidal_char_series(3, 6, 6), "coeffs"),
+    (lambda: cuspidal_char_series(3, 0, 6), "residues"),
+    (lambda: cuspidal_char_series(3, 6, 6), "residues"),
     (lambda: graded_char_series(3, 6, 6, (10, 20)), "residues"),
     (lambda: graded_char_series(3, 6, 6, (10, 20)), "precisions"),
     (lambda: twist_matrix(6, 6), "rho")],

@@ -19,8 +19,7 @@ from upadic.weights import (s_series, s_eisenstein_character, d9_series,
                             slope_distribution, dim_level1, dimension_gap_bound,
                             dimension_gap_infimum, congruence_check, eisenstein_unit_congruence,
                             oldform_window_check)
-from upadic.charseries import (GradedSeries, certify, certify_graded,
-                               trunc_bound)
+from upadic.charseries import CharSeries, certify, trunc_bound
 
 
 def test_hauptmodul_tower_identity():
@@ -185,7 +184,7 @@ def test_weight_twists_need_p3():
 
 def test_uk_trace_valuation_k18():
     q18 = cuspidal_char_series(3, 18, 12)
-    assert val_p(q18.a(1), 3) >= Val(2)
+    assert val_p(q18.residues[1], 3) >= Val(2)
 
 
 def test_weight_contact_small():
@@ -282,8 +281,8 @@ def _fields(recs):
     (13, 0, 8, 12), (3, 18, 10, 12), (3, 162, 10, 12)])
 def test_graded_records_equal_the_exact_ones(p, k, m_max, size):
     need = certificate_need(p, m_max, size)
-    recs = certify_graded(graded_char_series(p, k, size, need),
-                          graded_char_series(p, k, size + 10, need), m_max)
+    recs = certify(graded_char_series(p, k, size, need),
+                   graded_char_series(p, k, size + 10, need), m_max)
     assert recs is not None                   # the graded route settles all
     assert _fields(recs) == _fields(_exact_records(p, k, m_max, size))
     assert _fields(stable_valuations(p, k, m_max, size)) == _fields(recs)
@@ -292,7 +291,7 @@ def test_graded_records_equal_the_exact_ones(p, k, m_max, size):
 def _graded_at(p, size, prec, terms):
     grades, krows = graded(build_matrix_genfun(p, size))
     res, pis = _charpoly_graded(grades, krows, p, prec, terms)
-    return GradedSeries(p, res, pis, size)
+    return CharSeries(p, res, pis, size)
 
 
 def test_precision_below_the_bound_never_certifies():
@@ -303,11 +302,10 @@ def test_precision_below_the_bound_never_certifies():
     full = _graded_at(3, size + 10, 60, m_max)
     assert all(Val(pi) < trunc_bound(3, m, size)
                for m, pi in enumerate(short.precisions[1:], 1))
-    assert certify_graded(short, full, m_max) is None
-    assert certify_graded(_graded_at(3, size, 60, m_max),
-                          _graded_at(3, size + 10, 30, m_max), m_max) is None
-    assert (_fields(certify_graded(_graded_at(3, size, 60, m_max), full,
-                                   m_max))
+    assert certify(short, full, m_max) is None
+    assert certify(_graded_at(3, size, 60, m_max),
+                   _graded_at(3, size + 10, 30, m_max), m_max) is None
+    assert (_fields(certify(_graded_at(3, size, 60, m_max), full, m_max))
             == _fields(_exact_records(3, 0, m_max, size)))
 
 
@@ -343,7 +341,7 @@ def test_graded_residues_claim_fails_on_one_perturbed_residue(monkeypatch):
         g = real(p, k, size, need)
         res = list(g.residues)
         res[5] += p ** (g.precisions[5] - 1)
-        return GradedSeries(p, res, g.precisions, size)
+        return CharSeries(p, res, g.precisions, size)
 
     monkeypatch.setattr(weights, "graded_char_series", perturbed)
     claim = verify.graded_residues_claim()
@@ -382,8 +380,9 @@ def test_graded_congruence_rows_equal_the_exact_ones(monkeypatch, k, k2,
 
 
 def _blank_residues(p, k, size, need):
-    # residues known modulo p^0, which prove nothing
-    return GradedSeries(p, [0] * (len(need) + 1), [0] * (len(need) + 1), size)
+    # residues known modulo p^0, which prove nothing; a_0 = 1 is exact, and
+    # the difference route never reads it
+    return CharSeries(p, [1] + [0] * len(need), [0] * (len(need) + 1), size)
 
 
 def _short_residues(p, k, size, need):
@@ -394,7 +393,7 @@ def _short_residues(p, k, size, need):
     if k != 18:
         return g
     pis = [pi - g.precisions[0] + 1 for pi in g.precisions]
-    return GradedSeries(p, [r % p ** pi for r, pi in zip(g.residues, pis)],
+    return CharSeries(p, [r % p ** pi for r, pi in zip(g.residues, pis)],
                         pis, size)
 
 
@@ -456,6 +455,15 @@ def test_congruence_negative_m_max_is_a_usage_error():
     assert len(congruence_check(0, 6, 0, 12)["rows"]) == 1
 
 
+@pytest.mark.parametrize("m_max", [-1, 4])
+def test_stable_valuations_m_max_outside_the_series_is_a_usage_error(m_max):
+    with pytest.raises(ValueError,
+                       match=r"m_max = %d lies outside 0\.\.size = 3" % m_max):
+        stable_valuations(3, 0, m_max, 3)
+    assert len(stable_valuations(3, 0, 3, 3)) == 4
+    assert len(stable_valuations(3, 0, 0, 3)) == 1
+
+
 def _perturbed_floor_residue(p0, k0, m, shortfall):
     # one residue of the weight-k0 series at p0 moved to valuation floor - 1,
     # or left alone with its precision cut below the floor
@@ -469,7 +477,7 @@ def _perturbed_floor_residue(p0, k0, m, shortfall):
             res[m] %= p ** pis[m]
         else:
             res[m] += p ** (need[m - 1] - 1)
-        return GradedSeries(p, res, pis, size)
+        return CharSeries(p, res, pis, size)
     return builder
 
 
