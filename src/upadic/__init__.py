@@ -6,7 +6,7 @@ weight twists, and the characteristic-3 combinatorics behind the sharp
 parabola below the 3-adic cuspidal polygon.
 """
 
-from .scalars import Val, INF, val_p, QuadInt3, val_quad3
+from .scalars import INF, val_p, QuadInt3, val_quad3
 from .series import QSeries, PrecisionError, eta_quotient
 from .modcurve import GENUS_ZERO_PRIMES
 

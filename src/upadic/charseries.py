@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 from operator import sub
 
-from .scalars import Val, INF, val_p, vp_int
+from .scalars import INF, val_p, vp_int
 from .newton import NewtonPolygon
 from .modcurve import e_exponent, ip_poly
 from .linalg import _CHUNK, _charpoly_mod, _prime_pool, _sym_crt
@@ -137,7 +137,8 @@ class CharSeries:
         self.trunc_size = trunc_size
 
     def valuation(self, m):
-        """v_p(a_m), or None when the residue leaves it open."""
+        """v_p(a_m): an int, INF for a_m = 0, or None when the residue
+        leaves it open."""
         return _known_valuation(self.residues[m], self.precisions[m], self.p)
 
 
@@ -173,13 +174,14 @@ def check_scaled_integrality(p):
     for (i, j), c in ip.terms.items():
         if (i, j) == (0, 0):
             continue
-        if Val(vp_int(c, p)) < Val(e * (p * i - j)):
+        if vp_int(c, p) < e * (p * i - j):
             return False
     return True
 
 
 def trunc_bound(p, m, n_trunc):
-    """Valuation below which the n_trunc-truncation cannot change a_m.
+    """Valuation below which the n_trunc-truncation cannot change a_m: a
+    Fraction, or INF for m = 0.
 
     The row bounds e(p-1)i - 1 increase with i, so any size-m diagonal
     minor using a row beyond the truncation has valuation at least the sum
@@ -187,8 +189,8 @@ def trunc_bound(p, m, n_trunc):
     """
     if m == 0:
         return INF
-    return Val(sum(row_bound(p, i) for i in range(1, m))
-               + row_bound(p, n_trunc + 1))
+    return (sum(row_bound(p, i) for i in range(1, m))
+            + row_bound(p, n_trunc + 1))
 
 
 def parabola_floor(m):
@@ -248,7 +250,7 @@ def certify(q1, q2, m_max):
         raise ValueError("the second truncation (size %d) must be larger "
                          "than the first (size %d)"
                          % (q2.trunc_size, q1.trunc_size))
-    out = [CoefficientRecord(0, Val(0), INF, True)]         # a_0 = 1
+    out = [CoefficientRecord(0, 0, INF, True)]         # a_0 = 1
     for m in range(1, m_max + 1):
         v, v2 = q1.valuation(m), q2.valuation(m)
         bound = trunc_bound(p, m, q1.trunc_size)
@@ -267,7 +269,7 @@ def equality_set(records):
     provably above the parabola."""
     out = set()
     for rec in records:
-        target = Val(parabola_floor(rec.m))
+        target = parabola_floor(rec.m)
         if rec.m == 0:
             out.add(0)
         elif rec.certified and rec.v_obs == target:

@@ -10,9 +10,8 @@ import argparse
 import os
 import sys
 
-from .scalars import Val
 from . import modcurve, umatrix, charseries, weights
-from .verify import SUITES, assemble_report, run_suites, suite_p3_parabola
+from .verify import SUITES, assemble_report, run_suites, _run_one
 from .serialize import (dump_json, dump_csv, matrix_json, bipoly_json,
                         charseries_json, polygon_json, val_str, int_str,
                         OutputError)
@@ -44,7 +43,7 @@ def cmd_u_matrix(args):
         m = umatrix.scaled_matrix_p3(m)
     if args.format == "csv":
         rows = [(i, j, val_str(umatrix.entry_valuation(m, i, j)),
-                 val_str(Val(umatrix.entry_bound(p, m.basis, i, j))))
+                 val_str(umatrix.entry_bound(p, m.basis, i, j)))
                 for i in range(1, m.n + 1) for j in range(1, m.n + 1)]
         dump_csv(rows, ("i", "j", "valuation", "entry_bound"), args.out)
     else:
@@ -131,9 +130,9 @@ def cmd_newton(args):
             if p == 3:
                 for i in range(len(mis) - 1):
                     if mis[i] <= r.m <= mis[i + 1]:
-                        sec = val_str(Val(charseries.secant_line(i, r.m)))
+                        sec = val_str(charseries.secant_line(i, r.m))
                         break
-            rows.append((r.m, val_str(r.v_obs), val_str(Val(par)) if par != "" else "",
+            rows.append((r.m, val_str(r.v_obs), val_str(par) if par != "" else "",
                          sec, r.certified))
         dump_csv(rows, ("m", "valuation", "parabola", "secant", "certified"),
                  args.csv)
@@ -163,8 +162,8 @@ def cmd_verify(args):
         size = 60 if args.size is None else args.size
         if _terms_past_size(terms, size):
             return 2
-        report, _ = assemble_report(
-            [args.suite], [suite_p3_parabola(terms=terms, size=size)])
+        report, _ = assemble_report([args.suite],
+                                    [_run_one(args.suite, terms, size)])
     dump_json(report, args.out)
     return _report_failures(report)
 

@@ -228,15 +228,25 @@ class BiPoly:
         return {i: v for (i, jj), v in self.terms.items() if jj == j}
 
     def eval_series(self, fx, fy):
-        """Substitute q-series for x and y."""
+        """Substitute q-series for x and y.
+
+        A product is known to the least relative precision of its factors,
+        so x^i y^j starts at q^(i sx + j sy) and is known for as many terms
+        as the least of rx (if i > 0) and ry (if j > 0), where fx and fy
+        start at q^sx and q^sy with relative precisions rx and ry.  The sum
+        is known only to the least of these precisions, so every power and
+        every product is taken to that precision and no further.
+        """
         di, dj = self.bidegree()
-        xp = list(powers(fx, di + 1, fx.prec + fy.prec))
-        yp = list(powers(fy, dj + 1, fx.prec + fy.prec))
-        acc = None
-        for (i, j), v in sorted(self.terms.items()):
-            t = (xp[i] * yp[j]).scalar_mul(v)
-            acc = t if acc is None else acc + t
-        return acc
+        sx, sy = fx.start, fy.start
+        rx, ry = fx.prec - sx, fy.prec - sy
+        prec = min(i * sx + j * sy + min(r for r, e in ((rx, i), (ry, j)) if e)
+                   for i, j in self.terms if i or j)
+        xp = list(powers(fx, di + 1, prec - min(0, dj * sy)))
+        yp = list(powers(fy, dj + 1, prec - min(0, di * sx)))
+        return sum(((xp[i].truncate(prec - yp[j].start)
+                     * yp[j].truncate(prec - xp[i].start)).scalar_mul(v)
+                    for (i, j), v in self.terms.items()), QSeries.zero(prec))
 
     def __eq__(self, other):
         return isinstance(other, BiPoly) and self.terms == other.terms

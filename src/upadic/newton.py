@@ -6,25 +6,17 @@ the multiplicity of a slope is the horizontal span of its side.
 
 from fractions import Fraction
 
-from .scalars import Val
+from .scalars import INF
 
 
 class NewtonPolygon:
 
     def __init__(self, points):
-        """points: iterable of (m, v) with m an integer and v a Val,
-        Fraction or int.  Points with infinite valuation impose no
-        constraint and are skipped."""
-        pts = []
-        for m, v in points:
-            if isinstance(v, Val):
-                if v.is_infinite:
-                    continue
-                v = v.v
-            pts.append((m, Fraction(v)))
-        pts.sort()
-        self.points = pts
-        self.vertices = _lower_hull(pts)
+        """points: iterable of (m, v) with m an integer and v a valuation,
+        an int, a Fraction or INF.  Points at INF impose no constraint and
+        are skipped."""
+        self.vertices = _lower_hull([(m, Fraction(v)) for m, v in points
+                                     if v != INF])
         self.sides = []
         for (m0, v0), (m1, v1) in zip(self.vertices, self.vertices[1:]):
             self.sides.append((Fraction(v1 - v0, m1 - m0), m1 - m0))

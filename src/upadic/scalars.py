@@ -1,11 +1,18 @@
-"""Exact scalars: p-adic valuations with +infinity, and elements of Z[sqrt(3)]
-with their valuation.
+"""Exact scalars: p-adic valuations, and elements of Z[sqrt(3)] with their
+valuation.
 
-All values are immutable.  Valuations are exact rationals (never floats),
-because half-integer and other fractional valuations occur throughout.
+A finite valuation is an exact rational, an int or a Fraction, and never a
+float, because half-integer and other fractional valuations occur
+throughout.  The valuation of 0 is INF = math.inf, the package's only
+float: it compares exactly with ints and Fractions and absorbs addition.
+An unknown valuation is None, and comparing it with any valuation raises
+TypeError, so it never passes for a proven one.
 """
 
+import math
 from fractions import Fraction
+
+INF = math.inf
 
 
 def vp_int(n, p):
@@ -33,84 +40,12 @@ def vp_int(n, p):
     return v
 
 
-class Val:
-    """A p-adic valuation value: an exact rational, or +infinity (valuation of 0).
-
-    Totally ordered with +infinity maximal; addition is absorbing at infinity.
-    """
-
-    __slots__ = ("v",)
-
-    def __init__(self, v=None):
-        # v is a Fraction/int, or None for +infinity
-        self.v = None if v is None else Fraction(v)
-
-    @classmethod
-    def infinity(cls):
-        return cls(None)
-
-    @property
-    def is_infinite(self):
-        return self.v is None
-
-    def __add__(self, other):
-        if not isinstance(other, Val):
-            other = Val(other)
-        if self.v is None or other.v is None:
-            return Val.infinity()
-        return Val(self.v + other.v)
-
-    __radd__ = __add__
-
-    def _cmp_key(self, other):
-        if not isinstance(other, Val):
-            other = Val(other)
-        return self.v, other.v
-
-    def __eq__(self, other):
-        a, b = self._cmp_key(other)
-        return a == b
-
-    def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        if a is None:
-            return False
-        if b is None:
-            return True
-        return a < b
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return not self <= other
-
-    def __ge__(self, other):
-        return not self < other
-
-    def __hash__(self):
-        return hash(self.v)
-
-    def __repr__(self):
-        return "Val(inf)" if self.v is None else "Val(%s)" % self.v
-
-    def __str__(self):
-        if self.v is None:
-            return "inf"
-        if self.v.denominator == 1:
-            return str(self.v.numerator)
-        return "%d/%d" % (self.v.numerator, self.v.denominator)
-
-
-INF = Val.infinity()
-
-
 def val_p(x, p):
-    """Exact p-adic valuation of a rational x, as a Val (+infinity for 0)."""
+    """Exact p-adic valuation of a rational x: an int, or INF for 0."""
     x = Fraction(x)
     if x == 0:
         return INF
-    return Val(vp_int(x.numerator, p) - vp_int(x.denominator, p))
+    return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
 class QuadInt3:
@@ -152,14 +87,10 @@ def _coerce3(x):
 def val_quad3(x):
     """Valuation on Z[sqrt(3)] normalized so v(sqrt(3)) = 1/2 and v(3) = 1.
 
-    v(a + b sqrt3) = min(v_3(a), v_3(b) + 1/2); +infinity for 0.
+    v(a + b sqrt3) = min(v_3(a), v_3(b) + 1/2); INF for 0.
     """
     x = _coerce3(x)
     if x.is_zero():
         return INF
-    if x.a == 0:
-        return Val(Fraction(2 * vp_int(x.b, 3) + 1, 2))
-    if x.b == 0:
-        return Val(vp_int(x.a, 3))
-    return Val(min(Fraction(vp_int(x.a, 3)), Fraction(2 * vp_int(x.b, 3) + 1, 2)))
+    return min(val_p(x.a, 3), val_p(x.b, 3) + Fraction(1, 2))
 

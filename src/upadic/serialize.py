@@ -8,7 +8,7 @@ import sys
 
 from fractions import Fraction
 
-from .scalars import Val, QuadInt3
+from .scalars import INF, QuadInt3
 
 # coefficients in the large runs exceed the default string-conversion guard
 if hasattr(sys, "set_int_max_str_digits"):
@@ -24,11 +24,13 @@ def int_str(x):
 
 
 def val_str(v):
-    if isinstance(v, Val):
-        return str(v)
-    if v is None:
+    """A valuation as "inf" or its exact rational, "n" or "n/d"; TypeError
+    on anything else, None included."""
+    if v == INF:
         return "inf"
-    return str(Fraction(v))
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError("not a valuation: %r" % (v,))
+    return str(v)
 
 
 def scalar_json(x):

@@ -12,7 +12,7 @@ and K mod sqrt3, where M' = diag(3^(3i-1)) K.
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import QuadInt3, val_quad3, val_p, vp_int, Val, INF
+from .scalars import QuadInt3, val_quad3, val_p, vp_int, INF
 from .series import eta_quotient
 from .modcurve import (d_series, d_expansion, powers, ip_poly, e_exponent,
                        GENUS_ZERO_PRIMES, _as_int)
@@ -161,7 +161,7 @@ def entry_bound_violations(m):
     success."""
     return [(i, j, m.entry(i, j))
             for i in range(1, m.n + 1) for j in range(1, m.n + 1)
-            if entry_valuation(m, i, j) < Val(entry_bound(m.p, m.basis, i, j))]
+            if entry_valuation(m, i, j) < entry_bound(m.p, m.basis, i, j)]
 
 
 def scaled_row_minima(rows, p):
@@ -269,10 +269,10 @@ def scaled_row_bound_report(m):
         raise ValueError("the row-bound report is specific to p=3")
     report = []
     for i, r in enumerate(scaled_row_minima(m.rows, 3), 1):
-        vmin = INF if r is None else Val(r)
+        vmin = INF if r is None else r
         report.append({"row": i, "min_valuation": vmin,
-                       "attains_3i_minus_1": vmin == Val(row_bound(3, i)),
-                       "meets_3i": vmin >= Val(3 * i)})
+                       "attains_3i_minus_1": vmin == row_bound(3, i),
+                       "meets_3i": vmin >= 3 * i})
     return report
 
 

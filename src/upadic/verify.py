@@ -4,7 +4,7 @@ pass/fail flag.  Suites are pure functions of their parameters, so reports
 are byte-identical across runs.
 """
 
-from .scalars import Val, val_p, vp_int
+from .scalars import val_p, vp_int
 from . import modcurve, umatrix, charseries, weights, mod3, tables
 from .modcurve import GENUS_ZERO_PRIMES
 from .serialize import val_str
@@ -41,8 +41,8 @@ def suite_modcurve():
         claims.append(_claim(
             "hauptmodul-slope-p%d" % p,
             "the polygon of H_p(d) - c_p d in d has a single side of slope e*p",
-            "%r" % ([(val_str(Val(s)), m) for s, m in slopes] if slopes else None),
-            "[(%s, %d)]" % (val_str(Val(want)), p + 1), ok))
+            "%r" % ([(val_str(s), m) for s, m in slopes] if slopes else None),
+            "[(%s, %d)]" % (val_str(want), p + 1), ok))
     for p in GENUS_ZERO_PRIMES:
         fit = modcurve.practical_ip_fit(p)
         sym = modcurve.modular_equation_ip(p)
@@ -76,7 +76,7 @@ def suite_modcurve():
         "cross-validated corrections 176*7^4 and 82*7^2",
         "match" if ok_corr else "mismatch", "match", ok_corr))
     e = modcurve.e_exponent(7)
-    erratum = all(Val(vp_int(c, 7)) < Val(e * (7 * i - 1))
+    erratum = all(vp_int(c, 7) < e * (7 * i - 1)
                   for i, c in tables.IP7_Y1_PRINTED_ERRATA.items())
     claims.append(_claim(
         "ip7-y1-printed-erratum", "the published I_7 x^2/x^1 values violate "
@@ -160,7 +160,7 @@ def suite_p3_parabola(terms=45, size=60):
         "all certified" if all_cert else
         "uncertified at %r" % [r.m for r in recs[1:] if not r.certified],
         "all certified", all_cert))
-    above = all(r.lower_bound() >= Val(charseries.parabola_floor(r.m)) for r in recs)
+    above = all(r.lower_bound() >= charseries.parabola_floor(r.m) for r in recs)
     claims.append(_claim(
         "parabola-lower-bound",
         "v_3(a_m) >= (3/2)m(m-1) + 2m for all m <= %d" % terms,
@@ -177,7 +177,7 @@ def suite_p3_parabola(terms=45, size=60):
         observed, "%r" % mis, eq == set(mis)))
     want_vals = {0: 0, 1: 2, 4: 26, 13: 260, 40: 2420}
     got_vals = {m: recs[m].v_obs for m in want_vals if m <= terms}
-    ok = all(got_vals[m] == Val(v) for m, v in want_vals.items() if m <= terms)
+    ok = all(got_vals[m] == v for m, v in want_vals.items() if m <= terms)
     claims.append(_claim(
         "parabola-contact-values",
         "the valuations at the contact points are 0, 2, 26, 260, 2420",
@@ -472,5 +472,14 @@ def assemble_report(names, results):
     return report, ok
 
 
-def _run_one(name):
-    return SUITES[name]()
+def _run_one(name, *args):
+    """The claims of the named suite called with args.  A suite that raises
+    gives one failing claim naming the exception instead, so that the other
+    suites still run and the report lists it."""
+    try:
+        return SUITES[name](*args)
+    except Exception as exc:
+        return [_claim("%s-raised" % name,
+                       "the %s suite runs to completion" % name,
+                       "%s: %s" % (type(exc).__name__, exc),
+                       "no exception", False)]

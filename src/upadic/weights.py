@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .scalars import Val, INF, vp_int
+from .scalars import INF, vp_int
 from .series import QSeries, eta_quotient
 from .modcurve import d_series, d_expansion, eisenstein, ip_poly, powers
 from .newton import NewtonPolygon
@@ -144,7 +144,7 @@ class TwistMatrix:
         """v_3 of the scaled-basis entry C_(j+m, j) = rho_m 3^(-3m/2)."""
         if self.rho[m] == 0:
             return INF
-        return Val(vp_int(self.rho[m], 3) - Fraction(3 * m, 2))
+        return vp_int(self.rho[m], 3) - Fraction(3 * m, 2)
 
     def check_bounds(self):
         """Unit diagonal, strict lower triangularity (by construction), the
@@ -160,7 +160,7 @@ class TwistMatrix:
             v = vp_int(r, 3)
             if 2 * v < 3 * m:          # v < ceil(3m/2) for integers
                 bad.append(("integrality", m, r))
-            if self.k and Val(v - Fraction(3 * m, 2)) < Val(self.n_param - vp_int(m, 3)):
+            if self.k and v - Fraction(3 * m, 2) < self.n_param - vp_int(m, 3):
                 bad.append(("subdiagonal", m, r))
         return bad
 
@@ -258,7 +258,7 @@ def graded_char_series(p, k, size, need):
 def certificate_need(p, m_max, size):
     """The least integer at or above each truncation bound T_1..T_m_max at
     this size: the precisions the graded residues must reach."""
-    return tuple(math.ceil(trunc_bound(p, m, size).v)
+    return tuple(math.ceil(trunc_bound(p, m, size))
                  for m in range(1, m_max + 1))
 
 
@@ -290,7 +290,7 @@ def weight_contact_check(l, n):
     ok = True
     for s in points:
         rec = recs[s]
-        want = Val(parabola_floor(s))
+        want = parabola_floor(s)
         good = (s == 0) or (rec.certified and rec.v_obs == want)
         ok &= good
         report["points"].append({"s": s, "value": rec.v_obs, "expected": want,
@@ -368,18 +368,18 @@ def dimension_gap_bound(p, k, m):
     weight_step = p - 1 if p >= 5 else 4
     prefactor = Fraction(p - 1, p + 1)
     if m <= 0:
-        return Val(0) if m == 0 else Val(-m)
+        return -m
     dims = [dim_level1(k)]
     while dims[-1] <= m:
         dims.append(dim_level1(k + len(dims) * weight_step))
     if m < dims[0]:
-        return Val(prefactor * 0 - m)
+        return -m
     v = max(u for u in range(len(dims)) if dims[u] <= m)
     acc = Fraction(0)
     for u in range(1, v + 1):
         acc += u * (dims[u] - dims[u - 1])
     acc += (v + 1) * (m - dims[v])
-    return Val(prefactor * acc - m)
+    return prefactor * acc - m
 
 
 @lru_cache(maxsize=None)
@@ -446,14 +446,14 @@ def congruence_check(k, k2, m_max, size):
     ok = True
     for m in range(0, m_max + 1):
         v = vals[m]
-        need = Val(n + 1)
+        need = n + 1
         sound = m == 0 or trunc_bound(3, m, size) >= need
         passed = v >= need and sound
         ok &= passed
         margin = None
         if m >= 2:
-            cand = dimension_gap_infimum(3, m - 2).v + n + 1
-            margin = (v.v - cand) if not v.is_infinite else None
+            cand = dimension_gap_infimum(3, m - 2) + n + 1
+            margin = v - cand if v != INF else None
         rows.append({"m": m, "v_diff": v, "required": need, "pass": passed,
                      "strengthened_candidate_margin": margin})
     return {"k": k, "k2": k2, "n": n, "rows": rows, "pass": ok}
@@ -487,7 +487,7 @@ def oldform_window_check(n):
     mn = m_index(n)
     recs = stable_valuations(3, k, mn, max(3 * mn + 12, 24))
     rec = recs[mn]
-    contact = rec.certified and rec.v_obs == Val(parabola_floor(mn))
+    contact = rec.certified and rec.v_obs == parabola_floor(mn)
     poly = exact_polygon_between(recs, 0, mn)
     entering = poly.slopes()[-1][0]
     threshold = Fraction(k, 4) - 1

@@ -8,7 +8,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from upadic.scalars import Val, INF, val_p, vp_int
+from upadic.scalars import INF, val_p, vp_int
 from upadic.newton import NewtonPolygon
 from upadic.modcurve import GENUS_ZERO_PRIMES
 from upadic.umatrix import UMatrix, build_matrix_genfun
@@ -155,15 +155,15 @@ def test_certify_rejects_misordered_sizes():
 
 def test_trace_valuation_p3():
     q = cuspidal_char_series(3, 0, 20)
-    assert val_p(q.residues[1], 3) == Val(2)
-    assert val_p(q.residues[4], 3) == Val(26)
+    assert val_p(q.residues[1], 3) == 2
+    assert val_p(q.residues[4], 3) == 26
 
 
 def test_full_series_of_an_exact_series():
     q = char_series_trunc(UMatrix(3, 2, [[3, 0], [0, 9]]))
     p = full_series(q)
     assert p.residues == (1, -13, 39, -27)   # (1 - t)(1 - 12t + 27t^2)
-    assert val_p(p.residues[1] - (q.residues[1] - 1), 3).is_infinite
+    assert val_p(p.residues[1] - (q.residues[1] - 1), 3) == INF
 
 
 def test_full_series_precisions():
@@ -183,12 +183,12 @@ def test_full_series_precisions():
 
 def test_valuation_reads_only_what_the_residue_proves():
     exact = CharSeries(3, [1, 0, 18], [INF] * 3, 2)
-    assert exact.valuation(1).is_infinite     # an exact zero: known, INF
-    assert exact.valuation(2) == Val(2)
+    assert exact.valuation(1) == INF         # an exact zero: known, INF
+    assert exact.valuation(2) == 2
     graded = CharSeries(3, [1, 0, 18, 27], [5, 4, 2, 4], 3)
     assert graded.valuation(1) is None        # 0 modulo 3^4
     assert graded.valuation(2) is None        # v_3(18) = 2 is not below 2
-    assert graded.valuation(3) == Val(3)
+    assert graded.valuation(3) == 3
     # certify leaves the records to the exact series when a residue is open
     assert certify(graded, CharSeries(3, [1, 0, 18, 27], [5] * 4, 4),
                    1) is None
@@ -204,15 +204,15 @@ def test_row_bound_values():
 
 
 def test_trunc_bound_examples():
-    assert trunc_bound(3, 2, 10) == Val(34)          # 2 + 32
-    assert trunc_bound(3, 1, 10) == Val(32)          # single omitted row 3n+2
-    assert trunc_bound(3, 1, 20) == Val(62)
-    assert trunc_bound(3, 0, 10).is_infinite
+    assert trunc_bound(3, 2, 10) == 34       # 2 + 32
+    assert trunc_bound(3, 1, 10) == 32       # single omitted row 3n+2
+    assert trunc_bound(3, 1, 20) == 62
+    assert trunc_bound(3, 0, 10) == INF
 
 
 def test_truncation_error_bound_generic():
     # row bounds 3i - 1: rows 1..3 plus the first omitted row 16
-    assert trunc_bound(3, 4, 15) == Val((2 + 5 + 8) + 47)
+    assert trunc_bound(3, 4, 15) == (2 + 5 + 8) + 47
 
 
 def test_scaled_integrality_all_primes():
@@ -237,23 +237,23 @@ def test_m_index():
 
 
 def test_newton_polygon_two_segments():
-    np = NewtonPolygon([(0, Val(0)), (1, Val(2)), (2, Val(7))])
+    np = NewtonPolygon([(0, 0), (1, 2), (2, 7)])
     assert np.slopes() == [(Fraction(2), 1), (Fraction(5), 1)]
 
 
 def test_newton_polygon_single_point_and_collinear():
-    assert NewtonPolygon([(0, Val(0))]).slopes() == []
-    np = NewtonPolygon([(0, Val(0)), (1, Val(3)), (2, Val(6)), (3, Val(9))])
+    assert NewtonPolygon([(0, 0)]).slopes() == []
+    np = NewtonPolygon([(0, 0), (1, 3), (2, 6), (3, 9)])
     assert np.slopes() == [(Fraction(3), 3)]
 
 
 def test_newton_polygon_skips_infinite():
-    np = NewtonPolygon([(0, Val(0)), (1, INF), (2, Val(4))])
+    np = NewtonPolygon([(0, 0), (1, INF), (2, 4)])
     assert np.vertices == [(0, Fraction(0)), (2, Fraction(4))]
 
 
 def test_newton_polygon_value_at():
-    np = NewtonPolygon([(0, Val(0)), (3, Val(6))])
+    np = NewtonPolygon([(0, 0), (3, 6)])
     assert np.value_at(2) == 4
     with pytest.raises(ValueError):
         np.value_at(5)
@@ -263,8 +263,8 @@ def test_certification_small():
     recs = stable_valuations(3, 0, 6, 16)
     for r in recs[1:]:
         assert r.certified
-    assert recs[1].v_obs == Val(2)
-    assert recs[4].v_obs == Val(26)
+    assert recs[1].v_obs == 2
+    assert recs[4].v_obs == 26
 
 
 def test_stable_valuations_checks_the_row_bound_premise(monkeypatch):
@@ -295,7 +295,7 @@ def test_unpinned_coefficient_fails_the_equality_set_claim(monkeypatch):
     # an uncertified record whose lower bound 5 does not clear the
     # parabola value 7 at m = 2
     recs = list(stable_valuations(3, 0, 5, 16))
-    recs[2] = CoefficientRecord(2, recs[2].v_obs, Val(5), False)
+    recs[2] = CoefficientRecord(2, recs[2].v_obs, 5, False)
     with pytest.raises(ValueError, match="coefficient 2 neither certified"):
         equality_set(recs)
     monkeypatch.setattr(weights, "stable_valuations", lambda p, k, m, n: recs)
@@ -332,7 +332,7 @@ def test_secant_upper_pinch():
 
 
 def test_newton_polygon_helper():
-    np = NewtonPolygon([(0, Val(0)), (1, Val(2)), (2, Val(7))])
+    np = NewtonPolygon([(0, 0), (1, 2), (2, 7)])
     assert np.slopes() == [(Fraction(2), 1), (Fraction(5), 1)]
 
 
@@ -358,7 +358,7 @@ def test_p2_valuations_match_buzzard_calegari():
                     cuspidal_char_series(2, 0, 35), 15)
     for recs in (stable_valuations(2, 0, 15, 25), exact):
         assert all(r.certified for r in recs)
-        assert [r.v_obs for r in recs] == [Val(v) for v in want]
+        assert [r.v_obs for r in recs] == want
 
 
 def test_p2_polygon_floor_to_20():
@@ -366,6 +366,6 @@ def test_p2_polygon_floor_to_20():
     # m = 20 (points and the truncation bound both clear the floor)
     q2 = cuspidal_char_series(2, 0, 25)
     for m in range(1, 21):
-        floor = Val(3 * m * (m + 1) // 2)
+        floor = 3 * m * (m + 1) // 2
         assert val_p(q2.residues[m], 2) >= floor
         assert trunc_bound(2, m, 25) >= floor

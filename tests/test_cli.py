@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from upadic import cli, weights
+from upadic import cli, verify, weights
 from upadic.charseries import certify
 from upadic.cli import main
 from upadic.serialize import val_str
@@ -192,6 +192,37 @@ def test_verify_lists_every_failing_claim(monkeypatch, capsys, tmp_path):
     assert "FAIL a1: observed o-a1, expected e-a1" in err
     assert "FAIL b1: observed o-b1, expected e-b1" in err
     assert "a2" not in err
+
+
+def _raising_suite():
+    raise TypeError("'<' not supported between 'int' and 'NoneType'")
+
+
+RAISED = {"id": "mod3-raised", "statement": "the mod3 suite runs to completion",
+          "observed": "TypeError: '<' not supported between 'int' and "
+                      "'NoneType'",
+          "expected": "no exception", "pass": False}
+
+
+def test_a_raising_suite_is_one_failing_claim(monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "mod3", _raising_suite)
+    report, ok = verify.run_suites(["mod3", "congruence"])
+    assert not ok
+    assert report["suites"][0]["claims"] == [RAISED]
+    assert report["suites"][1]["claims"] == verify.suite_congruence()
+    assert report["suites"][1]["pass"]
+
+
+def test_verify_reports_a_raising_suite_without_a_traceback(monkeypatch,
+                                                            capsys, tmp_path):
+    monkeypatch.setitem(verify.SUITES, "mod3", _raising_suite)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "mod3", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False and doc["suites"][0]["claims"] == [RAISED]
+    printed = capsys.readouterr()
+    assert "Traceback" not in printed.out + printed.err
+    assert "FAIL mod3-raised: observed TypeError" in printed.err
 
 
 def test_verify_parabola_explicit_zero_terms(tmp_path):

@@ -222,6 +222,12 @@ def test_laurent_certificate_keeps_its_precision(monkeypatch):
     assert all(v.is_zero() for v in seen)
 
 
+def test_laurent_certificate_fails_on_a_perturbed_i13():
+    terms = dict(ip_poly(13).terms)
+    terms[13, 1] += 1                       # the corner term -13^12 x^13 y
+    assert not certify_ip_laurent(13, modcurve.BiPoly(terms))
+
+
 def test_ip7_displayed_and_corrected():
     y1 = ip_poly(7).y_part(1)
     assert y1 == tables.IP7_Y1

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from upadic.newton import NewtonPolygon
-from upadic.scalars import Val, INF
+from upadic.scalars import INF
 
 _points = st.lists(
     st.tuples(st.integers(0, 20),
@@ -17,8 +17,7 @@ _points = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(_points)
 def test_hull_is_the_lower_convex_hull_of_its_points(points):
-    finite = [(m, Fraction(v.v if isinstance(v, Val) else v))
-              for m, v in points if not (isinstance(v, Val) and v.is_infinite)]
+    finite = [(m, Fraction(v)) for m, v in points if v != INF]
     poly = NewtonPolygon(points)
     if not finite:
         assert poly.vertices == [] and poly.slopes() == []

@@ -1,17 +1,20 @@
+import math
 import random
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from upadic.scalars import Val, INF, val_p, vp_int, QuadInt3, val_quad3
+from upadic import charseries, umatrix, weights
+from upadic.scalars import INF, val_p, vp_int, QuadInt3, val_quad3
+from upadic.serialize import val_str
 
 
 def test_val_p_basics():
     assert val_p(0, 3) == INF
-    assert val_p(Fraction(432000, 691), 13) == Val(0)
-    assert val_p(3 ** 2420, 3) == Val(2420)
-    assert val_p(Fraction(1, 9), 3) == Val(-2)
+    assert val_p(Fraction(432000, 691), 13) == 0
+    assert val_p(3 ** 2420, 3) == 2420
+    assert val_p(Fraction(1, 9), 3) == -2
 
 
 def _vp_naive(n, p):
@@ -33,12 +36,68 @@ def test_vp_int_matches_the_naive_loop(p, k, u):
 
 
 def test_val_ordering_and_addition():
-    assert INF > Val(10 ** 9)
-    assert Val(Fraction(1, 2)) < Val(1)
-    assert (Val(2) + Val(Fraction(1, 2))) == Val(Fraction(5, 2))
-    assert (INF + Val(3)).is_infinite
-    assert str(Val(Fraction(3, 2))) == "3/2"
+    assert INF > 10 ** 9
+    assert Fraction(1, 2) < 1
+    assert (2 + Fraction(1, 2)) == Fraction(5, 2)
+    assert (INF + 3) == INF
+    assert str(Fraction(3, 2)) == "3/2"
     assert str(INF) == "inf"
+
+
+def test_infinity_is_math_inf_and_exact_against_rationals():
+    assert INF is math.inf
+    big = 10 ** 400
+    assert sorted([INF, big, Fraction(big, 3), -big, 0]) == [
+        -big, 0, Fraction(big, 3), big, INF]
+    for x in (0, -7, 10 ** 9, Fraction(-1, 2), Fraction(10 ** 9 + 1, 2), INF):
+        assert x + INF == INF and INF + x == INF
+
+
+def test_none_is_not_a_valuation():
+    assert (None == INF) is False
+    assert None not in [INF, 0]
+    for bad in (lambda: INF < None, lambda: 3 < None,
+                lambda: Fraction(1, 2) >= None):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_val_str():
+    assert [val_str(v) for v in (0, 5, Fraction(3, 2), Fraction(-1, 2),
+                                 Fraction(4, 2), INF)] == [
+        "0", "5", "3/2", "-1/2", "2", "inf"]
+    for bad in (None, 1.5):
+        with pytest.raises(TypeError):
+            val_str(bad)
+
+
+def _is_valuation(v):
+    return v == INF or type(v) in (int, Fraction)
+
+
+def test_every_valuation_is_an_int_a_fraction_or_inf():
+    vals = [val_p(x, p) for x, p in ((0, 3), (Fraction(1, 9), 3),
+                                     (3 ** 2420, 3), (Fraction(432000, 691), 13))]
+    vals += [val_quad3(QuadInt3(a, b))
+             for a, b in ((0, 1), (9, 3), (0, 0), (6, 0), (2, 0))]
+    vals += [charseries.trunc_bound(p, m, 10)
+             for p in (2, 3, 5) for m in range(5)]
+    exact = charseries.CharSeries(3, [1, 0, 18], [INF] * 3, 2)
+    vals += [exact.valuation(m) for m in range(3)]
+    for m in (umatrix.build_matrix_genfun(3, 6),
+              umatrix.scaled_matrix_p3(umatrix.build_matrix_genfun(3, 6))):
+        vals += [umatrix.entry_valuation(m, i, j)
+                 for i in range(1, 7) for j in range(1, 7)]
+    twist = weights.TwistMatrix(54, 10)
+    vals += [twist.scaled_entry_valuation(m) for m in range(11)]
+    vals += [weights.dimension_gap_bound(p, k, m)
+             for p in (3, 5) for k in (0, 12) for m in range(-1, 8)]
+    assert all(map(_is_valuation, vals)), [v for v in vals
+                                            if not _is_valuation(v)]
+    assert INF in vals and any(type(v) is Fraction for v in vals)
+    # None stands only for a valuation the residues leave open
+    assert exact.valuation(1) == INF
+    assert charseries.CharSeries(3, [1, 9], [INF, 1], 1).valuation(1) is None
 
 
 def test_ultrametric_on_random_pairs():
@@ -54,10 +113,10 @@ def test_ultrametric_on_random_pairs():
 
 
 def test_val_quad3():
-    assert val_quad3(QuadInt3(0, 1)) == Val(Fraction(1, 2))
-    assert val_quad3(QuadInt3(9, 3)) == Val(Fraction(3, 2))
+    assert val_quad3(QuadInt3(0, 1)) == Fraction(1, 2)
+    assert val_quad3(QuadInt3(9, 3)) == Fraction(3, 2)
     assert val_quad3(QuadInt3(0, 0)) == INF
-    assert val_quad3(QuadInt3(6, 0)) == Val(1)
+    assert val_quad3(QuadInt3(6, 0)) == 1
 
 
 def test_val_quad3_multiplicative_random():

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from upadic.scalars import val_quad3, Val, vp_int
+from upadic.scalars import val_quad3, vp_int
 from upadic.umatrix import (build_matrix_oracle, build_matrix_genfun,
                             column_recurrence, entry_bound_violations,
                             scaled_matrix_p3, scaled_row_bound_report,
@@ -110,7 +110,7 @@ def test_scaled_matrix_band_and_bounds():
             if i > 3 * j or j > 3 * i:
                 assert x.is_zero()
             if not x.is_zero():
-                assert val_quad3(x) >= Val(3 * i - 1)
+                assert val_quad3(x) >= 3 * i - 1
 
 
 def test_scaled_matrix_similarity_preserves_charpoly():
