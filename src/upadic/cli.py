@@ -2,7 +2,8 @@
 
 Subcommands: u-matrix, ipoly, charpoly, newton, twist, verify.
 Exit codes: 0 success, 1 claim failure, 2 usage error (an unwritable
---out or --csv path included).
+--out or --csv path included).  verify runs every suite through run_suites,
+where a claim that raises is that claim failing; no traceback is shown.
 UPADIC_THREADS caps parallelism of independent verification suites.
 """
 
@@ -11,7 +12,7 @@ import os
 import sys
 
 from . import modcurve, umatrix, charseries, weights
-from .verify import SUITES, assemble_report, run_suites, _run_one
+from .verify import SUITES, run_suites
 from .serialize import (dump_json, dump_csv, matrix_json, bipoly_json,
                         charseries_json, polygon_json, val_str, int_str,
                         OutputError)
@@ -150,20 +151,18 @@ def cmd_twist(args):
 
 
 def cmd_verify(args):
-    if args.terms is None and args.size is None:
-        names = list(SUITES) if args.suite == "all" else [args.suite]
-        report, _ = run_suites(names, parallel=_threads())
-    else:
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    sizes = ()
+    if args.terms is not None or args.size is not None:
         if args.suite != "p3-parabola":
             print("--terms and --size apply only to --suite p3-parabola",
                   file=sys.stderr)
             return 2
-        terms = 45 if args.terms is None else args.terms
-        size = 60 if args.size is None else args.size
-        if _terms_past_size(terms, size):
+        sizes = (45 if args.terms is None else args.terms,
+                 60 if args.size is None else args.size)
+        if _terms_past_size(*sizes):
             return 2
-        report, _ = assemble_report([args.suite],
-                                    [_run_one(args.suite, terms, size)])
+    report, _ = run_suites(names, _threads(), *sizes)
     dump_json(report, args.out)
     return _report_failures(report)
 

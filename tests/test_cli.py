@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from upadic import cli, verify, weights
-from upadic.charseries import certify
+from upadic import cli, mod3, verify, weights
+from upadic.charseries import CoefficientRecord, certify
 from upadic.cli import main
 from upadic.serialize import val_str
 
@@ -223,6 +223,35 @@ def test_verify_reports_a_raising_suite_without_a_traceback(monkeypatch,
     printed = capsys.readouterr()
     assert "Traceback" not in printed.out + printed.err
     assert "FAIL mod3-raised: observed TypeError" in printed.err
+
+
+def test_verify_reports_a_raising_claim_alone(monkeypatch, capsys, tmp_path):
+    def boom(window):
+        raise TypeError("boom")
+    monkeypatch.setattr(mod3, "vanishing_check", boom)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "mod3", "--out", str(out)]) == 1
+    claims = json.loads(out.read_text())["suites"][0]["claims"]
+    assert len(claims) == 11
+    assert [c["id"] for c in claims if not c["pass"]] == ["vanishing"]
+    printed = capsys.readouterr()
+    assert "Traceback" not in printed.out + printed.err
+    assert "FAIL vanishing: observed TypeError: boom," in printed.err
+
+
+def test_verify_terms_and_size_report_a_raising_claim(monkeypatch, capsys,
+                                                      tmp_path):
+    # the records of a run whose coefficient 2 is neither certified nor
+    # provably above the parabola
+    recs = list(weights.stable_valuations(3, 0, 5, 16))
+    recs[2] = CoefficientRecord(2, recs[2].v_obs, 5, False)
+    monkeypatch.setattr(weights, "stable_valuations", lambda p, k, m, n: recs)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "p3-parabola", "--terms", "5",
+                 "--size", "16", "--out", str(out)]) == 1
+    assert len(json.loads(out.read_text())["suites"][0]["claims"]) == 5
+    assert ("FAIL parabola-equality-set: observed ValueError: coefficient 2 "
+            "neither certified" in capsys.readouterr().err)
 
 
 def test_verify_parabola_explicit_zero_terms(tmp_path):

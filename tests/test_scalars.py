@@ -35,15 +35,6 @@ def test_vp_int_matches_the_naive_loop(p, k, u):
         vp_int(0, p)
 
 
-def test_val_ordering_and_addition():
-    assert INF > 10 ** 9
-    assert Fraction(1, 2) < 1
-    assert (2 + Fraction(1, 2)) == Fraction(5, 2)
-    assert (INF + 3) == INF
-    assert str(Fraction(3, 2)) == "3/2"
-    assert str(INF) == "inf"
-
-
 def test_infinity_is_math_inf_and_exact_against_rationals():
     assert INF is math.inf
     big = 10 ** 400

@@ -164,3 +164,32 @@ def test_no_package_import_inside_a_function():
     found = ["%s:%d" % (path.name, line) for path in sorted(SRC.glob("*.py"))
              for line in _package_imports_in_functions(path.read_text())]
     assert found == []
+
+
+def _handlers_outside(source, allowed):
+    """'name:line' of each except clause of a module that no module-level
+    function named in allowed contains ('<module>' for module-level code)."""
+    found = []
+    for node in ast.parse(source).body:
+        name = getattr(node, "name", "<module>")
+        if name not in allowed:
+            found += ["%s:%d" % (name, h.lineno) for h in ast.walk(node)
+                      if isinstance(h, ast.ExceptHandler)]
+    return found
+
+
+def test_handlers_outside_are_found():
+    source = ("def helper():\n    try:\n        pass\n    except E:\n"
+              "        pass\n"
+              "def claim():\n    try:\n        pass\n    except E:\n"
+              "        pass\n"
+              "try:\n    import x\nexcept ImportError:\n    x = None\n")
+    assert _handlers_outside(source, {"helper"}) == ["claim:9", "<module>:13"]
+
+
+def test_verify_catches_exceptions_only_in_the_claim_helper():
+    # a claim that raises fails through verify._claim alone, which the
+    # suite net _run_one also uses: no claim body catches an exception
+    source = (SRC / "verify.py").read_text()
+    assert _handlers_outside(source, {"_claim", "_run_one"}) == []
+    assert _handlers_outside(source, set()) != []
