@@ -32,8 +32,9 @@ for p in (2, 3, 5, 7, 13):
 
 # I_p(x, y) is the unique bidegree-(p,p) polynomial with constant term 1
 # vanishing on (d_p(q^p), 1/d_p(q)).  Two independent constructions (an exact
-# linear-algebra fit on q-expansions, and symbolic division of the modular
-# equation by its fixed-line factor) must agree -- and do.
+# linear-algebra fit on q-expansions, and the quotient of the modular
+# equation H_p(pi y) x - H_p(x) pi y by its fixed-line factor x - pi y, read
+# off H_p in closed form) must agree -- and do.
 for p in (2, 3):
     print("\nI_%d:" % p)
     print(ip_poly(p).pretty())

@@ -183,13 +183,14 @@ def trunc_bound(p, m, n_trunc):
     """Valuation below which the n_trunc-truncation cannot change a_m: a
     Fraction, or INF for m = 0.
 
-    The row bounds e(p-1)i - 1 increase with i, so any size-m diagonal
+    The row bounds r_i = e(p-1)i - 1 increase with i, so any size-m diagonal
     minor using a row beyond the truncation has valuation at least the sum
-    of the m-1 smallest row bounds plus the bound of the first omitted row.
+    of the m-1 smallest row bounds, (m-1)(r_1 + r_(m-1))/2 as r_i is linear
+    in i, plus the bound of the first omitted row.
     """
     if m == 0:
         return INF
-    return (sum(row_bound(p, i) for i in range(1, m))
+    return (Fraction(m - 1, 2) * (row_bound(p, 1) + row_bound(p, m - 1))
             + row_bound(p, n_trunc + 1))
 
 

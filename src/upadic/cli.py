@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import modcurve, umatrix, charseries, weights
-from .verify import SUITES, run_suites
+from .verify import PARABOLA_SIZE, PARABOLA_TERMS, SUITES, run_suites
 from .serialize import (dump_json, dump_csv, matrix_json, bipoly_json,
                         charseries_json, polygon_json, val_str, int_str,
                         OutputError)
@@ -158,8 +158,8 @@ def cmd_verify(args):
             print("--terms and --size apply only to --suite p3-parabola",
                   file=sys.stderr)
             return 2
-        sizes = (45 if args.terms is None else args.terms,
-                 60 if args.size is None else args.size)
+        sizes = (PARABOLA_TERMS if args.terms is None else args.terms,
+                 PARABOLA_SIZE if args.size is None else args.size)
         if _terms_past_size(*sizes):
             return 2
     report, _ = run_suites(names, _threads(), *sizes)

@@ -279,47 +279,16 @@ def modular_equation_ip(p):
 
     With pi = p^(-12/(p-1)) the involution swaps d and pi/d, giving the
     two-variable relation F(x, Y) = H_p(pi Y) x - H_p(x) pi Y = 0 on
-    (x, Y) = (d(q^p), 1/d(q)).  F is divisible by x - pi Y; the quotient,
-    normalized to constant term 1, is I_p.
+    (x, Y) = (d(q^p), 1/d(q)).  Its k-th term h_k ((pi Y)^k x - x^k pi Y)
+    is 0 at k = 1 and -h_k pi Y x (x^(k-1) - (pi Y)^(k-1)) at k >= 2, so,
+    as h_0 = 1, F / (x - pi Y) = I_p = 1 - sum h_(a+b) pi^b x^a Y^b over
+    a, b >= 1, a + b <= p + 1, every term of which must be an integer.
     """
-    h = solve_hauptmodul_poly(p)
+    h = solve_hauptmodul_poly(p).coeffs
     pi = Fraction(1, p ** (12 // (p - 1)))
-    # F as a polynomial in x whose coefficients are polynomials in Y
-    f = [dict() for _ in range(p + 3)]
-    for k, hk in enumerate(h.coeffs):
-        f[1][k] = f[1].get(k, 0) + Fraction(hk) * pi ** k   # H_p(pi Y) * x
-        f[k][1] = f[k].get(1, 0) - Fraction(hk) * pi        # - H_p(x) pi Y
-    while f and not f[-1]:
-        f.pop()
-    deg = len(f) - 1
-    # synthetic division of F by (x - pi Y)
-    g = [None] * deg
-    g[deg - 1] = dict(f[deg])
-    for i in range(deg - 1, 0, -1):
-        nxt = dict(f[i])
-        for j, v in g[i].items():
-            nxt[j + 1] = nxt.get(j + 1, 0) + pi * v
-        g[i - 1] = nxt
-    rem = dict(f[0])
-    for j, v in g[0].items():
-        rem[j + 1] = rem.get(j + 1, 0) + pi * v
-    if any(v != 0 for v in rem.values()):
-        raise ValueError("division by x - pi*y left a nonzero remainder")
-    terms = {}
-    for i, part in enumerate(g):
-        for j, v in part.items():
-            if v:
-                terms[(i, j)] = v
-    const = terms.get((0, 0))
-    if const != 1:
-        if not const:
-            raise ValueError("quotient has zero constant term")
-        terms = {k: v / const for k, v in terms.items()}
-    out = BiPoly({k: _as_int(v) for k, v in terms.items()})
-    di, dj = out.bidegree()
-    if di != p or dj != p:
-        raise ValueError("unexpected bidegree (%d, %d)" % (di, dj))
-    return out
+    return BiPoly({(0, 0): 1, **{(a, b): _as_int(
+        -h[a + b] * pi ** b, "I_%d coefficient of x^%d y^%d" % (p, a, b))
+        for a in range(1, p + 1) for b in range(1, p + 2 - a)}})
 
 
 @lru_cache(maxsize=None)

@@ -157,7 +157,11 @@ def suite_umatrix():
     return claims
 
 
-def suite_p3_parabola(terms=45, size=60):
+# p3-parabola's terms and size, unless the command line sets them
+PARABOLA_TERMS, PARABOLA_SIZE = 45, 60
+
+
+def suite_p3_parabola(terms=PARABOLA_TERMS, size=PARABOLA_SIZE):
     claims = []
     recs = weights.stable_valuations(3, 0, terms, size)
     mis = charseries.equality_indices_upto(terms)

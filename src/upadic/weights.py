@@ -10,7 +10,7 @@ slope-distribution reports.
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count, takewhile
 from operator import mul
 
 from .scalars import INF, vp_int
@@ -364,22 +364,17 @@ def dimension_gap_bound(p, k, m):
     p in {2, 3} the classical ladder steps by weight 4 instead, and the
     prefactor (p-1)/(p+1) is kept as the analogous one; reports flag this
     variant as adapted, never as verbatim.
+
+    With d_u = dim M_(k + u step) on the rungs u = 0..v where d_u <= m, the
+    ladder sum sum_(u<=v) u (d_u - d_(u-1)) + (v+1)(m - d_v) telescopes to
+    (v+1) m - (d_0 + ... + d_v), 0 when no rung qualifies (as for m <= 0).
     """
-    weight_step = p - 1 if p >= 5 else 4
-    prefactor = Fraction(p - 1, p + 1)
-    if m <= 0:
-        return -m
-    dims = [dim_level1(k)]
-    while dims[-1] <= m:
-        dims.append(dim_level1(k + len(dims) * weight_step))
-    if m < dims[0]:
-        return -m
-    v = max(u for u in range(len(dims)) if dims[u] <= m)
-    acc = Fraction(0)
-    for u in range(1, v + 1):
-        acc += u * (dims[u] - dims[u - 1])
-    acc += (v + 1) * (m - dims[v])
-    return prefactor * acc - m
+    if k % 2:   # the steps are even: an odd ladder never leaves dimension 0
+        raise ValueError("the ladder needs an even weight, got %d" % k)
+    step = p - 1 if p >= 5 else 4
+    dims = list(takewhile(lambda d: d <= m,
+                          (dim_level1(k + u * step) for u in count())))
+    return Fraction(p - 1, p + 1) * (len(dims) * m - sum(dims)) - m
 
 
 @lru_cache(maxsize=None)

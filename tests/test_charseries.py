@@ -215,6 +215,19 @@ def test_truncation_error_bound_generic():
     assert trunc_bound(3, 4, 15) == (2 + 5 + 8) + 47
 
 
+def test_trunc_bound_is_the_sum_of_its_row_bounds():
+    # the closed form against the m - 1 smallest row bounds summed one by one
+    for p in GENUS_ZERO_PRIMES:
+        r = [row_bound(p, i) for i in range(81)]
+        for m in range(1, 60):
+            rows = sum(r[i] for i in range(1, m))
+            for n in range(80):
+                want = rows + r[n + 1]
+                got = trunc_bound(p, m, n)
+                assert type(got) is type(want) is Fraction
+                assert got == want, (p, m, n)
+
+
 def test_scaled_integrality_all_primes():
     for p in (2, 3, 5, 7, 13):
         assert check_scaled_integrality(p)

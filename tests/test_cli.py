@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -264,6 +265,28 @@ def test_verify_parabola_explicit_zero_terms(tmp_path):
     assert [s["suite"] for s in doc["suites"]] == ["p3-parabola"]
     assert "through m=0" in doc["suites"][0]["claims"][0]["statement"]
     assert "at size 1 " in doc["suites"][0]["claims"][0]["statement"]
+
+
+@pytest.mark.parametrize("argv,given", [(["--terms", "3"], 0),
+                                         (["--size", "61"], 1)])
+def test_verify_fills_in_the_parabola_suite_defaults(monkeypatch, tmp_path,
+                                                     argv, given):
+    # the usage check and the run see the sizes suite_p3_parabola defaults to
+    defaults = [p.default for p in
+                inspect.signature(verify.suite_p3_parabola).parameters.values()]
+    seen = []
+    monkeypatch.setattr(cli, "run_suites", lambda names, threads, *sizes:
+                        seen.append(sizes) or ({"suites": []}, None))
+    assert main(["verify", "--suite", "p3-parabola", *argv,
+                 "--out", str(tmp_path / "r.json")]) == 0
+    want = list(defaults)
+    want[given] = int(argv[1])
+    assert seen == [tuple(want)]
+    # one coefficient more than the default truncation has is a usage error
+    assert main(["verify", "--suite", "p3-parabola",
+                 "--terms", str(defaults[1] + 1)]) == 2
+    assert main(["verify", "--suite", "p3-parabola",
+                 "--size", str(defaults[0] - 1)]) == 2
 
 
 def test_charpoly_explicit_zero_size(tmp_path):

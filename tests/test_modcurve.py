@@ -201,6 +201,16 @@ def test_ip_two_routes_agree():
         assert practical_ip_fit(p) == modular_equation_ip(p)
 
 
+def test_a_non_integral_quotient_raises(monkeypatch):
+    # h_2 + 1 is odd, so the term -(h_2 + 1) 2^-12 x y of the quotient is
+    # not an integer
+    h = solve_hauptmodul_poly(2).coeffs
+    monkeypatch.setattr(modcurve, "solve_hauptmodul_poly",
+                        lambda p: HPoly(2, [h[0], h[1], h[2] + 1, h[3]]))
+    with pytest.raises(ValueError, match="I_2 coefficient of x\\^1 y\\^1"):
+        modular_equation_ip.__wrapped__(2)
+
+
 def test_ip_laurent_certificate():
     for p in (2, 3, 5):
         assert certify_ip_laurent(p, ip_poly(p))

@@ -1,13 +1,17 @@
 """Each claim of a suite is one unit: a named perturbation of what a mod3
-claim checks makes that claim fail, and a claim that raises fails alone
-while the rest of its suite still runs and is reported in order."""
+claim, or a modcurve claim family, checks makes that claim fail, and a claim
+that raises fails alone while the rest of its suite still runs and is
+reported in order."""
 
 import multiprocessing
+import re
 
 import pytest
 
-from upadic import mod3, verify
+from upadic import charseries, mod3, modcurve, tables, verify
 from upadic.mod3 import F3BiSeries, poly
+from upadic.modcurve import BiPoly, HPoly
+from upadic.series import QSeries
 
 MOD3_IDS = ["selfsim-base", "selfsim-printed-erratum", "selfsim-full",
             "cube-extraction", "vanishing", "cube-ladder",
@@ -106,6 +110,112 @@ def test_a_perturbation_fails_its_mod3_claim(monkeypatch, fresh_caches, cid,
     perturb(monkeypatch)
     claims = verify.suite_mod3()
     assert [c["id"] for c in claims] == MOD3_IDS
+    assert not {c["id"]: c for c in claims}[cid]["pass"]
+
+
+MODCURVE_STEMS = ["eisenstein-power", "hauptmodul-poly", "hauptmodul-slope",
+                  "ip-two-routes", "ip-laurent-certificate", "ip-table",
+                  "ip7-y1-displayed", "ip7-y1-corrected",
+                  "ip7-y1-printed-erratum", "ip13-y1", "ip-corner-terms",
+                  "ip-scaled-integrality"]
+# the caches a perturbed H_p, j or I_p can reach; the I_p fit, which reads
+# only d_p, stays warm
+MODCURVE_CACHES = (modcurve.solve_hauptmodul_poly,
+                   modcurve.modular_equation_ip, modcurve.ip_poly)
+
+
+@pytest.fixture
+def fresh_modcurve_caches():
+    for cache in MODCURVE_CACHES:
+        cache.cache_clear()
+    yield
+    for cache in MODCURVE_CACHES:
+        cache.cache_clear()
+
+
+def _at(module, name, arg, change):
+    """Patch the function module.name to pass its value at the first
+    argument arg (a prime, or a q-precision for j_series) through change."""
+    def patch(monkeypatch):
+        orig = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda a, *rest: change(
+            orig(a, *rest)) if a == arg else orig(a, *rest))
+    return patch
+
+
+def _term(key, delta):
+    """A change of a BiPoly: the coefficient at key moved by delta."""
+    return lambda f: BiPoly({**f.terms, key: f.get(*key) + delta})
+
+
+def _table(name, key, value):
+    """Patch the published table tables.name with one entry set."""
+    return lambda monkeypatch: monkeypatch.setattr(
+        tables, name, {**getattr(tables, name), key: value})
+
+
+def _eisenstein_12(monkeypatch):
+    # E_12 = 1 + (65520/691) q + ... with q^1 moved by 1: p = 13 reads it
+    orig = modcurve.eisenstein
+    monkeypatch.setattr(modcurve, "eisenstein", lambda k, prec: orig(k, prec)
+                        + QSeries(1, [int(k == 12)], prec))
+
+
+def _h3_moved(h):
+    # h_2 + 3^6 keeps every term of the symbolic quotient integral (its
+    # x y coefficient becomes one lower), so only the cross-check can see it
+    c = list(h.coeffs)
+    c[2] += 3 ** 6
+    return HPoly(3, c)
+
+
+# one named perturbation per modcurve claim family, each at one prime
+MODCURVE_MUTATIONS = [
+    ("eisenstein-power-p13", _eisenstein_12),
+    # j at the precision H_2 is solved to (3 (p + 2) + 16) gains a q^10
+    ("hauptmodul-poly-p2", _at(modcurve, "j_series", 28,
+                               lambda j: j + QSeries(10, [1], j.prec))),
+    ("hauptmodul-slope-p3", lambda monkeypatch: monkeypatch.setitem(
+        modcurve.C_P, 3, 1727)),
+    ("ip-two-routes-p3", _at(modcurve, "solve_hauptmodul_poly", 3, _h3_moved)),
+    ("ip-laurent-certificate-p5", _at(modcurve, "practical_ip_fit", 5,
+                                      _term((2, 3), 5 ** 6))),
+    ("ip-table-p2", _table("IP2", (1, 1), -3 * 2 ** 4 + 2 ** 4)),
+    ("ip7-y1-displayed", _table("IP7_Y1", 5, -45 * 7 ** 9)),
+    ("ip7-y1-corrected", _table("IP7_Y1", 2, -176 * 7 ** 2)),
+    ("ip7-y1-printed-erratum", _table("IP7_Y1_PRINTED_ERRATA", 2,
+                                      -176 * 7 ** 4)),
+    ("ip13-y1", _table("IP13_Y1", 2, -9605 * 13 ** 2)),
+    ("ip-corner-terms-p7", _at(modcurve, "ip_poly", 7, _term((1, 7), -1))),
+    ("ip-scaled-integrality-p13", _at(charseries, "ip_poly", 13,
+                                      _term((13, 1), 1))),
+]
+
+
+def _stem(cid):
+    return re.sub(r"-p\d+$", "", cid)
+
+
+@pytest.fixture(scope="module")
+def modcurve_ids():
+    # taken before any perturbation, with the caches as they are
+    return [c["id"] for c in verify.suite_modcurve()]
+
+
+def test_the_mutation_table_names_every_modcurve_claim_family(modcurve_ids):
+    assert [_stem(cid) for cid, _ in MODCURVE_MUTATIONS] == MODCURVE_STEMS
+    assert all(cid in modcurve_ids for cid, _ in MODCURVE_MUTATIONS)
+    assert {_stem(cid) for cid in modcurve_ids} == set(MODCURVE_STEMS)
+
+
+@pytest.mark.parametrize("cid,perturb", MODCURVE_MUTATIONS,
+                         ids=[cid for cid, _ in MODCURVE_MUTATIONS])
+def test_a_perturbation_fails_its_modcurve_claim(monkeypatch, modcurve_ids,
+                                                 fresh_modcurve_caches, cid,
+                                                 perturb):
+    perturb(monkeypatch)
+    claims = verify.suite_modcurve()
+    assert [c["id"] for c in claims] == modcurve_ids
     assert not {c["id"]: c for c in claims}[cid]["pass"]
 
 

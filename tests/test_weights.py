@@ -233,6 +233,39 @@ def test_dimension_gap_infimum_is_min():
     assert dimension_gap_infimum(3, 5) is dimension_gap_infimum(3, 5)
 
 
+def _ladder_sum(p, k, m):
+    """The dimension-gap bound accumulated rung by rung, as first written."""
+    step = p - 1 if p >= 5 else 4
+    if m <= 0:
+        return -m
+    dims = [dim_level1(k)]
+    while dims[-1] <= m:
+        dims.append(dim_level1(k + len(dims) * step))
+    if m < dims[0]:
+        return -m
+    v = max(u for u in range(len(dims)) if dims[u] <= m)
+    acc = 0
+    for u in range(1, v + 1):
+        acc += u * (dims[u] - dims[u - 1])
+    acc += (v + 1) * (m - dims[v])
+    return Fraction(p - 1, p + 1) * acc - m
+
+
+def test_dimension_gap_bound_is_the_ladder_sum():
+    for p in (2, 3, 5, 7, 13):
+        for k in range(-4, 60, 2):
+            for m in range(-3, 80):
+                assert dimension_gap_bound(p, k, m) == _ladder_sum(p, k, m), \
+                    (p, k, m)
+
+
+def test_dimension_gap_bound_rejects_an_odd_weight():
+    # every rung of an odd ladder has dimension 0, so no rung ever exceeds m
+    for k in (1, -3, 23):
+        with pytest.raises(ValueError, match="even weight, got %d" % k):
+            dimension_gap_bound(3, k, 5)
+
+
 def test_congruence_identity_case():
     with pytest.raises(ValueError):
         congruence_check(6, 6, 5, 12)
