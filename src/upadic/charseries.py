@@ -56,8 +56,7 @@ def _coefficient_floors(rows, p):
     matrix.  Rows that are zero drop out; with fewer than m nonzero rows
     a_m = 0 and L_m = 0.
     """
-    mins = sorted(r for r in umatrix.scaled_row_minima(rows, p)
-                  if r is not None)
+    mins = sorted(r for r in umatrix.scaled_row_minima(rows, p) if r < INF)
     floors, s = [0], 0
     for r in mins:
         s += r

@@ -8,12 +8,13 @@ survive over F_3.
 from functools import lru_cache
 
 from .linalg import _charpoly_mod
+from .scalars import INF
 
 
 class F3BiSeries:
     """Finitely supported coefficients over F_3 in two variables, with an
     explicit reliability window: all coefficients of total degree <= known_upto
-    are correct (None means the object is exact, e.g. a polynomial).
+    are correct.  An exact series, such as a polynomial, has known_upto = INF.
 
     Multiplying series with Laurent (negative-exponent) factors shrinks the
     reliable window; the arithmetic here tracks that conservatively via the
@@ -22,13 +23,12 @@ class F3BiSeries:
 
     __slots__ = ("data", "known_upto", "min_total")
 
-    def __init__(self, data, known_upto=None, min_total=None):
+    def __init__(self, data, known_upto=INF, min_total=None):
         clean = {}
         for (i, j), v in data.items():
             v %= 3
-            if v:
-                if known_upto is None or i + j <= known_upto:
-                    clean[(i, j)] = v
+            if v and i + j <= known_upto:
+                clean[(i, j)] = v
         self.data = clean
         if min_total is None:
             min_total = min((i + j for (i, j) in clean), default=0)
@@ -36,57 +36,48 @@ class F3BiSeries:
         self.known_upto = known_upto
 
     def coeff(self, i, j):
-        if self.known_upto is not None and i + j > self.known_upto:
+        if i + j > self.known_upto:
             raise ValueError("coefficient (%d,%d) beyond reliable window %d"
                              % (i, j, self.known_upto))
         return self.data.get((i, j), 0)
 
     def __add__(self, other):
-        ku = _min_window(self.known_upto, other.known_upto)
         out = dict(self.data)
         for k, v in other.data.items():
             out[k] = out.get(k, 0) + v
-        return F3BiSeries(out, ku, min(self.min_total, other.min_total))
+        return F3BiSeries(out, min(self.known_upto, other.known_upto),
+                          min(self.min_total, other.min_total))
 
     def __mul__(self, other):
-        if self.known_upto is None and other.known_upto is None:
-            ku = None
-        elif self.known_upto is None:
-            ku = other.known_upto + self.min_total
-        elif other.known_upto is None:
-            ku = self.known_upto + other.min_total
-        else:
-            ku = min(self.known_upto + other.min_total,
-                     other.known_upto + self.min_total)
+        ku = min(self.known_upto + other.min_total,
+                 other.known_upto + self.min_total)
         out = {}
         for (i1, j1), v1 in self.data.items():
             for (i2, j2), v2 in other.data.items():
                 i, j = i1 + i2, j1 + j2
-                if ku is None or i + j <= ku:
+                if i + j <= ku:
                     k = (i, j)
                     out[k] = out.get(k, 0) + v1 * v2
         return F3BiSeries(out, ku, self.min_total + other.min_total)
 
     def cube(self):
         """Frobenius: f^3 has coefficient of (3i,3j) equal to that of (i,j)."""
-        ku = None if self.known_upto is None else 3 * self.known_upto + 2
         return F3BiSeries({(3 * i, 3 * j): v for (i, j), v in self.data.items()},
-                          ku, 3 * self.min_total)
+                          3 * self.known_upto + 2, 3 * self.min_total)
 
-    def first_mismatch(self, other, window=None):
+    def first_mismatch(self, other, window=INF):
         """The first key, in sorted order, whose coefficients differ on the
-        largest shared reliable window (capped at window if given), or
-        None."""
-        ku = _min_window(_min_window(self.known_upto, other.known_upto), window)
+        largest shared reliable window, capped at window, or None."""
+        ku = min(self.known_upto, other.known_upto, window)
         for k in sorted(set(self.data) | set(other.data)):
-            if ((ku is None or k[0] + k[1] <= ku)
+            if (k[0] + k[1] <= ku
                     and self.data.get(k, 0) != other.data.get(k, 0)):
                 return k
         return None
 
-    def agrees_with(self, other, window=None):
-        """Coefficientwise equality on the largest shared reliable window
-        (or the requested one)."""
+    def agrees_with(self, other, window=INF):
+        """Coefficientwise equality on the largest shared reliable window,
+        capped at window."""
         return self.first_mismatch(other, window) is None
 
     def __eq__(self, other):
@@ -97,16 +88,8 @@ class F3BiSeries:
         return "F3BiSeries(%d terms, known_upto=%r)" % (len(self.data), self.known_upto)
 
 
-def _min_window(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 def poly(data):
-    return F3BiSeries(data, known_upto=None)
+    return F3BiSeries(data)
 
 
 # the quartic xy(1 + x^2 + xy + y^2), the common kernel of the generating

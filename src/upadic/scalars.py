@@ -3,10 +3,12 @@ valuation.
 
 A finite valuation is an exact rational, an int or a Fraction, and never a
 float, because half-integer and other fractional valuations occur
-throughout.  The valuation of 0 is INF = math.inf, the package's only
-float: it compares exactly with ints and Fractions and absorbs addition.
-An unknown valuation is None, and comparing it with any valuation raises
-TypeError, so it never passes for a proven one.
+throughout.  INF = math.inf, the package's only float, is every known
+infinity: the valuation of 0, the reliable window of an exact F_3 series
+(mod3.F3BiSeries) and the scaled minimum of a zero row
+(umatrix.scaled_row_minima).  It compares exactly with ints and Fractions
+and absorbs addition.  None means unknown and nothing else: comparing it
+with any valuation raises TypeError, so it never passes for a proven one.
 """
 
 import math

@@ -8,6 +8,8 @@ determine, so downstream truncation certificates stay sound.
 
 from fractions import Fraction
 
+from .scalars import INF
+
 
 class PrecisionError(ValueError):
     """Raised when a coefficient beyond the known precision is requested."""
@@ -82,11 +84,9 @@ class QSeries:
         return (self.start == other.start and self.prec == other.prec
                 and self.c == other.c)
 
-    def agrees_with(self, other, upto=None):
-        """Equality of all shared known coefficients (up to q^upto if given)."""
-        hi = min(self.prec, other.prec)
-        if upto is not None:
-            hi = min(hi, upto)
+    def agrees_with(self, other, upto=INF):
+        """Equality of all shared known coefficients below q^upto."""
+        hi = min(self.prec, other.prec, upto)
         lo = min(self.start, other.start)
         return all(self.coeff(n) == other.coeff(n) for n in range(lo, hi))
 
@@ -211,15 +211,10 @@ class QSeries:
                 if x != 0 and n % p != 0:
                     raise ValueError(
                         "negative exponent %d not divisible by %d" % (n, p))
-        prec = self.prec // p
-        # first multiple of p at or above start
+        # first multiple of p at or above start; the constructor drops what
+        # lies at or beyond the new precision
         n0 = -((-self.start) // p) * p
-        out = []
-        n = n0
-        while n < prec * p:
-            out.append(self.coeff(n) if n < self.prec else 0)
-            n += p
-        return QSeries(n0 // p, out, prec)
+        return QSeries(n0 // p, self.c[n0 - self.start::p], self.prec // p)
 
 
 def _eta_power(expo, n):

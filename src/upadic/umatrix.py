@@ -166,7 +166,7 @@ def entry_bound_violations(m):
 
 def scaled_row_minima(rows, p):
     """r_i = min_j v_p(x_ij) + e(j - i), e = e(p), for each row of an
-    integer matrix, or None for a zero row.
+    integer matrix; a zero row's r_i is INF, the valuation of 0.
 
     r_i is the valuation of row i of the scaled matrix p^(e(j-i)) x_ij:
     conjugating x by diag(p^(-e i)) leaves every principal minor unchanged.
@@ -178,18 +178,19 @@ def scaled_row_minima(rows, p):
     out = []
     for i, row in enumerate(rows):
         vals = [b * vp_int(x, p) + a * (j - i) for j, x in enumerate(row) if x]
-        out.append(Fraction(min(vals), b) if vals else None)
+        out.append(Fraction(min(vals), b) if vals else INF)
     return out
 
 
 def check_row_bounds(m, weight=0):
     """The premise of every truncation certificate on the exact matrix m:
-    each nonzero row i of its scaled matrix has valuation r_i at least the
-    row bound e(p-1)i - 1.  Raises ValueError naming p, the weight and the
-    first row that falls short; returns the scaled row minima it checked."""
+    each row i of its scaled matrix has valuation r_i at least the row
+    bound e(p-1)i - 1, which a zero row's INF always meets.  Raises
+    ValueError naming p, the weight and the first row that falls short;
+    returns the scaled row minima it checked."""
     minima = scaled_row_minima(m.rows, m.p)
     for i, r in enumerate(minima, 1):
-        if r is not None and r < row_bound(m.p, i):
+        if r < row_bound(m.p, i):
             raise ValueError("p = %d%s: row %d of the scaled matrix has "
                              "valuation %s, below the row bound %s"
                              % (m.p, ", weight %d" % weight if weight else "",
@@ -206,13 +207,13 @@ def graded(m, weight=0):
     v_p(M_ij) + e(j - i) + {e i} - {e j}: an integer above r_i + {e i} - 1,
     equal to r_i + {e i} - {e j} where r_i is attained.  So every entry
     meets c_i = floor(r_i + e i) - f_i, and one entry attains it.  A zero
-    row takes the row bound in place of r_i.
+    row, whose r_i is INF, takes the row bound in place of r_i.
     """
     p, e = m.p, e_exponent(m.p)
     grades, krows = [], []
     for i, (row, r) in enumerate(zip(m.rows, check_row_bounds(m, weight)), 1):
         f = e * i // 1
-        r = row_bound(p, i) if r is None else r
+        r = row_bound(p, i) if r == INF else r
         c = (r + e * i) // 1 - f
         krow = []
         for j, x in enumerate(row, 1):
@@ -269,10 +270,9 @@ def scaled_row_bound_report(m):
         raise ValueError("the row-bound report is specific to p=3")
     report = []
     for i, r in enumerate(scaled_row_minima(m.rows, 3), 1):
-        vmin = INF if r is None else r
-        report.append({"row": i, "min_valuation": vmin,
-                       "attains_3i_minus_1": vmin == row_bound(3, i),
-                       "meets_3i": vmin >= 3 * i})
+        report.append({"row": i, "min_valuation": r,
+                       "attains_3i_minus_1": r == row_bound(3, i),
+                       "meets_3i": r >= 3 * i})
     return report
 
 

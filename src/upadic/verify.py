@@ -57,7 +57,8 @@ def suite_modcurve():
                     "slope e*p",
                     "[(%s, %d)]" % (val_str(want), p + 1)) as observe:
             slopes = modcurve.check_hauptmodul_polygon(p).slopes()
-            observe("%r" % [(val_str(s), m) for s, m in slopes], True)
+            observe("%r" % [(val_str(s), m) for s, m in slopes],
+                    slopes == [(want, p + 1)])
     for p in GENUS_ZERO_PRIMES:
         with _claim(claims, "ip-two-routes-p%d" % p,
                     "the exact-fit and symbolic-division routes to I_p agree",

@@ -9,6 +9,7 @@ from upadic.mod3 import (F3BiSeries, poly, gbar, gbar0,
                          kbar_rows, upper_minor_f3, enumerate_excellent,
                          recursive_witness_permutation, is_excellent,
                          SELFSIM_MULTIPLIER, SELFSIM_TAIL)
+from upadic.scalars import INF
 from upadic.umatrix import build_matrix_genfun, kbar
 
 
@@ -38,6 +39,37 @@ def test_reliability_window_shrinks_with_laurent():
     f = F3BiSeries({(1, 1): 1}, known_upto=10)
     shift = poly({(-1, -1): 1})
     assert (f * shift).known_upto == 8
+
+
+def test_exact_series_have_an_infinite_window():
+    f = poly({(1, 1): 1, (2, 0): 2})
+    assert f.known_upto == INF and f.cube().known_upto == INF
+    assert (f * f + f).known_upto == INF
+    assert f.coeff(500, 500) == 0
+
+
+# the window of a product is min(a.known_upto + b.min_total, b.known_upto
+# + a.min_total), an exact factor counting as known_upto = INF
+def test_product_window_exact_times_windowed():
+    f = poly({(1, 1): 1, (2, 0): 2})                      # min_total 2
+    g = F3BiSeries({(0, 0): 1, (1, 0): 1}, known_upto=10)  # min_total 0
+    assert (f * g).known_upto == (g * f).known_upto == 12
+
+
+def test_product_window_windowed_times_windowed():
+    f = F3BiSeries({(1, 0): 1, (2, 3): 1}, known_upto=10)  # min_total 1
+    g = F3BiSeries({(1, 1): 2, (0, 4): 1}, known_upto=7)   # min_total 2
+    fg = f * g
+    assert fg.known_upto == (g * f).known_upto == 8
+    assert fg.data == {(2, 1): 2, (1, 4): 1, (3, 4): 2}  # (2, 7) is past 8
+
+
+def test_product_window_laurent_times_exact():
+    # an exact Laurent factor leaves an exact product exact, and lowers a
+    # windowed one's window by its negative minimal total degree
+    assert (SELFSIM_MULTIPLIER * gbar0()).known_upto == INF
+    g = F3BiSeries({(1, 1): 1, (2, 2): 1}, known_upto=6)
+    assert (poly({(-1, -1): 1, (0, 0): 1}) * g).known_upto == 4
 
 
 def test_coeff_beyond_window_raises():

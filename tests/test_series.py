@@ -85,6 +85,29 @@ def test_u_extract():
     assert f.start == -1 and f.c == [1]
 
 
+@st.composite
+def _u_extractable(draw):
+    # (p, f): a series whose negative exponents with nonzero coefficients
+    # are all divisible by p, so that U_p accepts it
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    start = draw(st.integers(-30, 30))
+    coeffs = draw(st.lists(st.integers(-9, 9), max_size=60))
+    coeffs = [0 if start + k < 0 and (start + k) % p else x
+              for k, x in enumerate(coeffs)]
+    prec = start + len(coeffs) + draw(st.integers(0, 2 * p))
+    return p, QSeries(start, coeffs, prec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_u_extractable())
+def test_u_extract_reads_every_pth_coefficient(case):
+    p, f = case
+    u = f.u_extract(p)
+    assert u.prec == f.prec // p
+    assert all(u.coeff(n) == f.coeff(p * n)
+               for n in range(f.start // p - 1, u.prec))
+
+
 def test_u_extract_delta_tau_values():
     u2 = delta(61).u_extract(2)
     # tau(2), tau(4), tau(6) from the brute-force product expansion

@@ -1,15 +1,17 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
-from upadic.scalars import val_quad3, vp_int
-from upadic.umatrix import (build_matrix_oracle, build_matrix_genfun,
-                            column_recurrence, entry_bound_violations,
-                            scaled_matrix_p3, scaled_row_bound_report,
-                            kbar)
+from upadic.scalars import INF, val_quad3, vp_int
+from upadic.umatrix import (UMatrix, build_matrix_oracle, build_matrix_genfun,
+                            check_row_bounds, column_recurrence,
+                            entry_bound_violations, graded, scaled_matrix_p3,
+                            scaled_row_bound_report, scaled_row_minima, kbar)
 from upadic.modcurve import ip_poly
+from upadic import charseries
 from upadic.weights import (cuspidal_char_series, graded_char_series,
                             uk_matrix, twist_matrix)
 from upadic.charseries import charpoly_leverrier
@@ -147,6 +149,38 @@ def test_scaled_row_bounds_tight_at_3i_minus_1():
     mp = scaled_matrix_p3(m)
     assert [r["min_valuation"] for r in rep] == [
         min(val_quad3(x) for x in row) for row in mp.rows]
+
+
+def test_a_zero_row_has_scaled_minimum_inf():
+    m = build_matrix_genfun(3, 6)
+    rows = [list(row) for row in m.rows]
+    rows[2] = [0] * 6
+    z = UMatrix(3, 6, rows)
+    minima = scaled_row_minima(m.rows, 3)
+    assert minima == [2, 5, 8, 11, Fraction(29, 2), 17]
+    assert scaled_row_minima(z.rows, 3) == minima[:2] + [INF] + minima[3:]
+    assert check_row_bounds(z) == scaled_row_minima(z.rows, 3)
+    # the zero row takes its grade from the row bound 8; K's row 3 is zero
+    # and every other row is m's
+    grades, krows = graded(z)
+    m_grades, m_krows = graded(m)
+    assert grades == m_grades == (2, 5, 8, 11, 15, 17)
+    assert krows == m_krows[:2] + ((0,) * 6,) + m_krows[3:]
+    # floors from the five nonzero rows, and 0 for a_6, which is 0
+    assert charseries._coefficient_floors(z.rows, 3) == [0, 2, 7, 18, 33, 50,
+                                                         0]
+    assert scaled_row_bound_report(z)[2] == {
+        "row": 3, "min_valuation": INF, "attains_3i_minus_1": False,
+        "meets_3i": True}
+
+
+def test_a_zero_row_leaves_the_row_bound_check_to_the_others():
+    rows = [list(row) for row in build_matrix_genfun(3, 6).rows]
+    rows[2] = [0] * 6
+    rows[3][0] = 1
+    with pytest.raises(ValueError, match="row 4 of the scaled matrix has "
+                       "valuation -9/2, below the row bound 11"):
+        check_row_bounds(UMatrix(3, 6, rows))
 
 
 def test_kbar_is_k_mod_sqrt3():

@@ -1,17 +1,19 @@
 """Each claim of a suite is one unit: a named perturbation of what a mod3
-claim, or a modcurve claim family, checks makes that claim fail, and a claim
-that raises fails alone while the rest of its suite still runs and is
-reported in order."""
+claim, or a modcurve or umatrix claim family, checks makes that claim fail,
+and a claim that raises fails alone while the rest of its suite still runs
+and is reported in order."""
 
 import multiprocessing
 import re
 
 import pytest
 
-from upadic import charseries, mod3, modcurve, tables, verify
+from upadic import charseries, mod3, modcurve, tables, umatrix, verify
 from upadic.mod3 import F3BiSeries, poly
 from upadic.modcurve import BiPoly, HPoly
+from upadic.newton import NewtonPolygon
 from upadic.series import QSeries
+from upadic.umatrix import UMatrix
 
 MOD3_IDS = ["selfsim-base", "selfsim-printed-erratum", "selfsim-full",
             "cube-extraction", "vanishing", "cube-ladder",
@@ -216,6 +218,93 @@ def test_a_perturbation_fails_its_modcurve_claim(monkeypatch, modcurve_ids,
     perturb(monkeypatch)
     claims = verify.suite_modcurve()
     assert [c["id"] for c in claims] == modcurve_ids
+    assert not {c["id"]: c for c in claims}[cid]["pass"]
+
+
+def test_a_two_sided_hauptmodul_polygon_fails_the_slope_claim(monkeypatch):
+    # a polygon that check_hauptmodul_polygon returns without raising, with
+    # sides of slope 0 and (p + 1)/p in place of the single side e*p
+    monkeypatch.setattr(modcurve, "check_hauptmodul_polygon",
+                        lambda p: NewtonPolygon([(0, 0), (1, 0),
+                                                 (p + 1, p + 1)]))
+    claims = {c["id"]: c for c in verify.suite_modcurve()}
+    slope = [cid for cid in claims if _stem(cid) == "hauptmodul-slope"]
+    assert slope == ["hauptmodul-slope-p%d" % p
+                     for p in modcurve.GENUS_ZERO_PRIMES]
+    assert not any(claims[cid]["pass"] for cid in slope)
+    assert claims["hauptmodul-slope-p3"]["observed"] == "[('0', 1), ('4/3', 3)]"
+
+
+UMATRIX_STEMS = ["cross-method", "entry-bound", "scaled-row-bound-tight",
+                 "dk-row1-unit", "kbar-generating-function"]
+def _matrix(name, p, n, change):
+    """Patch the umatrix builder name to pass its matrix at (p, n) through
+    change, which edits the rows in place."""
+    def patch(monkeypatch):
+        orig = getattr(umatrix, name)
+
+        def build(q, size):
+            m = orig(q, size)
+            if (q, size) != (p, n):
+                return m
+            rows = [list(row) for row in m.rows]
+            change(rows)
+            return UMatrix(q, size, rows, provenance=m.provenance)
+        monkeypatch.setattr(umatrix, name, build)
+    return patch
+
+
+def _entry(i, j, new):
+    """A change of a matrix: entry (i, j) x becomes new(x)."""
+    def change(rows):
+        rows[i - 1][j - 1] = new(rows[i - 1][j - 1])
+    return change
+
+
+def _row_times(i, c):
+    """A change of a matrix: row i multiplied by c."""
+    def change(rows):
+        rows[i - 1] = [c * x for x in rows[i - 1]]
+    return change
+
+
+# one named perturbation per umatrix claim family, with the caches it reaches:
+# each patches one cached builder, which must not hand it a stored matrix
+GENFUN, ORACLE = umatrix.build_matrix_genfun, umatrix.build_matrix_oracle
+UMATRIX_MUTATIONS = [
+    ("cross-method-p3", _matrix("build_matrix_genfun", 3, 15,
+                                _entry(2, 3, lambda x: x + 1)), [GENFUN]),
+    # a unit at (15, 1), where the bound asks for a high power of 5
+    ("entry-bound-p5", _matrix("build_matrix_oracle", 5, 15,
+                               _entry(15, 1, lambda x: 1)), [ORACLE]),
+    ("scaled-row-bound-tight", _matrix("build_matrix_genfun", 3, 40,
+                                       _row_times(5, 3)), [GENFUN]),
+    ("dk-row1-unit", _matrix("build_matrix_genfun", 3, 40,
+                             _entry(1, 1, lambda x: 3 * x)), [GENFUN]),
+    ("kbar-generating-function", _kbar({(1, 2): 1}), [mod3.kbar_rows]),
+]
+
+
+@pytest.fixture(scope="module")
+def umatrix_ids():
+    return [c["id"] for c in verify.suite_umatrix()]
+
+
+def test_the_mutation_table_names_every_umatrix_claim_family(umatrix_ids):
+    assert [_stem(cid) for cid, _, _ in UMATRIX_MUTATIONS] == UMATRIX_STEMS
+    assert all(cid in umatrix_ids for cid, _, _ in UMATRIX_MUTATIONS)
+    assert {_stem(cid) for cid in umatrix_ids} == set(UMATRIX_STEMS)
+
+
+@pytest.mark.parametrize("cid,perturb,caches", UMATRIX_MUTATIONS,
+                         ids=[cid for cid, _, _ in UMATRIX_MUTATIONS])
+def test_a_perturbation_fails_its_umatrix_claim(monkeypatch, umatrix_ids,
+                                                cid, perturb, caches):
+    for cache in caches:
+        cache.cache_clear()
+    perturb(monkeypatch)
+    claims = verify.suite_umatrix()
+    assert [c["id"] for c in claims] == umatrix_ids
     assert not {c["id"]: c for c in claims}[cid]["pass"]
 
 
