@@ -28,6 +28,9 @@ def _threads():
 
 def cmd_u_matrix(args):
     p, n = args.prime, args.size
+    if args.scaled and p != 3:
+        print("--scaled is specific to p=3", file=sys.stderr)
+        return 2
     if args.method in ("oracle", "both"):
         m = umatrix.build_matrix_oracle(p, n)
     else:
@@ -38,9 +41,6 @@ def cmd_u_matrix(args):
             print("cross-method check failed", file=sys.stderr)
             return 1
     if args.scaled:
-        if p != 3:
-            print("--scaled is specific to p=3", file=sys.stderr)
-            return 2
         m = umatrix.scaled_matrix_p3(m)
     if args.format == "csv":
         rows = [(i, j, val_str(umatrix.entry_valuation(m, i, j)),

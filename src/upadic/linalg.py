@@ -3,8 +3,10 @@ prime pool of the package, its chunk size, the kernel of an integer system
 and the characteristic polynomial of an integer matrix modulo any integer,
 and the symmetric CRT lift back to the integers; and the characteristic
 polynomial of a graded matrix diag(p^c) K from K modulo a power of p, with
-the precision of each coefficient proven.  Every row reduction of the
-package happens here.
+the precision of each coefficient proven.  The two characteristic
+polynomials differ in their Hessenberg reductions (unit pivots modulo any
+integer, p-adic pivots with grade drops) and share one recurrence.  Every
+row reduction of the package happens here.
 """
 
 from bisect import insort
@@ -130,7 +132,8 @@ def _mod_kernel(rows, modulus):
 
 def _charpoly_mod(a, p):
     """char poly coefficients c_0..c_n of det(tI - A) mod p, via similarity
-    reduction to Hessenberg form; returns [1, c_1, ..., c_n].
+    reduction to Hessenberg form and _hessenberg_charpoly with every grade
+    0; returns [1, c_1, ..., c_n].
 
     p may be composite: every step is a ring operation or the inverse of a
     unit, so the result reduced mod each prime factor of p is that prime's
@@ -163,26 +166,59 @@ def _charpoly_mod(a, p):
                 h[i][k:] = [(x - f * y) % p for x, y in zip(h[i][k:], hk1)]
         for row in h:
             row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % p
-    # p_m(t) = det(tI - H_m) = (t - h_mm) p_(m-1) - sum_i c_i p_(m-1-i), with
-    # c_i = h_(m-i),m times the product of the i subdiagonal entries above
-    # row m; coefficients ascend and are reduced once per m.
-    polys = [[1]]
+    return _hessenberg_charpoly(h, [0] * n, p, [1], n)[0]
+
+
+def _hessenberg_charpoly(h, grades, mod, pw, terms):
+    """Coefficients 0..terms of det(1 - tH) for H = diag(p^grades) h upper
+    Hessenberg, as (B, G): coefficient j is p^(G[j]) B[j] modulo
+    p^(G[j]) mod, G[j] the sum of the j smallest grades, where pw[e] = p^e
+    for e < len(pw) and mod = p^len(pw).  With every grade 0 and pw = [1]
+    this is the plain recurrence modulo any integer mod.
+
+    p_m(t) = det(tI - H_m) = (t - h_mm) p_(m-1) - sum_i c_i p_(m-1-i), with
+    c_i = h_(m-i),m times the product of the i subdiagonal entries above row
+    m (Cohen, GTM 138, Alg. 2.2.9).  Coefficient j of p_m is that of t^(m-j);
+    each update multiplies by p to a non-negative excess, and a term whose
+    excess reaches len(pw) is 0 modulo mod.
+    """
+    n, prec = len(h), len(pw)
+    polys, sums = [[1]], [[0]]
+    srt = []
     for m in range(1, n + 1):
-        prev = polys[-1]
-        hm = h[m - 1][m - 1]
-        pm = [b - hm * a for a, b in zip(prev + [0], [0] + prev)]
-        prod = 1
+        insort(srt, grades[m - 1])
+        top = min(m, terms)
+        gm = list(accumulate(srt[:top], initial=0))
+        prev, gp = polys[-1], sums[-1]
+        hm, cm = h[m - 1][m - 1], grades[m - 1]
+        pm = [0] * (top + 1)
+        for j in range(top + 1):
+            x = 0
+            if j < len(prev):
+                e = gp[j] - gm[j]
+                if e < prec:
+                    x = prev[j] * pw[e]
+            if j and hm:
+                e = cm + gp[j - 1] - gm[j]
+                if e < prec:
+                    x -= hm * prev[j - 1] * pw[e]
+            pm[j] = x
+        prod, cprod = 1, cm
         for i in range(1, m):
-            prod = prod * h[m - i][m - i - 1] % p
+            prod = prod * h[m - i][m - i - 1] % mod
             if not prod:
                 break
-            coef = h[m - 1 - i][m - 1] * prod % p
+            cprod += grades[m - 1 - i]
+            coef = h[m - 1 - i][m - 1] * prod % mod
             if coef:
-                q = polys[m - 1 - i]
-                pm[:len(q)] = [x - coef * y for x, y in zip(pm, q)]
-        polys.append([x % p for x in pm])
-    # c_k is the coefficient of t^(n-k)
-    return polys[n][::-1]
+                q, gq = polys[m - 1 - i], sums[m - 1 - i]
+                for jq in range(min(len(q), top - i)):
+                    e = cprod + gq[jq] - gm[jq + i + 1]
+                    if e < prec:
+                        pm[jq + i + 1] -= coef * q[jq] * pw[e]
+        polys.append([x % mod for x in pm])
+        sums.append(gm)
+    return polys[n], sums[n]
 
 
 def _sym_crt(residues, moduli):
@@ -227,10 +263,8 @@ def _charpoly_graded(grades, rows, p, prec, terms):
 
     Each term of an m-row minor of diag(p^c) K takes one entry from each of
     m rows, so a_m is known modulo p^(G_m + prec), G_m the sum of the m
-    smallest final grades.  The recurrence of _charpoly_mod runs on graded
-    coefficients: coefficient j of the leading m-block is p^(G_m[j]) B_m[j]
-    with G_m[j] the sum of the j smallest grades among its rows, and each
-    update multiplies by p to a non-negative excess modulo p^prec.
+    smallest final grades; _hessenberg_charpoly carries the grades through
+    the recurrence.
     """
     n = len(rows)
     mod = p ** prec
@@ -266,46 +300,9 @@ def _charpoly_graded(grades, rows, p, prec, terms):
             fs.append(g * p ** d % mod if d >= 0 else g // p ** -d)
         for row in h:
             row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % mod
-    # p_m(t) = det(tI - H_m), coefficient j that of t^(m-j), as in
-    # _charpoly_mod; polys[m][j] = B_m[j] and sums[m][j] = G_m[j], j <= terms
-    pw = [p ** e for e in range(prec)]
-    polys, sums = [[1]], [[0]]
-    srt = []
-    for m in range(1, n + 1):
-        insort(srt, c[m - 1])
-        top = min(m, terms)
-        gm = list(accumulate(srt[:top], initial=0))
-        prev, gp = polys[-1], sums[-1]
-        hm, cm = h[m - 1][m - 1], c[m - 1]
-        pm = [0] * (top + 1)
-        for j in range(top + 1):
-            x = 0
-            if j < len(prev):
-                e = gp[j] - gm[j]
-                if e < prec:
-                    x = prev[j] * pw[e]
-            if j and hm:
-                e = cm + gp[j - 1] - gm[j]
-                if e < prec:
-                    x -= hm * prev[j - 1] * pw[e]
-            pm[j] = x
-        prod, cprod = 1, cm
-        for i in range(1, m):
-            prod = prod * h[m - i][m - i - 1] % mod
-            if not prod:
-                break
-            cprod += c[m - 1 - i]
-            coef = h[m - 1 - i][m - 1] * prod % mod
-            if coef:
-                q, gq = polys[m - 1 - i], sums[m - 1 - i]
-                for jq in range(min(len(q), top - i)):
-                    e = cprod + gq[jq] - gm[jq + i + 1]
-                    if e < prec:
-                        pm[jq + i + 1] -= coef * q[jq] * pw[e]
-        polys.append([x % mod for x in pm])
-        sums.append(gm)
     residues, precisions = [], []
-    for b, g in zip(polys[n], sums[n]):
+    for b, g in zip(*_hessenberg_charpoly(h, c, mod,
+                                          [p ** e for e in range(prec)], terms)):
         residues.append(b * p ** g if g >= 0 else Fraction(b, p ** -g))
         precisions.append(g + prec)
     return residues, precisions

@@ -217,39 +217,30 @@ class QSeries:
         return QSeries(n0 // p, self.c[n0 - self.start::p], self.prec // p)
 
 
-def _eta_power(expo, n):
-    """Coefficients of prod_{k>=1} (1 - q^k)^expo below q^n.
+def _sparse_power(groups, expo, n):
+    """Coefficients of g^expo below q^n for g = 1 + sum_k c_k q^k, with the
+    terms given grouped by coefficient: pairs (c, ks), ks the exponents
+    k >= 1 of coefficient c, ascending.
 
-    With E = prod (1 - q^k) = sum E_k q^k, whose only nonzero E_k are the
-    signs at the pentagonal numbers, F = E^expo satisfies q F' E = expo q E' F,
-    that is m F_m = sum_(k>=1) E_k ((expo + 1) k - m) F_(m-k): O(n sqrt n)
-    operations instead of dense products.  Each division by m must be exact.
+    F = g^expo satisfies g F' = expo g' F, that is J. C. P. Miller's
+    m F_m = sum_(k>=1) c_k ((expo + 1) k - m) F_(m-k) (Knuth, TAOCP 2,
+    4.7): O(n t) operations for t terms instead of dense products, one
+    multiplication by c per group.  Each division by m must be exact.
     """
-    plus, minus = [], []               # the k with E_k = +1 and E_k = -1
-    i = 1
-    while i * (3 * i - 1) // 2 < n:
-        (minus if i % 2 else plus).extend(
-            k for k in (i * (3 * i - 1) // 2, i * (3 * i + 1) // 2) if k < n)
-        i += 1
     f = [1] + [0] * (n - 1) if n > 0 else []
     a = expo + 1
     for m in range(1, n):
-        s0 = s1 = 0                    # sum E_k F_(m-k), sum E_k k F_(m-k)
-        for k in plus:
-            if k > m:
-                break
-            x = f[m - k]
-            s0 += x
-            s1 += k * x
-        for k in minus:
-            if k > m:
-                break
-            x = f[m - k]
-            s0 -= x
-            s1 -= k * x
-        q, r = divmod(a * s1 - m * s0, m)
+        s = 0
+        for c, ks in groups:
+            t = 0
+            for k in ks:
+                if k > m:
+                    break
+                t += (a * k - m) * f[m - k]
+            s += c * t
+        q, r = divmod(s, m)
         if r:
-            raise ValueError("eta power recurrence: inexact division at q^%d" % m)
+            raise ValueError("power recurrence: inexact division at q^%d" % m)
         f[m] = q
     return f
 
@@ -257,14 +248,22 @@ def _eta_power(expo, n):
 def eta_quotient(pairs, prec):
     """prod_s prod_{n>=1} (1 - q^(s n))^(e_s) for pairs of (scale s, exponent e_s).
 
-    Each factor is the power recurrence of _eta_power in q^s.  The q-power
-    prefactor of an eta quotient is the caller's business.
+    Each factor is a power of E = prod (1 - q^n) in q^s, by _sparse_power:
+    by Euler's pentagonal theorem E_k is (-1)^i at k = i(3i - 1)/2 and
+    i(3i + 1)/2, i >= 1, and 0 elsewhere, so the power costs O(n sqrt n).
+    The q-power prefactor of an eta quotient is the caller's business.
     """
+    plus, minus = [], []
+    i = 1
+    while i * (3 * i - 1) // 2 < prec:
+        (minus if i % 2 else plus).extend((i * (3 * i - 1) // 2,
+                                           i * (3 * i + 1) // 2))
+        i += 1
     result = QSeries.const(1, prec)
     for scale, expo in pairs:
         if expo == 0:
             continue
-        f = _eta_power(expo, -(-prec // scale))
+        f = _sparse_power(((1, plus), (-1, minus)), expo, -(-prec // scale))
         spread = [0] * (scale * len(f))
         spread[::scale] = f
         result = result * QSeries(0, spread, prec)

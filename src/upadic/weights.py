@@ -14,7 +14,7 @@ from itertools import accumulate, count, takewhile
 from operator import mul
 
 from .scalars import INF, vp_int
-from .series import QSeries, eta_quotient
+from .series import QSeries, _sparse_power, eta_quotient
 from .modcurve import d_series, d_expansion, eisenstein, ip_poly, powers
 from .newton import NewtonPolygon
 from . import umatrix
@@ -82,33 +82,13 @@ def s_ratio_divisibility():
     return all(r % 27 == 0 for r in rho[2:])
 
 
-def _trinomial_power(e, n):
-    """Coefficients of (1 + 9x + 27x^2)^e below x^n, for an integer e.
-
-    g = 1 + 9x + 27x^2 and F = g^e satisfy g F' = e g' F, that is
-    j F_j = 9(e - j + 1) F_(j-1) + 27(2e - j + 2) F_(j-2).  Each division
-    by j must be exact.
-    """
-    f = [1] + [0] * (n - 1) if n > 0 else []
-    for j in range(1, n):
-        s = 9 * (e - j + 1) * f[j - 1]
-        if j >= 2:
-            s += 27 * (2 * e - j + 2) * f[j - 2]
-        q, r = divmod(s, j)
-        if r:
-            raise ValueError("trinomial power recurrence: inexact division "
-                             "at x^%d" % j)
-        f[j] = q
-    return f
-
-
 def twist_coefficients(k, size):
     """rho_0..rho_size, the d_3-expansion of (S/V(S))^(k/3), by the closed
     form of the TwistMatrix docstring.  Each division by m must be exact."""
     a = k // 3
     rho = [1]
     for m in range(1, size + 1):
-        f = _trinomial_power(-(a + m + 1), m)
+        f = _sparse_power(((9, (1,)), (27, (2,))), -(a + m + 1), m)
         c = 9 * f[m - 1] + (54 * f[m - 2] if m >= 2 else 0)
         q, r = divmod(-a * c, m)
         if r:
@@ -128,8 +108,10 @@ class TwistMatrix:
     The rho_m come in closed form from twist_coefficients: with a = k/3,
     rho_m = -(a/m) [x^(m-1)] (9 + 54x) (1 + 9x + 27x^2)^(-(a+m+1)), by
     Lagrange-Buermann inversion of d_3 = d_9 (1 + 9d_9 + 27d_9^2), the
-    identity the hauptmodul-tower claim checks.  No q-series is built; the
-    twist-routes-agree claim compares this with the q-series route.
+    identity the hauptmodul-tower claim checks.  The trinomial powers come
+    from series._sparse_power, the power recurrence behind every eta power
+    too.  No q-series is built; the twist-routes-agree claim compares this
+    with the q-series route.
     """
 
     def __init__(self, k, size):

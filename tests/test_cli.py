@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import subprocess
@@ -330,3 +331,45 @@ def test_bad_arguments_are_usage_errors(argv, message):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_scaled_off_p3_is_a_usage_error_before_any_build(monkeypatch, capsys):
+    from upadic import umatrix
+
+    def build(p, n):
+        raise AssertionError("built a matrix for a usage error")
+    monkeypatch.setattr(umatrix, "build_matrix_oracle", build)
+    monkeypatch.setattr(umatrix, "build_matrix_genfun", build)
+    for method in ("oracle", "genfun", "both"):
+        assert main(["u-matrix", "--prime", "5", "--size", "4", "--method",
+                     method, "--scaled"]) == 2
+        assert "--scaled is specific to p=3" in capsys.readouterr().err
+
+
+# sha256 of CLI outputs that the Hessenberg recurrence (charpoly), the power
+# recurrence (twist, and the eta powers of the oracle) and both (newton)
+# reach; a change that alters one of these bytes changes what is printed
+PINNED_OUTPUTS = [
+    ("charpoly --prime 3 --terms 14 --size 24",
+     "6ffecb657a644d01e5ab9eea9f8d43b1c1434fe9703b86a05a51917a1f3152e5"),
+    ("charpoly --prime 3 --terms 10 --size 20 --weight 54",
+     "344bc9347f249195237ae7d86bf8f8d746fd24088f0bf34aac720abc923806bb"),
+    ("charpoly --prime 13 --terms 6 --size 12",
+     "cf44fc9617431e789ce2913cce991278282d6969ff64d90e354d93516528c070"),
+    ("twist --weight 54 --size 12",
+     "dee7a9d66a04a832b10476fd737b9bec7e1a97aa280f930a4a89d5aeebca7177"),
+    ("twist --weight -6 --size 20",
+     "d10e707b9da6a43f76666f4f308c450b82a359f3d6eb455867fee6e974afc12a"),
+    ("u-matrix --prime 3 --size 12 --method both",
+     "34d7ffe86532bbea12a88ad1e7f0c0a15440d5308a3c494578759aa9e0bed2e6"),
+    ("newton --prime 3 --terms 14 --size 24",
+     "a72c751d8b53aa2523a942c9fe022e3b47dfad370a33252710e203696fa87db2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS,
+                         ids=[argv for argv, _ in PINNED_OUTPUTS])
+def test_pinned_cli_outputs(tmp_path, argv, digest):
+    out = tmp_path / "out"
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

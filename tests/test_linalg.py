@@ -2,10 +2,12 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from upadic.charseries import charpoly_leverrier
-from upadic.linalg import _CHUNK, _charpoly_graded, _mod_kernel, _prime_pool
+from upadic.linalg import (_CHUNK, _charpoly_graded, _charpoly_mod,
+                           _mod_kernel, _prime_pool)
+from upadic.mod3 import kbar_rows, upper_minor_f3
 from upadic.scalars import val_p
 
 
@@ -167,3 +169,38 @@ def test_charpoly_graded_truncates_to_the_terms_asked():
     full = _charpoly_graded([0, 1, 2, 3], rows, 3, 20, 4)
     part = _charpoly_graded([0, 1, 2, 3], rows, 3, 20, 2)
     assert part == (full[0][:3], full[1][:3])
+
+
+_small_matrices = st.integers(0, 7).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_matrices)
+def test_charpoly_mod_is_leverrier_reduced(rows):
+    # modulo a chunk product, as the CRT route calls it, and modulo 3, as the
+    # F_3 minors do; neither modulus meets a non-unit pivot on these entries
+    want = charpoly_leverrier(rows)
+    for modulus in (math.prod(_prime_pool(_CHUNK)), 3):
+        assert _charpoly_mod(rows, modulus) == [a % modulus for a in want]
+
+
+def test_upper_f3_minors_are_determinants():
+    rows = kbar_rows(13)
+    for m in range(14):
+        corner = [row[:m] for row in rows[:m]]
+        det = (-1) ** m * charpoly_leverrier(corner)[-1]
+        assert upper_minor_f3(rows, m) == det % 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((2, 3, 5, 13)), _small_matrices, st.integers(1, 12))
+def test_charpoly_graded_at_grade_zero_is_charpoly_mod(p, rows, prec):
+    # with unit pivots both reductions take the same steps, so the graded
+    # residues are the plain ones modulo p^prec, none of them dropped
+    plain = _charpoly_mod(rows, p ** prec)
+    assume(plain is not None)
+    n = len(rows)
+    assert _charpoly_graded([0] * n, rows, p, prec, n) == (plain,
+                                                           [prec] * (n + 1))

@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from upadic.series import QSeries, PrecisionError, eta_quotient
+from upadic.series import QSeries, PrecisionError, _sparse_power, eta_quotient
 
 
 def geometric(prec):
@@ -182,6 +182,21 @@ def test_eta_quotient_matches_dense_factor_products(pairs, prec):
             for _ in range(abs(expo)):
                 dense = dense * factor
     assert eta_quotient(pairs, prec) == dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.dictionaries(st.integers(1, 9),
+                             st.integers(-40, 40).filter(bool), max_size=4),
+       expo=st.integers(-12, 12), n=st.integers(1, 30))
+def test_sparse_power_matches_the_dense_power(terms, expo, n):
+    # the power recurrence against repeated squaring of 1 + sum c_k q^k, the
+    # terms grouped by coefficient
+    groups = tuple((c, tuple(sorted(k for k in terms if terms[k] == c)))
+                   for c in set(terms.values()))
+    base = [1] + [terms.get(k, 0) for k in range(1, 10)]
+    dense = QSeries(0, base, n) ** expo
+    assert _sparse_power(groups, expo, n) == dense.coeffs_from(0, n)
+    assert _sparse_power(groups, expo, 0) == []
 
 
 def test_eta_quotient_rejects_an_inexact_recurrence_step():

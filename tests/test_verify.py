@@ -1,14 +1,16 @@
 """Each claim of a suite is one unit: a named perturbation of what a mod3
-claim, or a modcurve or umatrix claim family, checks makes that claim fail,
-and a claim that raises fails alone while the rest of its suite still runs
-and is reported in order."""
+or p3-parabola claim, or a modcurve, umatrix or congruence claim family,
+checks makes that claim fail, and a claim that raises fails alone while the
+rest of its suite still runs and is reported in order."""
 
 import multiprocessing
 import re
 
 import pytest
 
-from upadic import charseries, mod3, modcurve, tables, umatrix, verify
+from upadic import (charseries, mod3, modcurve, tables, umatrix, verify,
+                    weights)
+from upadic.charseries import CharSeries
 from upadic.mod3 import F3BiSeries, poly
 from upadic.modcurve import BiPoly, HPoly
 from upadic.newton import NewtonPolygon
@@ -306,6 +308,102 @@ def test_a_perturbation_fails_its_umatrix_claim(monkeypatch, umatrix_ids,
     claims = verify.suite_umatrix()
     assert [c["id"] for c in claims] == umatrix_ids
     assert not {c["id"]: c for c in claims}[cid]["pass"]
+
+
+PARABOLA_IDS = ["parabola-certification", "parabola-lower-bound",
+                "parabola-equality-set", "parabola-contact-values",
+                "secant-upper-bound"]
+# a small run of the suite: every claim passes, and the records come from
+# the graded residues of the truncations 24 and 34
+PARABOLA_RUN = {"terms": 13, "size": 24}
+
+
+def _residue(m, change):
+    """Patch the graded series of every truncation to pass its residue a_m
+    through change."""
+    def patch(monkeypatch):
+        orig = weights.graded_char_series
+
+        def series(p, k, size, need):
+            g = orig(p, k, size, need)
+            residues = list(g.residues)
+            residues[m] = change(residues[m])
+            return CharSeries(g.p, residues, g.precisions, g.trunc_size)
+        monkeypatch.setattr(weights, "graded_char_series", series)
+    return patch
+
+
+def _bound_lowered(monkeypatch):
+    # T_5 lowered to the parabola value, which v_3(a_5) exceeds
+    orig = charseries.trunc_bound
+    monkeypatch.setattr(charseries, "trunc_bound", lambda p, m, n: (
+        charseries.parabola_floor(m) if m == 5 else orig(p, m, n)))
+
+
+# one named perturbation per p3-parabola claim, in report order; each keeps
+# every record settled, so no claim falls back to the exact series
+PARABOLA_MUTATIONS = [
+    ("parabola-certification", _bound_lowered),
+    # v_3(a_4) from 26 to 25, below the parabola
+    ("parabola-lower-bound", _residue(4, lambda a: a // 3)),
+    # v_3(a_4) from 26 to 27, off the parabola
+    ("parabola-equality-set", _residue(4, lambda a: 3 * a)),
+    ("parabola-contact-values", _residue(13, lambda a: 3 * a)),
+    # a_2 = 3^7, on the parabola where the polygon must lie above it
+    ("secant-upper-bound", _residue(2, lambda a: 3 ** 7)),
+]
+
+
+def test_the_mutation_table_names_every_parabola_claim():
+    assert [cid for cid, _ in PARABOLA_MUTATIONS] == PARABOLA_IDS
+    assert all(c["pass"] for c in verify.suite_p3_parabola(**PARABOLA_RUN))
+
+
+@pytest.mark.parametrize("cid,perturb", PARABOLA_MUTATIONS, ids=PARABOLA_IDS)
+def test_a_perturbation_fails_its_parabola_claim(monkeypatch, cid, perturb):
+    perturb(monkeypatch)
+    claims = verify.suite_p3_parabola(**PARABOLA_RUN)
+    assert [c["id"] for c in claims] == PARABOLA_IDS
+    claim = {c["id"]: c for c in claims}[cid]
+    # failed by observation, not by raising
+    assert not claim["pass"]
+    assert not re.match(r"\w+: ", claim["observed"])
+
+
+TWIST_CACHES = (weights.twist_matrix, weights.uk_matrix,
+                weights.cuspidal_char_series, weights.graded_char_series)
+
+
+@pytest.fixture
+def fresh_twist_caches():
+    for cache in TWIST_CACHES:
+        cache.cache_clear()
+    yield
+    for cache in TWIST_CACHES:
+        cache.cache_clear()
+
+
+def test_a_perturbed_twist_fails_its_congruence_claim(monkeypatch,
+                                                      fresh_twist_caches):
+    # rho_1 of weight 6 moved by 3.  A move that keeps the twist bounds
+    # (v_3(rho_m) >= ceil(3m/2)) keeps every difference at v_3 >= 3, so the
+    # bound check is what fails the claim, by raising
+    orig = weights.twist_coefficients
+
+    def rho(k, size):
+        out = orig(k, size)
+        if k == 6:
+            out[1] += 3
+        return out
+    monkeypatch.setattr(weights, "twist_coefficients", rho)
+    claims = verify.suite_congruence()
+    assert [c["id"] for c in claims] == [
+        "congruence-%d-%d" % pair for pair in
+        ((0, 6), (0, 18), (6, 24), (18, 54), (0, 54), (54, 162))]
+    assert [c["id"] for c in claims if not c["pass"]] == [
+        "congruence-0-6", "congruence-6-24"]
+    assert claims[0]["observed"].startswith(
+        "ValueError: twist bound violations for k=6")
 
 
 def _boom(window):

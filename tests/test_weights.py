@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from upadic import charseries, umatrix, verify, weights
 from upadic.scalars import INF, val_p
-from upadic.series import QSeries
+from upadic.series import QSeries, _sparse_power
 from upadic.modcurve import d_series
 from upadic.linalg import _charpoly_graded
 from upadic.umatrix import UMatrix, build_matrix_genfun, check_row_bounds, graded
 from upadic.weights import (s_series, s_eisenstein_character, d9_series,
                             s_over_vs, expand_in_d3, s_ratio_divisibility,
-                            _trinomial_power, twist_coefficients,
+                            twist_coefficients,
                             TwistMatrix, twist_matrix, uk_matrix,
                             cuspidal_char_series, certificate_need,
                             graded_char_series,
@@ -66,25 +66,28 @@ def test_closed_form_twist_equals_q_series_route(a, size):
     assert list(TwistMatrix(k, size).rho) == route
 
 
+TRINOMIAL = ((9, (1,)), (27, (2,)))        # 1 + 9x + 27x^2
+
+
 def test_trinomial_power_matches_dense_power():
     for e in range(-12, 13):
         dense = QSeries(0, [1, 9, 27], 25) ** e
-        assert _trinomial_power(e, 25) == dense.coeffs_from(0, 25)
-    assert _trinomial_power(3, 0) == []
+        assert _sparse_power(TRINOMIAL, e, 25) == dense.coeffs_from(0, 25)
+    assert _sparse_power(TRINOMIAL, 3, 0) == []
 
 
 def test_closed_form_divisions_must_be_exact(monkeypatch):
     # (1 + 9x + 27x^2)^(1/2) has the non-integral coefficient 9/2 at x
-    with pytest.raises(ValueError, match="inexact division at x\\^1"):
-        _trinomial_power(Fraction(1, 2), 3)
-    real = weights._trinomial_power
+    with pytest.raises(ValueError, match="inexact division at q\\^1"):
+        _sparse_power(TRINOMIAL, Fraction(1, 2), 3)
+    real = weights._sparse_power
 
-    def off_by_one(e, n):
-        f = real(e, n)
+    def off_by_one(groups, e, n):
+        f = real(groups, e, n)
         f[-1] += 1
         return f
 
-    monkeypatch.setattr(weights, "_trinomial_power", off_by_one)
+    monkeypatch.setattr(weights, "_sparse_power", off_by_one)
     with pytest.raises(ValueError, match="rho_4 for k = 6: inexact"):
         twist_coefficients(6, 4)
 
