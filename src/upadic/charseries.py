@@ -13,7 +13,6 @@ from .scalars import INF, val_p, vp_int
 from .newton import NewtonPolygon
 from .modcurve import e_exponent, ip_poly
 from .linalg import _CHUNK, _charpoly_mod, _prime_pool, _sym_crt
-from . import umatrix
 from .umatrix import row_bound
 
 
@@ -47,7 +46,7 @@ def _matmul(a, b):
             for row in a]
 
 
-def _coefficient_floors(rows, p):
+def _coefficient_floors(minima):
     """L_0..L_n with p^(L_m) dividing the coefficient a_m of det(1 - tA).
 
     Each term of an m-row principal minor has valuation at least the sum of
@@ -56,12 +55,12 @@ def _coefficient_floors(rows, p):
     matrix.  Rows that are zero drop out; with fewer than m nonzero rows
     a_m = 0 and L_m = 0.
     """
-    mins = sorted(r for r in umatrix.scaled_row_minima(rows, p) if r < INF)
+    mins = sorted(r for r in minima if r < INF)
     floors, s = [0], 0
     for r in mins:
         s += r
         floors.append(max(0, math.ceil(s)))
-    return floors + [0] * (len(rows) - len(mins))
+    return floors + [0] * (len(minima) - len(mins))
 
 
 def _coefficient_bounds(rows):
@@ -87,21 +86,22 @@ def _crt_bits(rows, p, floors):
                for b, l in zip(_coefficient_bounds(rows), floors))
 
 
-def charpoly_crt(rows, p):
+def charpoly_crt(rows, p, minima):
     """Coefficients a_0..a_n of det(1 - tA), exactly.
 
-    What is reconstructed is b_m = a_m / p^(L_m), with L_m the floors of
-    _coefficient_floors, and _crt_bits fixes how many primes of the pool are
-    needed.  The Hessenberg reduction runs once per chunk of _CHUNK of them,
-    modulo their product; a chunk where a pivot is not a unit modulo that
-    product is redone one prime at a time.  Each residue is divided by
-    p^(L_m) modulo its modulus (the pool primes exceed p), and CRT over the
-    chunk moduli with a symmetric lift gives the b_m.
+    What is reconstructed is b_m = a_m / p^(L_m), with L_m the floors that
+    _coefficient_floors reads off minima, the scaled row minima of rows, and
+    _crt_bits fixes how many primes of the pool are needed.  The Hessenberg
+    reduction runs once per chunk of _CHUNK of them, modulo their product; a
+    chunk where a pivot is not a unit modulo that product is redone one
+    prime at a time.  Each residue is divided by p^(L_m) modulo its modulus
+    (the pool primes exceed p), and CRT over the chunk moduli with a
+    symmetric lift gives the b_m.
     """
     n = len(rows)
     if n == 0:
         return [1]
-    floors = _coefficient_floors(rows, p)
+    floors = _coefficient_floors(minima)
     primes = _prime_pool(_crt_bits(rows, p, floors) // 29 + 2)
     moduli, residues = [], []
     for start in range(0, len(primes), _CHUNK):
@@ -123,8 +123,8 @@ def charpoly_crt(rows, p):
 class CharSeries:
     """Coefficients a_0..a_t of det(1 - tM) for a truncation of U, known
     modulo proven powers of p: v_p(a_m - residues[m]) >= precisions[m], INF
-    for an exact a_m.  a_0 = 1 is exact; a graded series keeps the kernel's
-    relative precision in precisions[0]."""
+    for an exact a_m.  a_0 = 1 is exact: a graded series's precisions[0],
+    the kernel's relative precision, decides nothing."""
 
     def __init__(self, p, residues, precisions, trunc_size):
         if residues[0] != 1:
@@ -148,9 +148,9 @@ def _known_valuation(x, pi, p):
     return v if pi == INF or v < pi else None
 
 
-def char_series_trunc(m):
-    """Exact characteristic series of a UMatrix, a truncation of U."""
-    coeffs = charpoly_crt(m.rows, m.p)
+def char_series_trunc(m, minima):
+    """Exact characteristic series of a UMatrix given its scaled row minima."""
+    coeffs = charpoly_crt(m.rows, m.p, minima)
     return CharSeries(m.p, coeffs, [INF] * len(coeffs), m.n)
 
 

@@ -210,14 +210,14 @@ def graded(m, weight=0):
     row, whose r_i is INF, takes the row bound in place of r_i.
     """
     p, e = m.p, e_exponent(m.p)
+    floors = [e * j // 1 for j in range(m.n + 1)]
     grades, krows = [], []
     for i, (row, r) in enumerate(zip(m.rows, check_row_bounds(m, weight)), 1):
-        f = e * i // 1
         r = row_bound(p, i) if r == INF else r
-        c = (r + e * i) // 1 - f
+        c = (r + e * i) // 1 - floors[i]
         krow = []
         for j, x in enumerate(row, 1):
-            t = e * j // 1 - f - c
+            t = floors[j] - floors[i] - c
             if t >= 0:
                 krow.append(x * p ** t)
             else:

@@ -353,8 +353,12 @@ def suite_weights():
                     "k-1-s land above 3k/4" % (n + 1, n),
                     "entering slope below threshold") as observe:
             rep = weights.oldform_window_check(n)
-            observe("entering %s < %s" % (rep["entering_slope"],
-                                          rep["threshold"]), rep["pass"])
+            seen = "entering %(entering_slope)s < %(threshold)s"
+            if not rep["pass"]:
+                seen = ("contact: %(contact)s, " + seen + ": "
+                        "%(slope_below_threshold)s, mates above 3k/4: "
+                        "%(mates_above_3k4)s")
+            observe(seen % rep, rep["pass"])
     return claims
 
 
@@ -444,8 +448,10 @@ def suite_congruence():
             rep = weights.congruence_check(k, k2, 20, 30)
             margins = [r["strengthened_candidate_margin"] for r in rep["rows"]
                        if r["strengthened_candidate_margin"] is not None]
-            observe("pass with min margin %s"
-                    % (min(margins) if margins else None), rep["pass"])
+            bad = ", ".join("m = %(m)d (v_diff %(v_diff)s)" % r
+                            for r in rep["rows"] if not r["pass"])
+            seen = "pass with min margin %s" % min(margins, default=None)
+            observe(("fail at " + bad) if bad else seen, rep["pass"])
     return claims
 
 

@@ -200,13 +200,12 @@ def _cuspidal_matrix(p, k, size):
 def cuspidal_char_series(p, k, size):
     """Exact characteristic series of the weight-k cuspidal matrix."""
     m = _cuspidal_matrix(p, k, size)
-    umatrix.check_row_bounds(m, weight=k)
-    return char_series_trunc(m)
+    return char_series_trunc(m, umatrix.check_row_bounds(m, weight=k))
 
 
-# Runs of the graded kernel per series at most: the first at the precision
-# the grades call for, each further one at a higher precision.
-GRADED_RUNS = 3
+# Reruns of the graded kernel per series at most, of each kind: top-ups by
+# the shortfall, and doublings while a valuation is unproven.
+GRADED_RERUNS = 2
 
 
 @lru_cache(maxsize=None)
@@ -215,26 +214,28 @@ def graded_char_series(p, k, size, need):
     from the graded kernel: need[m - 1] is the absolute precision wanted
     for a_m.
 
-    The kernel first runs at the relative precision max_m need_m - G_m,
-    G_m the sum of the m smallest grades of umatrix.graded.  Grade drops
-    can leave some a_m short; the next run adds the largest shortfall, and
-    a run where every precision is reached but a residue is 0 modulo its
-    precision (its valuation unknown) is followed by one at twice the
-    precision.  After GRADED_RUNS runs the last result stands, whatever it
-    reached; certify decides what it settles.
+    The first run is at relative precision max_m need_m - G_m, G_m the sum
+    of the m smallest grades of umatrix.graded.  A run that grade drops
+    leave short is topped up by the largest shortfall; one that meets every
+    need but leaves a valuation unknown (a residue 0 modulo its precision)
+    is doubled.  Each kind of rerun happens at most GRADED_RERUNS times;
+    then the last run stands, and certify decides what it settles.
     """
     grades, krows = umatrix.graded(_cuspidal_matrix(p, k, size), weight=k)
     lows = accumulate(sorted(grades))
     prec = max([t - g for t, g in zip(need, lows)] + [1])
-    for _ in range(GRADED_RUNS):
+    top_ups = doublings = GRADED_RERUNS
+    while True:
         g = CharSeries(p, *_charpoly_graded(grades, krows, p, prec, len(need)),
                        size)
         short = max([t - pi for t, pi in zip(need, g.precisions[1:])] + [0])
-        if not short and all(g.valuation(m) is not None
-                             for m in range(len(g.residues))):
-            break
-        prec = prec + short if short else 2 * prec
-    return g
+        if short and top_ups:
+            top_ups, prec = top_ups - 1, prec + short
+        elif (not short and doublings
+              and None in map(g.valuation, range(1, len(g.residues)))):
+            doublings, prec = doublings - 1, 2 * prec
+        else:
+            return g
 
 
 def certificate_need(p, m_max, size):
@@ -377,20 +378,11 @@ def _differences(f1, f2, m_max):
 
 
 def _graded_differences(k, k2, m_max, size):
-    """_differences of the full series of weights k and k2 from graded
-    residues.  A pair that leaves a row unproven at the certificate's need
-    is run once more, every need raised by the larger relative precision
-    of the two first runs (CharSeries.precisions[0])."""
-    needs = [certificate_need(3, m_max, size)] * 2
-    for _ in range(2):
-        gs = [graded_char_series(3, w, size, need)
-              for w, need in zip((k, k2), needs)]
-        vals = _differences(*map(full_series, gs), m_max)
-        if vals is not None:
-            return vals
-        raise_by = max(g.precisions[0] for g in gs)
-        needs = [tuple(t + raise_by for t in need) for need in needs]
-    return None
+    """_differences of the full series of weights k and k2, from their graded
+    residues at the certificate's need: None when those leave a row open."""
+    need = certificate_need(3, m_max, size)
+    return _differences(*(full_series(graded_char_series(3, w, size, need))
+                          for w in (k, k2)), m_max)
 
 
 def congruence_check(k, k2, m_max, size):
@@ -399,9 +391,9 @@ def congruence_check(k, k2, m_max, size):
     With k2 - k = 2 * 3^n * l (3 not dividing l), every coefficient
     difference must have v_3 >= n+1; the margin against the strengthened
     candidate bound (adapted quadratic term + n + 1) is measured and
-    reported, not asserted.  The valuations come from _differences on the
-    full series of graded residues when those prove them, else of the exact
-    ones; either way they are the valuations of the exact differences.
+    reported, not asserted.  The valuations come from _graded_differences
+    when those prove them, else from the exact series; either way they are
+    the valuations of the exact differences.
     """
     if k == k2:
         raise ValueError("weights must differ")

@@ -24,6 +24,14 @@ from upadic.weights import cuspidal_char_series, stable_valuations
 SRC = os.path.dirname(os.path.dirname(charseries.__file__))
 
 
+def _crt(rows, p):
+    return charpoly_crt(rows, p, umatrix.scaled_row_minima(rows, p))
+
+
+def _exact(m):
+    return char_series_trunc(m, umatrix.scaled_row_minima(m.rows, m.p))
+
+
 def test_charpoly_zero_and_diag():
     assert charpoly_leverrier([[0, 0], [0, 0]]) == [1, 0, 0]
     assert charpoly_leverrier([[3, 0], [0, 9]]) == [1, -12, 27]
@@ -38,7 +46,7 @@ def test_charpoly_crt_matches_leverrier_random():
         cases.append([[random.randint(-50, 50) for _ in range(n)]
                       for _ in range(n)])
     for rows in cases:
-        assert charpoly_crt(rows, 3) == charpoly_leverrier(rows)
+        assert _crt(rows, 3) == charpoly_leverrier(rows)
 
 
 def test_charpoly_crt_big_entries():
@@ -47,10 +55,11 @@ def test_charpoly_crt_big_entries():
         rows = [[random.randint(-10 ** 40, 10 ** 40) for _ in range(n)]
                 for _ in range(n)]
         # several chunks, the last one short
-        floors = charseries._coefficient_floors(rows, 3)
+        floors = charseries._coefficient_floors(
+            umatrix.scaled_row_minima(rows, 3))
         need = charseries._crt_bits(rows, 3, floors) // 29 + 2
         assert need > charseries._CHUNK and need % charseries._CHUNK
-        assert charpoly_crt(rows, 3) == charpoly_leverrier(rows)
+        assert _crt(rows, 3) == charpoly_leverrier(rows)
 
 
 @st.composite
@@ -77,9 +86,10 @@ def _valued_matrices(draw):
 def test_charpoly_crt_matches_leverrier_property(case):
     p, rows = case
     want = charpoly_leverrier(rows)
-    floors = charseries._coefficient_floors(rows, p)
+    minima = umatrix.scaled_row_minima(rows, p)
+    floors = charseries._coefficient_floors(minima)
     assert all(a % p ** l == 0 for a, l in zip(want, floors))
-    assert charpoly_crt(rows, p) == want
+    assert charpoly_crt(rows, p, minima) == want
 
 
 def test_charpoly_crt_prime_count_at_size_40(monkeypatch):
@@ -94,7 +104,7 @@ def test_charpoly_crt_prime_count_at_size_40(monkeypatch):
 
     monkeypatch.setattr(charseries, "_prime_pool", spy)
     with pytest.raises(Enough):
-        charpoly_crt(build_matrix_genfun(3, 40).rows, 3)
+        _crt(build_matrix_genfun(3, 40).rows, 3)
     assert counts[0] <= 4421 // 29 + 3
 
 
@@ -124,7 +134,7 @@ def test_charpoly_crt_non_unit_pivot_falls_back(monkeypatch):
         return hessenberg(a, p)
 
     monkeypatch.setattr(charseries, "_charpoly_mod", spy)
-    got = charpoly_crt(rows, 3)
+    got = _crt(rows, 3)
     chunk = charseries._prime_pool(charseries._CHUNK)
     assert moduli[:1 + len(chunk)] == [math.prod(chunk)] + list(chunk)
     assert got == charpoly_leverrier(rows)
@@ -132,7 +142,7 @@ def test_charpoly_crt_non_unit_pivot_falls_back(monkeypatch):
 
 def test_char_series_methods_agree_on_umatrix():
     m = build_matrix_genfun(3, 18)
-    a = char_series_trunc(m)
+    a = _exact(m)
     assert a.residues == tuple(charpoly_leverrier(m.rows))
     assert a.residues[0] == 1
 
@@ -148,7 +158,7 @@ def test_char_series_must_start_with_one():
 
 
 def test_certify_rejects_misordered_sizes():
-    q = char_series_trunc(UMatrix(3, 2, [[3, 0], [0, 9]]))
+    q = _exact(UMatrix(3, 2, [[3, 0], [0, 9]]))
     with pytest.raises(ValueError):
         certify(q, q, 1)
 
@@ -160,14 +170,14 @@ def test_trace_valuation_p3():
 
 
 def test_full_series_of_an_exact_series():
-    q = char_series_trunc(UMatrix(3, 2, [[3, 0], [0, 9]]))
+    q = _exact(UMatrix(3, 2, [[3, 0], [0, 9]]))
     p = full_series(q)
     assert p.residues == (1, -13, 39, -27)   # (1 - t)(1 - 12t + 27t^2)
     assert val_p(p.residues[1] - (q.residues[1] - 1), 3) == INF
 
 
 def test_full_series_precisions():
-    q = char_series_trunc(UMatrix(3, 2, [[3, 0], [0, 9]]))
+    q = _exact(UMatrix(3, 2, [[3, 0], [0, 9]]))
     assert full_series(q).precisions == (INF,) * 4
     # graded residues of every coefficient of a size-2 truncation: P_m is
     # known to the lesser precision of a_m and a_(m-1), a_0 = 1 and

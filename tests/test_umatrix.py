@@ -167,8 +167,8 @@ def test_a_zero_row_has_scaled_minimum_inf():
     assert grades == m_grades == (2, 5, 8, 11, 15, 17)
     assert krows == m_krows[:2] + ((0,) * 6,) + m_krows[3:]
     # floors from the five nonzero rows, and 0 for a_6, which is 0
-    assert charseries._coefficient_floors(z.rows, 3) == [0, 2, 7, 18, 33, 50,
-                                                         0]
+    assert charseries._coefficient_floors(scaled_row_minima(z.rows, 3)) == [
+        0, 2, 7, 18, 33, 50, 0]
     assert scaled_row_bound_report(z)[2] == {
         "row": 3, "min_valuation": INF, "attains_3i_minus_1": False,
         "meets_3i": True}

@@ -1,7 +1,8 @@
 """Each claim of a suite is one unit: a named perturbation of what a mod3
 or p3-parabola claim, or a modcurve, umatrix or congruence claim family,
-checks makes that claim fail, and a claim that raises fails alone while the
-rest of its suite still runs and is reported in order."""
+checks makes that claim fail, a failing congruence or oldform-window claim
+says what was seen, and a claim that raises fails alone while the rest of
+its suite still runs and is reported in order."""
 
 import multiprocessing
 import re
@@ -318,14 +319,16 @@ PARABOLA_IDS = ["parabola-certification", "parabola-lower-bound",
 PARABOLA_RUN = {"terms": 13, "size": 24}
 
 
-def _residue(m, change):
-    """Patch the graded series of every truncation to pass its residue a_m
-    through change."""
+def _residue(m, change, k=None):
+    """Patch the graded series of every truncation (of weight k only, if
+    given) to pass its residue a_m through change."""
     def patch(monkeypatch):
         orig = weights.graded_char_series
 
-        def series(p, k, size, need):
-            g = orig(p, k, size, need)
+        def series(p, w, size, need):
+            g = orig(p, w, size, need)
+            if k is not None and w != k:
+                return g
             residues = list(g.residues)
             residues[m] = change(residues[m])
             return CharSeries(g.p, residues, g.precisions, g.trunc_size)
@@ -404,6 +407,48 @@ def test_a_perturbed_twist_fails_its_congruence_claim(monkeypatch,
         "congruence-0-6", "congruence-6-24"]
     assert claims[0]["observed"].startswith(
         "ValueError: twist bound violations for k=6")
+
+
+def test_a_perturbed_residue_fails_its_congruence_claims_by_observation(
+        monkeypatch):
+    # a_1 of the graded weight-6 series raised by 3: its differences from
+    # weights 0 and 24 drop to v_3 = 1 at m = 1 and 2 (P_2 = a_2 - a_1),
+    # below the required 2, and no other pair reads weight 6
+    _residue(1, lambda a: a + 3, k=6)(monkeypatch)
+    claims = verify.suite_congruence()
+    assert {c["id"]: c["observed"] for c in claims if not c["pass"]} == {
+        cid: "fail at m = 1 (v_diff 1), m = 2 (v_diff 1)"
+        for cid in ("congruence-0-6", "congruence-6-24")}
+
+
+# each sub-check of oldform-window-n1 and -n2 failed alone, then two at
+# once, with the observed texts of the two claims
+OLDFORM_FAILURES = {
+    "contact": ({"contact": False}, [
+        "contact: False, entering 2 < 7/2: True, mates above 3k/4: True",
+        "contact: False, entering 10 < 25/2: True, mates above 3k/4: True"]),
+    "slope": ({"entering_slope": "13", "slope_below_threshold": False}, [
+        "contact: True, entering 13 < 7/2: False, mates above 3k/4: True",
+        "contact: True, entering 13 < 25/2: False, mates above 3k/4: True"]),
+    "mates": ({"mates_above_3k4": False}, [
+        "contact: True, entering 2 < 7/2: True, mates above 3k/4: False",
+        "contact: True, entering 10 < 25/2: True, mates above 3k/4: False"]),
+    "contact-and-mates": ({"contact": False, "mates_above_3k4": False}, [
+        "contact: False, entering 2 < 7/2: True, mates above 3k/4: False",
+        "contact: False, entering 10 < 25/2: True, mates above 3k/4: False"]),
+}
+
+
+@pytest.mark.parametrize("change, seen", OLDFORM_FAILURES.values(),
+                         ids=OLDFORM_FAILURES)
+def test_a_failing_oldform_claim_says_what_was_seen(monkeypatch, change,
+                                                    seen):
+    real = weights.oldform_window_check
+    monkeypatch.setattr(weights, "oldform_window_check",
+                        lambda n: {**real(n), **change, "pass": False})
+    claims = verify.suite_weights()
+    assert [(c["id"], c["observed"]) for c in claims if not c["pass"]] == [
+        ("oldform-window-n1", seen[0]), ("oldform-window-n2", seen[1])]
 
 
 def _boom(window):

@@ -369,6 +369,19 @@ def test_graded_route_reads_the_row_minima_once(monkeypatch):
     assert calls == [14]
 
 
+def test_exact_route_reads_the_row_minima_once(monkeypatch):
+    calls = []
+    minima = umatrix.scaled_row_minima
+    monkeypatch.setattr(umatrix, "scaled_row_minima",
+                        lambda rows, p: calls.append(len(rows))
+                        or minima(rows, p))
+    exact = cuspidal_char_series.__wrapped__(3, 18, 12)
+    assert calls == [12]                # checked once, and the CRT reuses it
+    rows = uk_matrix(18, 12).rows
+    assert exact.residues == tuple(charseries.charpoly_crt(
+        rows, 3, minima(rows, 3)))
+
+
 def test_graded_residues_claim_fails_on_one_perturbed_residue(monkeypatch):
     assert verify.graded_residues_claim()["pass"]
     real = weights.graded_char_series
@@ -396,12 +409,13 @@ def _no_exact(*args):
     raise AssertionError("exact series built for %r" % (args,))
 
 
-@pytest.mark.parametrize("k, k2, m_max, size, runs", [
-    (0, 18, 8, 16, 1), (138, 156, 20, 30, 2)])
+@pytest.mark.parametrize("k, k2, m_max, size", [
+    (0, 18, 8, 16), (138, 156, 20, 30)])
 def test_graded_congruence_rows_equal_the_exact_ones(monkeypatch, k, k2,
-                                                      m_max, size, runs):
-    # (138, 156) leaves m = 19 and 20 unproven at the certificate's need:
-    # v_diff 648 and 724 against precisions 646 and 696, so it takes the retry
+                                                      m_max, size):
+    # one graded read per weight.  (138, 156) has v_diff 648 and 724 at
+    # m = 19 and 20, above what one doubling proves (precisions 646 and
+    # 696), so the series' own second doubling settles them
     exact = _exact_congruence(monkeypatch, k, k2, m_max, size)
     calls = []
     real = weights.graded_char_series
@@ -410,9 +424,28 @@ def test_graded_congruence_rows_equal_the_exact_ones(monkeypatch, k, k2,
     monkeypatch.setattr(weights, "cuspidal_char_series", _no_exact)
     rep = congruence_check(k, k2, m_max, size)
     assert rep == exact                 # every field of every row, margins too
-    assert calls == [k, k2] * runs
-    if runs == 2:
+    assert calls == [k, k2]
+    if k == 138:
         assert [r["v_diff"] for r in rep["rows"][19:]] == [648, 724]
+
+
+@pytest.mark.parametrize("k, m_max, runs", [
+    # two top-ups by the shortfall, then two doublings while a_14 .. a_20
+    # keep valuations above their precisions
+    (144, 20, [90, 91, 97, 194, 388]),
+    # a_21 .. a_30 are exactly 0, which no precision proves: the doublings
+    # stop at GRADED_RERUNS
+    (162, 30, [90, 180, 360])], ids=["k144-top-ups", "k162-exact-zeros"])
+def test_graded_series_tops_up_then_doubles(monkeypatch, k, m_max, runs):
+    precs = []                  # the relative precision of each kernel run
+    real = weights._charpoly_graded
+    monkeypatch.setattr(weights, "_charpoly_graded",
+                        lambda grades, rows, p, prec, terms: precs.append(prec)
+                        or real(grades, rows, p, prec, terms))
+    need = certificate_need(3, m_max, 30)
+    g = graded_char_series.__wrapped__(3, k, 30, need)
+    assert precs == runs
+    assert g.precisions[0] == runs[-1]
 
 
 def _blank_residues(p, k, size, need):
@@ -436,7 +469,8 @@ def _short_residues(p, k, size, need):
 @pytest.mark.parametrize("short", [_blank_residues, _short_residues])
 def test_short_graded_congruence_falls_back_to_the_exact_series(monkeypatch,
                                                                 short):
-    # both tries leave a row open, so the pair reads the exact series
+    # the one graded read leaves a row open, so the pair reads the exact
+    # series
     exact = _exact_congruence(monkeypatch, 0, 18, 8, 16)
     monkeypatch.setattr(weights, "graded_char_series", short)
     calls = []
@@ -451,8 +485,8 @@ def test_settled_congruence_makes_no_crt_call(monkeypatch):
     calls = []
     crt = charseries.charpoly_crt
     monkeypatch.setattr(charseries, "charpoly_crt",
-                        lambda rows, p: calls.append(len(rows))
-                        or crt(rows, p))
+                        lambda rows, p, minima: calls.append(len(rows))
+                        or crt(rows, p, minima))
     # uncached, so an exact series would reach the spy
     monkeypatch.setattr(weights, "cuspidal_char_series",
                         cuspidal_char_series.__wrapped__)
