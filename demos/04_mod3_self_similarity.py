@@ -35,7 +35,7 @@ print("\nupper minors of Kbar nonzero at:", nonzero)
 # behind each surviving minor sits exactly one permutation whose selection
 # against Kbar is all-nonzero ("excellent"); elsewhere there are none
 for m in (1, 2, 3, 4, 5, 13):
-    count, wits = enumerate_excellent(m)
+    count, wits = enumerate_excellent(m, rows)
     print("degree %2d: %d excellent permutation(s) %s"
           % (m, count, wits if count else ""))
 

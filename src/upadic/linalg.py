@@ -1,12 +1,12 @@
 """Exact linear algebra modulo word-size primes and their products: the one
 prime pool of the package, its chunk size, the kernel of an integer system
-and the characteristic polynomial of an integer matrix modulo any integer,
-and the symmetric CRT lift back to the integers; and the characteristic
-polynomial of a graded matrix diag(p^c) K from K modulo a power of p, with
-the precision of each coefficient proven.  The two characteristic
-polynomials differ in their Hessenberg reductions (unit pivots modulo any
-integer, p-adic pivots with grade drops) and share one recurrence.  Every
-row reduction of the package happens here.
+modulo any integer, and the symmetric CRT lift back to the integers; and
+the characteristic polynomial of a graded matrix diag(p^c) K from K modulo
+a power of p, with the precision of each coefficient proven.  The
+characteristic polynomial of an integer matrix modulo any integer is that
+graded one at precision 1 with every grade 0, so one Hessenberg reduction
+and one recurrence serve both.  Every row reduction of the package happens
+here.
 """
 
 from bisect import insort
@@ -130,51 +130,13 @@ def _mod_kernel(rows, modulus):
     return out
 
 
-def _charpoly_mod(a, p):
-    """char poly coefficients c_0..c_n of det(tI - A) mod p, via similarity
-    reduction to Hessenberg form and _hessenberg_charpoly with every grade
-    0; returns [1, c_1, ..., c_n].
-
-    p may be composite: every step is a ring operation or the inverse of a
-    unit, so the result reduced mod each prime factor of p is that prime's
-    result.  Returns None when a pivot is not a unit mod p, which cannot
-    happen for prime p.
-    """
-    n = len(a)
-    h = [[x % p for x in row] for row in a]
-    for k in range(n - 2):
-        piv = next((r for r in range(k + 1, n) if h[r][k]), None)
-        if piv is None:
-            continue
-        if piv != k + 1:
-            h[k + 1], h[piv] = h[piv], h[k + 1]
-            for row in h:
-                row[k + 1], row[piv] = row[piv], row[k + 1]
-        try:
-            inv = pow(h[k + 1][k], -1, p)
-        except ValueError:
-            return None
-        # H <- L H L^-1 for L = I - sum_i f_i e_i e_(k+1)^T.  The factors
-        # commute, so every row i > k+1 loses f_i times the unchanged row
-        # k+1, and then column k+1 gains sum_i f_i times column i.
-        fs = [h[i][k] * inv % p for i in range(k + 2, n)]
-        if not any(fs):
-            continue
-        hk1 = h[k + 1][k:]
-        for i, f in enumerate(fs, k + 2):
-            if f:
-                h[i][k:] = [(x - f * y) % p for x, y in zip(h[i][k:], hk1)]
-        for row in h:
-            row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % p
-    return _hessenberg_charpoly(h, [0] * n, p, [1], n)[0]
-
-
 def _hessenberg_charpoly(h, grades, mod, pw, terms):
     """Coefficients 0..terms of det(1 - tH) for H = diag(p^grades) h upper
     Hessenberg, as (B, G): coefficient j is p^(G[j]) B[j] modulo
     p^(G[j]) mod, G[j] the sum of the j smallest grades, where pw[e] = p^e
-    for e < len(pw) and mod = p^len(pw).  With every grade 0 and pw = [1]
-    this is the plain recurrence modulo any integer mod.
+    for e < len(pw) and mod = p^len(pw).  With every grade 0 and pw = [1],
+    as _charpoly_mod runs it, this is the plain recurrence modulo any
+    integer mod.
 
     p_m(t) = det(tI - H_m) = (t - h_mm) p_(m-1) - sum_i c_i p_(m-1-i), with
     c_i = h_(m-i),m times the product of the i subdiagonal entries above row
@@ -238,8 +200,8 @@ def _sym_crt(residues, moduli):
 
 def _charpoly_graded(grades, rows, p, prec, terms):
     """Coefficients a_0..a_terms of det(1 - tH) for H = diag(p^grades) K,
-    K the integer matrix ``rows`` and p prime, each modulo a proven power of
-    p.  Returns (residues, precisions) with v_p(a_m - residues[m]) >=
+    K the integer matrix ``rows`` and p prime (any modulus at precision 1,
+    below), each modulo a proven power of p.  Returns (residues, precisions) with v_p(a_m - residues[m]) >=
     precisions[m]; a residue is an integer unless its grade is negative.
 
     Only a matrix S = K mod p^prec is stored, under the invariant that row
@@ -265,6 +227,13 @@ def _charpoly_graded(grades, rows, p, prec, terms):
     m rows, so a_m is known modulo p^(G_m + prec), G_m the sum of the m
     smallest final grades; _hessenberg_charpoly carries the grades through
     the recurrence.
+
+    At precision 1 with every grade 0, p may be any modulus m > 1.  Every
+    nonzero entry of S then has valuation 0, so the pivot is the first
+    nonzero row, no row drops its grade and every shift c_i - c_piv is 0:
+    each step is a ring operation or the inverse of a unit modulo m, and the
+    result reduced modulo each prime factor of m is that prime's.  A pivot
+    that is not a unit modulo a composite m makes pow raise ValueError.
     """
     n = len(rows)
     mod = p ** prec
@@ -282,7 +251,8 @@ def _charpoly_graded(grades, rows, p, prec, terms):
             for row in h:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
         pv, cp = vals[k + 1], c[k + 1]
-        inv = pow(h[k + 1][k] // p ** pv, -1, mod)
+        ppv = p ** pv
+        inv = pow(h[k + 1][k] // ppv, -1, mod)
         hk1 = h[k + 1][k:]
         fs = []
         for i in range(k + 2, n):
@@ -294,10 +264,12 @@ def _charpoly_graded(grades, rows, p, prec, terms):
                 scale = p ** (pv - w)
                 h[i][k:] = [x * scale % mod for x in h[i][k:]]
                 c[i] -= pv - w
-            g = h[i][k] // p ** pv * inv % mod
+            g = h[i][k] // ppv * inv % mod
             h[i][k:] = [(x - g * y) % mod for x, y in zip(h[i][k:], hk1)]
             d = c[i] - cp
             fs.append(g * p ** d % mod if d >= 0 else g // p ** -d)
+        if not any(fs):
+            continue
         for row in h:
             row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % mod
     residues, precisions = [], []
@@ -306,3 +278,13 @@ def _charpoly_graded(grades, rows, p, prec, terms):
         residues.append(b * p ** g if g >= 0 else Fraction(b, p ** -g))
         precisions.append(g + prec)
     return residues, precisions
+
+
+def _charpoly_mod(a, m):
+    """Coefficients [1, c_1, ..., c_n] of det(tI - A) modulo any integer m > 1,
+    the graded reduction at precision 1 with every grade 0; None when a
+    pivot is not a unit modulo m, which cannot happen for a prime m."""
+    try:
+        return _charpoly_graded([0] * len(a), a, m, 1, len(a))[0]
+    except ValueError:
+        return None

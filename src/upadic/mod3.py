@@ -6,6 +6,7 @@ survive over F_3.
 """
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .linalg import _charpoly_mod
 from .scalars import INF
@@ -18,7 +19,8 @@ class F3BiSeries:
 
     Multiplying series with Laurent (negative-exponent) factors shrinks the
     reliable window; the arithmetic here tracks that conservatively via the
-    minimal total degree of each operand's support.
+    minimal total degree of each operand's support.  The coefficients are a
+    read-only mapping, so a cached series cannot be changed.
     """
 
     __slots__ = ("data", "known_upto", "min_total")
@@ -29,7 +31,7 @@ class F3BiSeries:
             v %= 3
             if v and i + j <= known_upto:
                 clean[(i, j)] = v
-        self.data = clean
+        self.data = MappingProxyType(clean)
         if min_total is None:
             min_total = min((i + j for (i, j) in clean), default=0)
         self.min_total = min_total
@@ -246,17 +248,15 @@ def upper_minor_f3(rows, m):
     return (-1) ** m * _charpoly_mod(corner, 3)[-1] % 3
 
 
-def enumerate_excellent(m, rows=None):
+def enumerate_excellent(m, rows):
     """Count degree-m permutations pi whose selection against the upper
-    m x m corner of Kbar is all-nonzero; returns (count, witnesses), the
-    first four found.
+    m x m corner of Kbar, read from rows (kbar_rows(s) for any s >= m), is
+    all-nonzero; returns (count, witnesses), the first four found.
 
     Permutations are returned 1-indexed as tuples (pi(1), ..., pi(m)).
     Backtracking over the sparse nonzero support; the bandwidth of Kbar
     keeps this immediate for m <= 13.
     """
-    if rows is None:
-        rows = kbar_rows(max(m, 1))
     support = [[j + 1 for j in range(m) if rows[i][j]] for i in range(m)]
     count = 0
     witnesses = []
@@ -302,11 +302,10 @@ def recursive_witness_permutation(i):
     return pi
 
 
-def is_excellent(pi, rows=None):
-    """Whether the selection of Kbar along (1..m) and pi is all-nonzero."""
+def is_excellent(pi, rows):
+    """Whether the selection of Kbar along (1..m) and pi is all-nonzero, Kbar
+    read from rows (kbar_rows(s) for any s >= m)."""
     m = len(pi)
     if sorted(pi) != list(range(1, m + 1)):
         raise ValueError("not a permutation")
-    if rows is None:
-        rows = kbar_rows(m)
     return all(rows[i - 1][pi[i - 1] - 1] for i in range(1, m + 1))

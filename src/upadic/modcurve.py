@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
 from operator import mul
+from types import MappingProxyType
 
 from .scalars import val_p
 from .series import PrecisionError, QSeries, eta_quotient
@@ -152,7 +153,8 @@ def verify_eisenstein_power(p):
 
 
 class HPoly:
-    """The degree-(p+1) integer polynomial with d_p * j = H_p(d_p)."""
+    """The degree-(p+1) integer polynomial with d_p * j = H_p(d_p).  The
+    coefficients are a tuple, so a cached H_p cannot be changed."""
 
     def __init__(self, p, coeffs):
         if len(coeffs) != p + 2:
@@ -165,7 +167,7 @@ class HPoly:
         if not all(isinstance(c, int) for c in coeffs):
             raise ValueError("H_%d must have integer coefficients" % p)
         self.p = p
-        self.coeffs = list(coeffs)
+        self.coeffs = tuple(coeffs)
 
     def degree(self):
         return len(self.coeffs) - 1
@@ -210,10 +212,12 @@ def check_hauptmodul_polygon(p):
 
 
 class BiPoly:
-    """A finitely supported bivariate polynomial/Laurent polynomial in (x, y)."""
+    """A finitely supported bivariate polynomial/Laurent polynomial in (x, y).
+    The terms are a read-only mapping, so a cached I_p cannot be changed."""
 
     def __init__(self, terms):
-        self.terms = {k: v for k, v in terms.items() if v != 0}
+        self.terms = MappingProxyType({k: v for k, v in terms.items()
+                                       if v != 0})
 
     def get(self, i, j):
         return self.terms.get((i, j), 0)

@@ -10,6 +10,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 from upadic import modcurve, umatrix, charseries, tables, weights
 
+SRC = os.path.dirname(os.path.dirname(modcurve.__file__))
 CRITERIA_PRINTED = set()
 
 
@@ -38,7 +40,8 @@ def full_reports(tmp_path_factory):
     procs = [subprocess.Popen(
         [sys.executable, "-m", "upadic.cli", "verify", "--suite", "all",
          "--out", str(out)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=dict(os.environ, PYTHONPATH=SRC))
         for out in outs]
     codes = [proc.wait(timeout=3600) for proc in procs]
     texts = [out.read_bytes() for out in outs]

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,10 +13,13 @@ from upadic.charseries import CoefficientRecord, certify
 from upadic.cli import main
 from upadic.serialize import val_str
 
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "upadic.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
 
 
 def test_ipoly_json(tmp_path):

@@ -186,6 +186,17 @@ def test_charpoly_mod_is_leverrier_reduced(rows):
         assert _charpoly_mod(rows, modulus) == [a % modulus for a in want]
 
 
+def test_charpoly_mod_is_none_on_a_non_unit_pivot():
+    # the pivot of column 0 is row 1, whose entry q1 is not a unit modulo
+    # q1 q2; modulo each prime alone the reduction goes through
+    q1, q2 = _prime_pool(2)
+    rows = [[2, 7, 1, 8], [q1, 2, 8, 1], [8, 2, 8, 4], [5, 9, 0, 4]]
+    want = charpoly_leverrier(rows)
+    assert _charpoly_mod(rows, q1 * q2) is None
+    for q in (q1, q2):
+        assert _charpoly_mod(rows, q) == [a % q for a in want]
+
+
 def test_upper_f3_minors_are_determinants():
     rows = kbar_rows(13)
     for m in range(14):

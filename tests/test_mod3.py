@@ -17,6 +17,17 @@ def test_gbar0_display():
     assert gbar0().data == {(1, 1): 1, (2, 2): 2, (3, 1): 1}
 
 
+def test_cached_gbar_is_immutable():
+    # kbar_rows reads the cached Gbar, so an edit to it would reach Kbar
+    g = gbar(20)
+    with pytest.raises(AttributeError):
+        g.data.clear()
+    with pytest.raises(TypeError):
+        g.data[(1, 1)] = 0
+    assert gbar(20) is g
+    assert g == gbar.__wrapped__(20)
+
+
 def test_r_factor_constant_term():
     for i in range(3):
         assert r_factor(i).data[(0, 0)] == 1
@@ -135,7 +146,7 @@ def test_excellent_counts():
 
 
 def test_excellent_witness_m4():
-    count, wits = enumerate_excellent(4)
+    count, wits = enumerate_excellent(4, kbar_rows(4))
     assert count == 1 and wits == [(1, 4, 3, 2)]
 
 
@@ -145,9 +156,9 @@ def test_recursive_witness_recursion():
     assert recursive_witness_permutation(2) == (1, 4, 3, 2)
     pi13 = recursive_witness_permutation(3)
     assert len(pi13) == 13 and sorted(pi13) == list(range(1, 14))
-    assert is_excellent(pi13)
+    assert is_excellent(pi13, kbar_rows(13))
     # the unique degree-13 excellent permutation is the recursive one
-    assert enumerate_excellent(13)[1] == [pi13]
+    assert enumerate_excellent(13, kbar_rows(13))[1] == [pi13]
 
 
 def test_recursive_witness_degree_40_excellent():
@@ -158,4 +169,4 @@ def test_recursive_witness_degree_40_excellent():
 
 def test_excellence_rejects_non_permutation():
     with pytest.raises(ValueError):
-        is_excellent((1, 1, 2))
+        is_excellent((1, 1, 2), kbar_rows(3))

@@ -61,7 +61,7 @@ def test_eisenstein_power_identity(p):
 
 def test_hauptmodul_poly_p2():
     h = solve_hauptmodul_poly(2)
-    assert h.coeffs == [1, 768, 196608, 16777216]  # (1 + 2^8 d)^3
+    assert h.coeffs == (1, 768, 196608, 16777216)  # (1 + 2^8 d)^3
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -194,6 +194,23 @@ def test_ip_tables_exact():
     assert ip_poly(2).terms == tables.IP2
     assert ip_poly(3).terms == tables.IP3
     assert ip_poly(5).terms == tables.IP5
+
+
+def test_cached_ip_poly_is_immutable():
+    # every later U matrix at p = 3 is built from the cached I_3
+    ip = ip_poly(3)
+    with pytest.raises(TypeError):
+        ip.terms[(1, 1)] += 3
+    assert ip_poly(3) is ip
+    assert ip.terms == tables.IP3
+
+
+def test_cached_hauptmodul_poly_is_immutable():
+    h = solve_hauptmodul_poly(3)
+    with pytest.raises(TypeError):
+        h.coeffs[1] += 1
+    assert solve_hauptmodul_poly(3) is h
+    assert h == solve_hauptmodul_poly.__wrapped__(3)
 
 
 def test_ip_two_routes_agree():
