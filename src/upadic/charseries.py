@@ -123,8 +123,7 @@ def charpoly_crt(rows, p, minima):
 class CharSeries:
     """Coefficients a_0..a_t of det(1 - tM) for a truncation of U, known
     modulo proven powers of p: v_p(a_m - residues[m]) >= precisions[m], INF
-    for an exact a_m.  a_0 = 1 is exact: a graded series's precisions[0],
-    the kernel's relative precision, decides nothing."""
+    for an exact a_m.  a_0 = 1 is exact on every route."""
 
     def __init__(self, p, residues, precisions, trunc_size):
         if residues[0] != 1:
@@ -132,7 +131,7 @@ class CharSeries:
                              % (residues[0],))
         self.p = p
         self.residues = tuple(residues)
-        self.precisions = tuple(precisions)
+        self.precisions = (INF, *precisions[1:])
         self.trunc_size = trunc_size
 
     def valuation(self, m):
@@ -148,17 +147,11 @@ def _known_valuation(x, pi, p):
     return v if pi == INF or v < pi else None
 
 
-def char_series_trunc(m, minima):
-    """Exact characteristic series of a UMatrix given its scaled row minima."""
-    coeffs = charpoly_crt(m.rows, m.p, minima)
-    return CharSeries(m.p, coeffs, [INF] * len(coeffs), m.n)
-
-
 def full_series(q):
     """The full characteristic series (1 - t) Q from the cuspidal Q:
     P_m = a_m - a_(m-1), known to the lesser of the two precisions.  a_0 = 1
     is exact, and so is a_(size+1) = 0 when Q has every coefficient."""
-    a, pis = q.residues, (INF,) + q.precisions[1:]
+    a, pis = q.residues, q.precisions
     if len(a) == q.trunc_size + 1:
         a, pis = a + (0,), pis + (INF,)
     return CharSeries(q.p, [1, *map(sub, a[1:], a)],
@@ -238,12 +231,13 @@ def certify(q1, q2, m_max):
     None unless the residues settle every record (exact series always do).
 
     Enlarging the truncation changes each coefficient by an error of
-    valuation at least the truncation bound T_m, so the observed valuation is
-    exact once it sits strictly below T_m.  Both residues must prove their
-    valuation and both precisions reach T_m; the second truncation is an
-    independent recomputation, whose valuation must coincide and whose
-    difference from the first, known modulo p^(T_m), must be divisible as
-    the certificate predicts.
+    valuation at least the truncation bound T_m, so the observed valuation
+    v of the first truncation is exact once it sits strictly below T_m.  Its
+    residue must prove v and both precisions reach T_m; the second
+    truncation is an independent recomputation, which must agree with the
+    first modulo p^(T_m), as the certificate predicts.  Below T_m that
+    congruence gives the second truncation the valuation v too, and at or
+    above T_m no record is certified, so its valuation is never read.
     """
     p = q1.p
     if q2.trunc_size <= q1.trunc_size:
@@ -252,13 +246,11 @@ def certify(q1, q2, m_max):
                          % (q2.trunc_size, q1.trunc_size))
     out = [CoefficientRecord(0, 0, INF, True)]         # a_0 = 1
     for m in range(1, m_max + 1):
-        v, v2 = q1.valuation(m), q2.valuation(m)
+        v = q1.valuation(m)
         bound = trunc_bound(p, m, q1.trunc_size)
-        if (v is None or v2 is None
-                or min(q1.precisions[m], q2.precisions[m]) < bound):
+        if v is None or min(q1.precisions[m], q2.precisions[m]) < bound:
             return None
-        agree = (v == v2 and val_p(q1.residues[m] - q2.residues[m], p)
-                 >= bound)
+        agree = val_p(q1.residues[m] - q2.residues[m], p) >= bound
         out.append(CoefficientRecord(m, v, bound, agree))
     return out
 

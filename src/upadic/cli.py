@@ -14,8 +14,7 @@ import sys
 from . import modcurve, umatrix, charseries, weights
 from .verify import PARABOLA_SIZE, PARABOLA_TERMS, SUITES, run_suites
 from .serialize import (dump_json, dump_csv, matrix_json, bipoly_json,
-                        charseries_json, polygon_json, val_str, int_str,
-                        OutputError)
+                        charseries_json, polygon_json, val_str, OutputError)
 from .modcurve import GENUS_ZERO_PRIMES
 
 
@@ -143,7 +142,7 @@ def cmd_newton(args):
 def cmd_twist(args):
     t = weights.twist_matrix(args.weight, args.size)
     doc = {"weight": t.k, "size": t.size, "n_parameter": t.n_param,
-           "subdiagonal_coefficients": [int_str(r) for r in t.rho],
+           "subdiagonal_coefficients": [str(r) for r in t.rho],
            "scaled_valuations": [val_str(t.scaled_entry_valuation(m))
                                  for m in range(t.size + 1)]}
     dump_json(doc, args.out)

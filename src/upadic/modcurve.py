@@ -115,7 +115,7 @@ def d_expansion(f, dpows):
     """
     coeffs = []
     lo, prec = f.start, f.prec
-    res = f.c + [0] * (prec - lo - len(f.c))
+    res = list(f.c) + [0] * (prec - lo - len(f.c))
     for i, dpow in enumerate(dpows):
         if i >= prec:
             raise PrecisionError("coefficient of q^%d unknown (precision %d)"

@@ -15,14 +15,6 @@ if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
 
 
-def int_str(x):
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return "%d/%d" % (x.numerator, x.denominator)
-    return str(x)
-
-
 def val_str(v):
     """A valuation as "inf" or its exact rational, "n" or "n/d"; TypeError
     on anything else, None included."""
@@ -36,7 +28,7 @@ def val_str(v):
 def scalar_json(x):
     if isinstance(x, QuadInt3):
         return {"a": str(x.a), "b": str(x.b)}
-    return int_str(x)
+    return str(x)
 
 
 def matrix_json(m):
@@ -46,13 +38,13 @@ def matrix_json(m):
 
 
 def bipoly_json(bp):
-    return {"terms": [{"i": i, "j": j, "coeff": int_str(c)}
+    return {"terms": [{"i": i, "j": j, "coeff": str(c)}
                       for (i, j), c in sorted(bp.terms.items())]}
 
 
 def charseries_json(q, weight, records):
     return {"prime": q.p, "weight": weight, "truncation_size": q.trunc_size,
-            "coefficients": [int_str(c) for c in q.residues],
+            "coefficients": [str(c) for c in q.residues],
             "certified": [{"m": r.m, "valuation": val_str(r.v_obs),
                            "truncation_bound": val_str(r.bound),
                            "certified": r.certified} for r in records]}

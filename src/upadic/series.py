@@ -28,19 +28,17 @@ class QSeries:
     __slots__ = ("start", "prec", "c")
 
     def __init__(self, start, coeffs, prec):
-        c = [_norm(x) for x in coeffs]
-        # canonical form: no leading or trailing zeros, length <= prec - start
-        while c and c[0] == 0:
-            c.pop(0)
-            start += 1
-        if start + len(c) > prec:
-            c = c[:prec - start] if prec > start else []
-        while c and c[-1] == 0:
-            c.pop()
-        if not c:
-            start = prec
-        if start > prec:
-            raise ValueError("start exceeds precision")
+        c = tuple(map(_norm, coeffs))
+        # canonical form: no leading or trailing zeros, length <= prec - start;
+        # a tuple, so that no caller can change a cached series
+        lo = next((i for i, x in enumerate(c) if x != 0), len(c))
+        hi = min(len(c), prec - start)
+        while hi > lo and c[hi - 1] == 0:
+            hi -= 1
+        if hi <= lo:
+            start, c = prec, ()
+        else:
+            start, c = start + lo, c[lo:hi]
         self.start = start
         self.prec = prec
         self.c = c
@@ -145,8 +143,10 @@ class QSeries:
     __rmul__ = __mul__
 
     def shift(self, k):
-        """Multiply by q^k."""
-        return QSeries(self.start + k, list(self.c), self.prec + k)
+        """Multiply by q^k: the same canonical coefficients, shared."""
+        out = QSeries.__new__(QSeries)
+        out.start, out.c, out.prec = self.start + k, self.c, self.prec + k
+        return out
 
     def truncate(self, prec):
         if prec >= self.prec:

@@ -17,12 +17,11 @@ from .scalars import INF, vp_int
 from .series import QSeries, _sparse_power, eta_quotient
 from .modcurve import d_series, d_expansion, eisenstein, ip_poly, powers
 from .newton import NewtonPolygon
-from . import umatrix
+from . import charseries, umatrix
 from .linalg import _charpoly_graded
-from .charseries import (CharSeries, char_series_trunc, certify,
-                         check_scaled_integrality, full_series, trunc_bound,
-                         m_index, parabola_floor, polygon_from_records,
-                         _known_valuation)
+from .charseries import (CharSeries, certify, check_scaled_integrality,
+                         full_series, trunc_bound, m_index, parabola_floor,
+                         polygon_from_records, _known_valuation)
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +199,9 @@ def _cuspidal_matrix(p, k, size):
 def cuspidal_char_series(p, k, size):
     """Exact characteristic series of the weight-k cuspidal matrix."""
     m = _cuspidal_matrix(p, k, size)
-    return char_series_trunc(m, umatrix.check_row_bounds(m, weight=k))
+    coeffs = charseries.charpoly_crt(m.rows, p,
+                                     umatrix.check_row_bounds(m, weight=k))
+    return CharSeries(p, coeffs, [INF] * len(coeffs), size)
 
 
 # Reruns of the graded kernel per series at most, of each kind: top-ups by
@@ -377,23 +378,17 @@ def _differences(f1, f2, m_max):
     return None if any(v is None for v in vals) else vals
 
 
-def _graded_differences(k, k2, m_max, size):
-    """_differences of the full series of weights k and k2, from their graded
-    residues at the certificate's need: None when those leave a row open."""
-    need = certificate_need(3, m_max, size)
-    return _differences(*(full_series(graded_char_series(3, w, size, need))
-                          for w in (k, k2)), m_max)
-
-
 def congruence_check(k, k2, m_max, size):
     """v_3 of coefficient differences of the full series for two weights.
 
     With k2 - k = 2 * 3^n * l (3 not dividing l), every coefficient
     difference must have v_3 >= n+1; the margin against the strengthened
     candidate bound (adapted quadratic term + n + 1) is measured and
-    reported, not asserted.  The valuations come from _graded_differences
-    when those prove them, else from the exact series; either way they are
-    the valuations of the exact differences.
+    reported, not asserted.  The valuations come from the graded residues
+    at the certificate's need when those prove them, else from the exact
+    series; either way they are the valuations of the exact differences.
+    A row is sound when both truncation bounds behind P_m = a_m - a_(m-1)
+    reach n+1, since each a_m is known only to its own bound T_m.
     """
     if k == k2:
         raise ValueError("weights must differ")
@@ -408,23 +403,26 @@ def congruence_check(k, k2, m_max, size):
         raise ValueError("m_max = %d exceeds size + 1 = %d: the full series "
                          "of a size-%d truncation stops at a_%d"
                          % (m_max, size + 1, size, size + 1))
-    vals = (_graded_differences(k, k2, m_max, size)
+    need = certificate_need(3, m_max, size)
+    vals = (_differences(*(full_series(graded_char_series(3, w, size, need))
+                            for w in (k, k2)), m_max)
             or _differences(*(full_series(cuspidal_char_series(3, w, size))
                               for w in (k, k2)), m_max))
     rows = []
     ok = True
+    required = n + 1
     for m in range(0, m_max + 1):
         v = vals[m]
-        need = n + 1
-        sound = m == 0 or trunc_bound(3, m, size) >= need
-        passed = v >= need and sound
+        sound = m == 0 or min(trunc_bound(3, m, size),
+                              trunc_bound(3, m - 1, size)) >= required
+        passed = v >= required and sound
         ok &= passed
         margin = None
         if m >= 2:
-            cand = dimension_gap_infimum(3, m - 2) + n + 1
+            cand = dimension_gap_infimum(3, m - 2) + required
             margin = v - cand if v != INF else None
-        rows.append({"m": m, "v_diff": v, "required": need, "pass": passed,
-                     "strengthened_candidate_margin": margin})
+        rows.append({"m": m, "v_diff": v, "required": required,
+                     "pass": passed, "strengthened_candidate_margin": margin})
     return {"k": k, "k2": k2, "n": n, "rows": rows, "pass": ok}
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from fractions import Fraction
@@ -14,7 +15,7 @@ from upadic.modcurve import GENUS_ZERO_PRIMES
 from upadic.umatrix import UMatrix, build_matrix_genfun
 from upadic import charseries, umatrix, weights
 from upadic.charseries import (CharSeries, CoefficientRecord, certify, charpoly_leverrier,
-                               charpoly_crt, char_series_trunc, full_series,
+                               charpoly_crt, full_series,
                                row_bound, trunc_bound,
                                check_scaled_integrality, parabola_floor, m_index,
                                equality_indices_upto, equality_set, secant_line,
@@ -29,7 +30,8 @@ def _crt(rows, p):
 
 
 def _exact(m):
-    return char_series_trunc(m, umatrix.scaled_row_minima(m.rows, m.p))
+    coeffs = _crt(m.rows, m.p)
+    return CharSeries(m.p, coeffs, [INF] * len(coeffs), m.n)
 
 
 def test_charpoly_zero_and_diag():
@@ -181,8 +183,10 @@ def test_full_series_precisions():
     assert full_series(q).precisions == (INF,) * 4
     # graded residues of every coefficient of a size-2 truncation: P_m is
     # known to the lesser precision of a_m and a_(m-1), a_0 = 1 and
-    # a_3 = 0 exactly; precisions[0] = 7 is the kernel's, not a_0's
-    g = full_series(CharSeries(3, [1, 3, 9], [7, 5, 4], 2))
+    # a_3 = 0 exactly.  The kernel's 7 for a_0 is not kept: a_0 is exact
+    q = CharSeries(3, [1, 3, 9], [7, 5, 4], 2)
+    assert q.precisions == (INF, 5, 4)
+    g = full_series(q)
     assert g.residues == (1, 2, 6, -9)
     assert g.precisions == (INF, 5, 4, 4)
     # a_0..a_2 of a size-5 truncation: no P_3, since a_3 is not 0
@@ -204,6 +208,55 @@ def test_valuation_reads_only_what_the_residue_proves():
                    1) is None
     assert certify(exact, CharSeries(3, [1, 0, 18], [INF] * 3, 3),
                    2) is not None
+
+
+def _certify_reading_both_valuations(q1, q2, m_max, bounds):
+    # the earlier rule: both valuations proven, and equal where they agree
+    out = [(0, 0, True)]
+    for m in range(1, m_max + 1):
+        v, v2 = q1.valuation(m), q2.valuation(m)
+        bound = bounds[m - 1]
+        if (v is None or v2 is None
+                or min(q1.precisions[m], q2.precisions[m]) < bound):
+            return None
+        agree = (v == v2 and val_p(q1.residues[m] - q2.residues[m], 3)
+                 >= bound)
+        out.append((m, v, agree and v < bound))
+    return out
+
+
+def _powers(t, top):
+    return st.lists(st.builds(lambda u, e: u * 3 ** e, st.integers(-4, 4),
+                              st.integers(0, top)), min_size=t, max_size=t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_certify_reads_one_valuation_where_it_read_two(data):
+    # residue pairs r and r + delta, each known to a drawn precision near a
+    # drawn truncation bound; wherever the earlier rule returns records,
+    # certify returns the same valuations and certificates
+    t = data.draw(st.integers(1, 3))
+    bounds = data.draw(st.lists(st.builds(Fraction, st.integers(2, 16),
+                                          st.sampled_from([1, 2])),
+                                min_size=t, max_size=t))
+    r1 = data.draw(_powers(t, 9))
+    r2 = [r + d for r, d in zip(r1, data.draw(_powers(t, 20)))]
+    pis = [data.draw(st.lists(st.one_of(
+               st.just(INF), st.integers(math.ceil(b) - 1, math.ceil(b) + 3)),
+               min_size=2, max_size=2)) for b in bounds]
+    q1 = CharSeries(3, [1, *r1], [INF, *(pi[0] for pi in pis)], 4)
+    q2 = CharSeries(3, [1, *r2], [INF, *(pi[1] for pi in pis)], 14)
+    with mock.patch.object(charseries, "trunc_bound",
+                           lambda p, m, n: bounds[m - 1]):
+        new = certify(q1, q2, t)
+    old = _certify_reading_both_valuations(q1, q2, t, bounds)
+    if old is not None:
+        assert [(r.m, r.v_obs, r.certified) for r in new] == old
+    elif new is not None:
+        # only an unproven second valuation, which certifies nothing
+        unproven = [r for r in new[1:] if q2.valuation(r.m) is None]
+        assert unproven and not any(r.certified for r in unproven)
 
 
 def test_row_bound_values():

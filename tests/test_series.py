@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from upadic.series import QSeries, PrecisionError, _sparse_power, eta_quotient
+from upadic.modcurve import d_series
 
 
 def geometric(prec):
@@ -17,12 +18,23 @@ def delta(prec):
 
 def test_geometric_inverse():
     one = QSeries(0, [1, -1], 30) * geometric(29)
-    assert one.c == [1] and one.start == 0
+    assert one.c == (1,) and one.start == 0
+
+
+def test_a_cached_series_cannot_be_changed():
+    # the coefficients are a tuple, so no caller of the cached d_series can
+    # change what every later caller reads
+    d = d_series(3, 30)
+    with pytest.raises(TypeError):
+        d.c[1] += 1
+    assert d_series(3, 30).coeff(2) == 12
+    # and multiplying by q^k shares them instead of copying
+    assert d.shift(2).c is d.c
 
 
 def test_laurent_bookkeeping():
     prod = QSeries(-1, [1], 5) * QSeries(1, [1], 5)
-    assert prod.start == 0 and prod.c == [1]
+    assert prod.start == 0 and prod.c == (1,)
 
 
 def test_delta_inverse_roundtrip():
@@ -39,9 +51,9 @@ def test_inv_rejects_zero():
 
 
 def test_inv_one_and_alternating():
-    assert QSeries.const(1, 8).inv().c == [1]
+    assert QSeries.const(1, 8).inv().c == (1,)
     i = QSeries(0, [1, 1], 8).inv()
-    assert i.c == [1, -1, 1, -1, 1, -1, 1, -1]
+    assert i.c == (1, -1, 1, -1, 1, -1, 1, -1)
 
 
 def test_inv_delta_over_q_integral():
@@ -82,7 +94,7 @@ def test_u_extract():
         QSeries(-1, [1, 0, 1], 10).u_extract(2)
     # negative exponents divisible by p are fine
     f = QSeries(-2, [1], 10).u_extract(2)
-    assert f.start == -1 and f.c == [1]
+    assert f.start == -1 and f.c == (1,)
 
 
 @st.composite
@@ -141,7 +153,7 @@ def test_mul_precision_with_laurent_shift():
 
 
 def test_eta_quotient_trivial():
-    assert eta_quotient([], 10).c == [1]
+    assert eta_quotient([], 10).c == (1,)
     dq = eta_quotient([(1, 24)], 8)
     assert dq.coeffs_from(0, 5) == [1, -24, 252, -1472, 4830]
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -96,8 +98,8 @@ def test_weight_zero_twist_is_the_identity():
     assert TwistMatrix(0, 5).rho == (1, 0, 0, 0, 0, 0)
 
 
-def test_twist_routes_claim_fails_on_a_perturbed_rho(monkeypatch):
-    assert verify.twist_routes_claim()["pass"]
+def _rho_moved(monkeypatch):
+    # rho_7 of every twist moved by 3^20, well within the twist bounds
     real = weights.twist_coefficients
 
     def perturbed(k, size):
@@ -106,6 +108,11 @@ def test_twist_routes_claim_fails_on_a_perturbed_rho(monkeypatch):
         return rho
 
     monkeypatch.setattr(weights, "twist_coefficients", perturbed)
+
+
+def test_twist_routes_claim_fails_on_a_perturbed_rho(monkeypatch):
+    assert verify.twist_routes_claim()["pass"]
+    _rho_moved(monkeypatch)
     claim = verify.twist_routes_claim()
     assert not claim["pass"]
     assert claim["observed"] == "differ for k = [6, 162, -6]"
@@ -382,8 +389,8 @@ def test_exact_route_reads_the_row_minima_once(monkeypatch):
         rows, 3, minima(rows, 3)))
 
 
-def test_graded_residues_claim_fails_on_one_perturbed_residue(monkeypatch):
-    assert verify.graded_residues_claim()["pass"]
+def _residue_moved(monkeypatch):
+    # a_5 of every graded series moved by p^(precision - 1)
     real = weights.graded_char_series
 
     def perturbed(p, k, size, need):
@@ -393,6 +400,11 @@ def test_graded_residues_claim_fails_on_one_perturbed_residue(monkeypatch):
         return CharSeries(p, res, g.precisions, size)
 
     monkeypatch.setattr(weights, "graded_char_series", perturbed)
+
+
+def test_graded_residues_claim_fails_on_one_perturbed_residue(monkeypatch):
+    assert verify.graded_residues_claim()["pass"]
+    _residue_moved(monkeypatch)
     claim = verify.graded_residues_claim()
     assert not claim["pass"]
     assert claim["observed"] == "differ at (k, m) = [(0, 5), (162, 5)]"
@@ -401,7 +413,7 @@ def test_graded_residues_claim_fails_on_one_perturbed_residue(monkeypatch):
 def _exact_congruence(monkeypatch, *args):
     # the report of the exact route: residues that never prove a valuation
     with monkeypatch.context() as m:
-        m.setattr(weights, "_graded_differences", lambda *a: None)
+        m.setattr(weights, "graded_char_series", _blank_residues)
         return congruence_check(*args)
 
 
@@ -445,25 +457,21 @@ def test_graded_series_tops_up_then_doubles(monkeypatch, k, m_max, runs):
     need = certificate_need(3, m_max, 30)
     g = graded_char_series.__wrapped__(3, k, 30, need)
     assert precs == runs
-    assert g.precisions[0] == runs[-1]
 
 
 def _blank_residues(p, k, size, need):
-    # residues known modulo p^0, which prove nothing; a_0 = 1 is exact, and
-    # the difference route never reads it
+    # residues known modulo p^0, which prove nothing but the exact a_0 = 1
     return CharSeries(p, [1] + [0] * len(need), [0] * (len(need) + 1), size)
 
 
 def _short_residues(p, k, size, need):
-    # the weight-18 residues cut to one trit above their grade floor, so a
-    # difference is known only that far, whatever the other weight's
-    # precision
+    # the weight-18 residues cut to one trit of precision, so a difference
+    # is known only that far, whatever the other weight's precision
     g = graded_char_series(p, k, size, need)
     if k != 18:
         return g
-    pis = [pi - g.precisions[0] + 1 for pi in g.precisions]
-    return CharSeries(p, [r % p ** pi for r, pi in zip(g.residues, pis)],
-                        pis, size)
+    return CharSeries(p, [r % p for r in g.residues], [1] * len(g.residues),
+                      size)
 
 
 @pytest.mark.parametrize("short", [_blank_residues, _short_residues])
@@ -503,7 +511,7 @@ def test_suite_congruence_claims_do_not_depend_on_the_route(monkeypatch):
                         lambda *a: calls.append(a) or real(*a))
     claims = verify.suite_congruence()
     assert calls == []                      # the residues settle every pair
-    monkeypatch.setattr(weights, "_graded_differences", lambda *a: None)
+    monkeypatch.setattr(weights, "graded_char_series", _blank_residues)
     assert verify.suite_congruence() == claims
     assert len(calls) == 12
     assert all(c["pass"] for c in claims)
@@ -516,6 +524,17 @@ def test_congruence_m_max_beyond_the_series_is_a_usage_error(monkeypatch):
     rep = congruence_check(0, 6, 13, 12)
     assert len(rep["rows"]) == 14
     assert rep == _exact_congruence(monkeypatch, 0, 6, 13, 12)
+
+
+def test_congruence_row_soundness_reads_both_truncation_bounds():
+    # weights 0 and 486 = 2 * 3^5 need v_3 >= 6.  At size 1, T_1 = 5 and
+    # T_2 = 7: P_2 = a_2 - a_1 is proven only to T_1, so row 2 is unsound
+    # too, whatever its v_diff
+    assert [trunc_bound(3, m, 1) for m in (1, 2)] == [5, 7]
+    rep = congruence_check(0, 486, 2, 1)
+    assert [(r["v_diff"], r["pass"]) for r in rep["rows"]] == [
+        (INF, True), (9, False), (9, False)]
+    assert not rep["pass"]
 
 
 def test_congruence_negative_m_max_is_a_usage_error():
@@ -562,3 +581,103 @@ def test_slope_floor_claims_read_each_residue(monkeypatch, p, k, cid,
     monkeypatch.setattr(weights, "cuspidal_char_series", _no_exact)
     failed = [c["id"] for c in verify.slope_floor_claims() if not c["pass"]]
     assert failed == [cid]
+
+
+def _at(name, arg, change):
+    """Patch weights.name to pass its value at the first argument arg
+    through change."""
+    def patch(monkeypatch):
+        orig = getattr(weights, name)
+        monkeypatch.setattr(weights, name, lambda a, *rest: change(
+            orig(a, *rest)) if a == arg else orig(a, *rest))
+    return patch
+
+
+def _graded(builder):
+    """Patch graded_char_series with builder."""
+    return lambda monkeypatch: monkeypatch.setattr(
+        weights, "graded_char_series", builder)
+
+
+def _scaled_residue(k0, m, c):
+    # the residue a_m of every weight-k0 graded series multiplied by c
+    def builder(p, k, size, need):
+        g = graded_char_series(p, k, size, need)
+        if k != k0:
+            return g
+        res = list(g.residues)
+        res[m] *= c
+        return CharSeries(p, res, g.precisions, size)
+    return builder
+
+
+WEIGHTS_STEMS = ["hauptmodul-tower", "s-eisenstein", "s-squared-unit",
+                 "s-ratio-hauptmodul", "twist-divisibility",
+                 "twist-routes-agree", "graded-residues-agree",
+                 "twist-bounds", "weight-contact", "slope-distribution",
+                 "unit-congruence", "p2-slope-floor", "p3-slope-floor",
+                 "oldform-window"]
+# one named perturbation per weights claim family, in report order.  Each
+# patches a function above the caches it reaches, or below them only at
+# arguments the suite has already cached, so no perturbed value is stored
+WEIGHTS_MUTATIONS = [
+    # d_9 gains a q^150, beyond the q^70 that s-ratio-hauptmodul compares
+    ("hauptmodul-tower", _at("d9_series", 201,
+                             lambda d: d + QSeries(150, [1], d.prec))),
+    ("s-eisenstein", _at("s_eisenstein_character", 60,
+                         lambda s: s + QSeries(40, [1], s.prec))),
+    ("s-squared-unit", _at("s_series", 60, lambda s: s.scalar_mul(2))),
+    ("s-ratio-hauptmodul", _at("s_over_vs", 80,
+                               lambda f: f + QSeries(60, [1], f.prec))),
+    # r_2 of the d_3 expansion moved by 3, which 27 does not divide
+    ("twist-divisibility", _at("s_over_vs", 64,
+                               lambda f: f + QSeries(2, [3], f.prec))),
+    ("twist-routes-agree", _rho_moved),
+    ("graded-residues-agree", _residue_moved),
+    # v_3(rho_1) of weight 6 drops to 1, below ceil(3/2)
+    ("twist-bounds-k6", _at("twist_coefficients", 6,
+                            lambda rho: [rho[0], rho[1] + 3, *rho[2:]])),
+    # v_3(a_1) from 2 to 3 for k = 36, which only this claim reads
+    ("weight-contact-l2-n1", _graded(_scaled_residue(36, 1, 3))),
+    # the slope of the first band of k = 162 becomes 3, outside [2, 2]
+    ("slope-distribution-n3", _graded(_scaled_residue(162, 1, 3))),
+    # E_4 gains a q^3, which moves the q^3 coefficient of the ratio by 1
+    ("unit-congruence-p5-n0", _at("eisenstein", 4,
+                                  lambda e: e + QSeries(3, [1], e.prec))),
+    ("p2-slope-floor", _graded(_perturbed_floor_residue(2, 0, 9, False))),
+    ("p3-slope-floor-k18",
+     _graded(_perturbed_floor_residue(3, 18, 9, False))),
+    # v_3(a_1) from 2 to 3 for k = 18: no contact at m_1 = 1
+    ("oldform-window-n1", _graded(_scaled_residue(18, 1, 3))),
+]
+
+
+def _weights_stem(cid):
+    return re.sub(r"(-[klnp]\d+)+$", "", cid)
+
+
+@pytest.fixture(scope="module")
+def weights_ids():
+    # the unperturbed suite passes and leaves every cache it reads warm
+    claims = verify.suite_weights()
+    assert all(c["pass"] for c in claims)
+    return [c["id"] for c in claims]
+
+
+def test_the_mutation_table_names_every_weights_claim_family(weights_ids):
+    assert [_weights_stem(cid) for cid, _ in WEIGHTS_MUTATIONS] == WEIGHTS_STEMS
+    assert all(cid in weights_ids for cid, _ in WEIGHTS_MUTATIONS)
+    assert {_weights_stem(cid) for cid in weights_ids} == set(WEIGHTS_STEMS)
+
+
+@pytest.mark.parametrize("cid,perturb", WEIGHTS_MUTATIONS,
+                         ids=[cid for cid, _ in WEIGHTS_MUTATIONS])
+def test_a_perturbation_fails_its_weights_claim(monkeypatch, weights_ids, cid,
+                                                perturb):
+    perturb(monkeypatch)
+    claims = verify.suite_weights()
+    assert [c["id"] for c in claims] == weights_ids
+    claim = {c["id"]: c for c in claims}[cid]
+    # failed by observation, not by raising
+    assert not claim["pass"]
+    assert not re.match(r"\w+Error: ", claim["observed"])
