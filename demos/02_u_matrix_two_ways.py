@@ -5,8 +5,8 @@
 # the whole theory run.
 
 from upadic.umatrix import (build_matrix_oracle, build_matrix_genfun,
-                            entry_bound_violations, scaled_row_bound_report,
-                            kbar)
+                            entry_bound_violations, row_bound,
+                            scaled_row_minima, kbar)
 from upadic.scalars import vp_int
 from upadic.modcurve import e_exponent
 
@@ -29,9 +29,9 @@ print("v_3(M_11) =", vp_int(m.entry(1, 1), 3),
 # For p=3 the natural rescaling 3^((3/2)(j-i)) M_ij lands in Z[sqrt(3)].
 # Row i is divisible by 3^(3i-1), and that exponent is attained in every row:
 g12 = build_matrix_genfun(3, 12)
-for row in scaled_row_bound_report(g12)[:4]:
+for i, r in enumerate(scaled_row_minima(g12.rows, 3)[:4], 1):
     print("row %d: min valuation %s, attains 3i-1: %s"
-          % (row["row"], row["min_valuation"], row["attains_3i_minus_1"]))
+          % (i, r, r == row_bound(3, i)))
 
 # Factoring the row divisibility out, M' = diag(3^(3i-1)) * K, and K mod
 # sqrt(3) is a matrix over F_3 whose first row is concentrated in column 1.

@@ -208,13 +208,12 @@ def equality_indices_upto(m_max):
 class CoefficientRecord:
     """Certification record for one characteristic-series coefficient."""
 
-    __slots__ = ("m", "v_obs", "bound", "agree", "certified")
+    __slots__ = ("m", "v_obs", "bound", "certified")
 
     def __init__(self, m, v_obs, bound, agree):
         self.m = m
         self.v_obs = v_obs
         self.bound = bound
-        self.agree = agree
         self.certified = bool(agree and v_obs < bound)
 
     def lower_bound(self):
@@ -277,23 +276,6 @@ def secant_line(i, m):
     a, b = m_index(i), m_index(i + 1)
     ya, yb = parabola_floor(a), parabola_floor(b)
     return ya + Fraction(yb - ya, b - a) * (m - a)
-
-
-def secant_upper(i, m, records):
-    """The two-sided pinch at m_i < m < m_(i+1): parabola < polygon <= secant.
-
-    records must certify the relevant coefficient range; the polygon is
-    evaluated on proven lower bounds, so a pass here is rigorous.
-    """
-    a, b = m_index(i), m_index(i + 1)
-    if not a < m < b:
-        raise ValueError("m must lie strictly between %d and %d" % (a, b))
-    hull = polygon_from_records(records)
-    low = hull.value_at(m)
-    sec = secant_line(i, m)
-    par = parabola_floor(m)
-    return {"m": m, "parabola": par, "polygon": low, "secant": sec,
-            "pass": par < low <= sec}
 
 
 def polygon_from_records(records):

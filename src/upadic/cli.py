@@ -102,9 +102,7 @@ def cmd_charpoly(args):
         return 2
     q = weights.cuspidal_char_series(p, args.weight, size)
     recs = weights.stable_valuations(p, args.weight, args.terms, size)
-    doc = charseries_json(q, args.weight, recs)
-    doc["coefficients"] = doc["coefficients"][:args.terms + 1]
-    dump_json(doc, args.out)
+    dump_json(charseries_json(q, args.weight, recs), args.out)
     return 0
 
 

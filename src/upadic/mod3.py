@@ -232,7 +232,6 @@ def vanishing_check(window):
     return sorted(bad)
 
 
-@lru_cache(maxsize=None)
 def kbar_rows(size):
     """Kbar as a size x size matrix over F_3: entry (i, j) is the coefficient
     of x^i y^j in Gbar (1-indexed)."""
@@ -244,6 +243,9 @@ def kbar_rows(size):
 def upper_minor_f3(rows, m):
     """Determinant over F_3 of the upper m x m corner: (-1)^m times the
     constant term of its characteristic polynomial det(tI - A)."""
+    if m > len(rows):
+        raise ValueError("no upper %d x %d minor in a %d x %d matrix"
+                         % (m, m, len(rows), len(rows)))
     corner = [row[:m] for row in rows[:m]]
     return (-1) ** m * _charpoly_mod(corner, 3)[-1] % 3
 

@@ -44,7 +44,7 @@ def bipoly_json(bp):
 
 def charseries_json(q, weight, records):
     return {"prime": q.p, "weight": weight, "truncation_size": q.trunc_size,
-            "coefficients": [str(c) for c in q.residues],
+            "coefficients": [str(c) for c in q.residues[:len(records)]],
             "certified": [{"m": r.m, "valuation": val_str(r.v_obs),
                            "truncation_bound": val_str(r.bound),
                            "certified": r.certified} for r in records]}

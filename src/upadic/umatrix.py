@@ -258,24 +258,6 @@ def scaled_matrix_p3(m):
     return UMatrix(3, m.n, rows, basis=SCALED_P3, provenance=m.provenance)
 
 
-def scaled_row_bound_report(m):
-    """For each row of the p=3 scaled matrix of m, its minimal entry
-    valuation.
-
-    Distinguishes the two candidate row bounds 3i-1 and 3i: the report says
-    which rows attain 3i-1 exactly (making 3i-1 the tight bound) and whether
-    any row violates either candidate.
-    """
-    if m.p != 3:
-        raise ValueError("the row-bound report is specific to p=3")
-    report = []
-    for i, r in enumerate(scaled_row_minima(m.rows, 3), 1):
-        report.append({"row": i, "min_valuation": r,
-                       "attains_3i_minus_1": r == row_bound(3, i),
-                       "meets_3i": r >= 3 * i})
-    return report
-
-
 def kbar(m):
     """K mod sqrt3 for the p=3 matrix m, where M' = diag(3^(3i-1)) K.
 

@@ -141,8 +141,9 @@ def suite_umatrix():
                 "the scaled p=3 matrix attains the row bound 3i-1 in every "
                 "row 1..13 (so 3i-1 is the operative bound, not 3i)",
                 "attained in rows 1..13") as observe:
-        tight = [r["row"] for r in umatrix.scaled_row_bound_report(m)[:13]
-                 if r["attains_3i_minus_1"]]
+        minima = umatrix.scaled_row_minima(m.rows, 3)
+        tight = [i for i in range(1, 14)
+                 if minima[i - 1] == umatrix.row_bound(3, i)]
         observe("attained in rows %r" % tight, tight == list(range(1, 14)))
     with _claim(claims, "dk-row1-unit",
                 "after factoring out diag(3^(3i-1)), row 1 of K mod sqrt3 is "
@@ -196,9 +197,11 @@ def suite_p3_parabola(terms=PARABOLA_TERMS, size=PARABOLA_SIZE):
                 "strictly between consecutive contact points the polygon lies "
                 "strictly above the parabola and at or below the secant "
                 "through them", "holds") as observe:
+        hull = charseries.polygon_from_records(recs)
         bad = [m for i in range(len(mis) - 1)
                for m in range(mis[i] + 1, min(mis[i + 1], terms + 1))
-               if not charseries.secant_upper(i, m, recs)["pass"]]
+               if not (charseries.parabola_floor(m) < hull.value_at(m)
+                       <= charseries.secant_line(i, m))]
         observe("violated at %r" % bad if bad else "holds", not bad)
     return claims
 

@@ -24,7 +24,6 @@ from .charseries import (CharSeries, certify, check_scaled_integrality,
                          polygon_from_records, _known_valuation)
 
 
-@lru_cache(maxsize=None)
 def s_series(prec):
     """S = (Delta^3 / Delta(q^3))^(1/8) = prod (1-q^n)^9 (1-q^3n)^-3,
     the weight-3 level-3 Eisenstein series with the quadratic character."""
@@ -44,7 +43,6 @@ def s_eisenstein_character(prec):
     return QSeries(0, [1] + [-9 * s for s in sig[1:]], prec)
 
 
-@lru_cache(maxsize=None)
 def d9_series(prec):
     """The hauptmodul of X_0(9): (Delta(q^9)/Delta(q))^(1/8)."""
     return eta_quotient([(9, 3), (1, -3)], max(prec - 1, 0)).shift(1)
@@ -146,7 +144,6 @@ class TwistMatrix:
         return bad
 
 
-@lru_cache(maxsize=None)
 def twist_matrix(k, size):
     t = TwistMatrix(k, size)
     bad = t.check_bounds()

@@ -398,14 +398,12 @@ def test_polygon_from_records_uses_lower_bounds():
 
 
 def test_secant_upper_pinch():
-    recs = stable_valuations(3, 0, 13, 20)
-    from upadic.charseries import secant_upper
-    rep = secant_upper(1, 2, recs)
-    assert rep["pass"] and rep["secant"] == 10 and rep["parabola"] == 7
-    rep = secant_upper(2, 5, recs)
-    assert rep["pass"] and rep["secant"] == 52
-    with pytest.raises(ValueError):
-        secant_upper(1, 4, recs)
+    hull = polygon_from_records(stable_valuations(3, 0, 13, 20))
+    # between the contact points 1 and 4, and between 4 and 13
+    assert secant_line(1, 2) == 10 and parabola_floor(2) == 7
+    assert parabola_floor(2) < hull.value_at(2) <= secant_line(1, 2)
+    assert secant_line(2, 5) == 52
+    assert parabola_floor(5) < hull.value_at(5) <= secant_line(2, 5)
 
 
 def test_newton_polygon_helper():

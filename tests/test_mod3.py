@@ -139,6 +139,13 @@ def test_minor_pattern_to_13():
     assert nz == [0, 1, 4, 13]
 
 
+def test_upper_minor_past_the_matrix_is_refused():
+    # the upper 5 x 5 minor of Kbar is 0; four rows of it cannot say so
+    assert upper_minor_f3(kbar_rows(6), 5) == 0
+    with pytest.raises(ValueError, match="5 x 5 minor in a 4 x 4"):
+        upper_minor_f3(kbar_rows(4), 5)
+
+
 def test_excellent_counts():
     rows = kbar_rows(13)
     counts = {m: enumerate_excellent(m, rows)[0] for m in range(1, 14)}

@@ -193,3 +193,67 @@ def test_verify_catches_exceptions_only_in_the_claim_helper():
     source = (SRC / "verify.py").read_text()
     assert _handlers_outside(source, {"_claim", "_run_one"}) == []
     assert _handlers_outside(source, set()) != []
+
+
+# every lru_cache in the package, with what re-reads a stored value: a cache
+# that nothing re-reads only holds memory and makes warm timings misleading
+CACHES = {
+    "mod3:gbar": "kbar_rows and the factorization, extraction, vanishing "
+                 "and self-similarity checks, at the same windows",
+    "mod3:r_factor": "gbar_j and cbar_j, once per factor of each product",
+    "modcurve:bernoulli": "its own recurrence, and eisenstein at each weight",
+    "modcurve:eisenstein": "verify_eisenstein_power and "
+                           "weights.eisenstein_unit_congruence",
+    "modcurve:delta_series": "verify_eisenstein_power",
+    "modcurve:j_series": "verify_eisenstein_power",
+    "modcurve:d_series": "certify_ip_laurent, weights.expand_in_d3 and "
+                         "weights.eisenstein_unit_congruence",
+    "modcurve:solve_hauptmodul_poly": "check_hauptmodul_polygon and "
+                                      "modular_equation_ip",
+    "modcurve:modular_equation_ip": "ip_poly, after the modcurve suite",
+    "modcurve:practical_ip_fit": "ip_poly and the modcurve suite",
+    "modcurve:ip_poly": "every U-matrix build, uk_matrix and "
+                        "charseries.check_scaled_integrality",
+    "umatrix:build_matrix_oracle": "the entry-bound claims of the umatrix "
+                                   "suite",
+    "umatrix:build_matrix_genfun": "weights._cuspidal_matrix, for the graded "
+                                   "and the exact series of one size",
+    "weights:s_over_vs": "the twist-divisibility claims, once per weight",
+    "weights:uk_matrix": "weights._cuspidal_matrix, for the graded and the "
+                         "exact series of one size",
+    "weights:cuspidal_char_series": "stable_valuations' exact fallback "
+                                    "after charpoly built the series (weight "
+                                    "162, size 30)",
+    "weights:graded_char_series": "stable_valuations and congruence_check, "
+                                  "across the claims of one weight",
+    "weights:dimension_gap_infimum": "congruence_check, at every m of "
+                                     "every weight pair",
+}
+
+
+def _cached_functions(source, module):
+    """'module:name' of each function of a module that lru_cache decorates."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                name = dec.attr if isinstance(dec, ast.Attribute) else dec.id
+                if name == "lru_cache":
+                    found.append("%s:%s" % (module, node.name))
+    return found
+
+
+def test_cached_functions_are_found():
+    source = ("import functools\nfrom functools import lru_cache\n"
+              "@lru_cache(maxsize=None)\ndef a(n):\n    return n\n"
+              "@functools.lru_cache\ndef b(n):\n    return n\n"
+              "@staticmethod\ndef c(n):\n    return n\n")
+    assert _cached_functions(source, "m") == ["m:a", "m:b"]
+
+
+def test_every_cache_is_pinned():
+    # a new cache, or one dropped, is a reviewed change to CACHES above
+    found = [f for path in sorted(SRC.glob("*.py"))
+             for f in _cached_functions(path.read_text(), path.stem)]
+    assert sorted(found) == sorted(CACHES)

@@ -22,7 +22,7 @@ MOD3_IDS = ["selfsim-base", "selfsim-printed-erratum", "selfsim-full",
             "cube-extraction", "vanishing", "cube-ladder",
             "gbar-factorization", "minor-pattern", "excellent-counts",
             "excellent-minor-consistency", "recursive-witness-degree-40"]
-CACHES = (mod3.gbar, mod3.r_factor, mod3.kbar_rows)
+CACHES = (mod3.gbar, mod3.r_factor)
 
 
 @pytest.fixture
@@ -272,7 +272,7 @@ def _row_times(i, c):
 
 
 # one named perturbation per umatrix claim family, with the caches it reaches:
-# each patches one cached builder, which must not hand it a stored matrix
+# each patches one builder, and a cached one must not hand it a stored matrix
 GENFUN, ORACLE = umatrix.build_matrix_genfun, umatrix.build_matrix_oracle
 UMATRIX_MUTATIONS = [
     ("cross-method-p3", _matrix("build_matrix_genfun", 3, 15,
@@ -284,7 +284,7 @@ UMATRIX_MUTATIONS = [
                                        _row_times(5, 3)), [GENFUN]),
     ("dk-row1-unit", _matrix("build_matrix_genfun", 3, 40,
                              _entry(1, 1, lambda x: 3 * x)), [GENFUN]),
-    ("kbar-generating-function", _kbar({(1, 2): 1}), [mod3.kbar_rows]),
+    ("kbar-generating-function", _kbar({(1, 2): 1}), []),
 ]
 
 
@@ -373,8 +373,19 @@ def test_a_perturbation_fails_its_parabola_claim(monkeypatch, cid, perturb):
     assert not re.match(r"\w+: ", claim["observed"])
 
 
-TWIST_CACHES = (weights.twist_matrix, weights.uk_matrix,
-                weights.cuspidal_char_series, weights.graded_char_series)
+def test_the_secant_claim_builds_one_hull(monkeypatch):
+    # one polygon serves every m between the contact points 1, 4 and 13
+    calls = []
+    orig = charseries.polygon_from_records
+    monkeypatch.setattr(charseries, "polygon_from_records",
+                        lambda recs: calls.append(1) or orig(recs))
+    claims = verify.suite_p3_parabola(13, 20)
+    assert all(c["pass"] for c in claims)
+    assert len(calls) == 1
+
+
+TWIST_CACHES = (weights.uk_matrix, weights.cuspidal_char_series,
+                weights.graded_char_series)
 
 
 @pytest.fixture

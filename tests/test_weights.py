@@ -316,7 +316,7 @@ def _exact_records(p, k, m_max, size):
 
 
 def _fields(recs):
-    return [(r.m, r.v_obs, r.bound, r.agree, r.certified) for r in recs]
+    return [(r.m, r.v_obs, r.bound, r.certified) for r in recs]
 
 
 @pytest.mark.parametrize("p, k, m_max, size", [
