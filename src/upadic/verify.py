@@ -209,8 +209,8 @@ def suite_p3_parabola(terms=PARABOLA_TERMS, size=PARABOLA_SIZE):
 def suite_mod3():
     claims = []
     window, minor_range = 40, 45
-    rows13 = mod3.kbar_rows(13)
-    counts = {m: mod3.enumerate_excellent(m, rows13)[0] for m in range(1, 14)}
+    rows = mod3.kbar_rows(minor_range)
+    counts = {m: mod3.enumerate_excellent(m, rows)[0] for m in range(1, 14)}
     with _claim(claims, "selfsim-base",
                 "the degree-1 self-similarity identity holds exactly: "
                 "Gbar_1 = (1 + y/x + (y/x)^2) Gbar_0^3 + tail",
@@ -256,7 +256,6 @@ def suite_mod3():
                 "the upper m x m minor of Kbar over F_3 is nonzero exactly at "
                 "m = (3^i - 1)/2, m <= %d" % minor_range,
                 "%r" % want) as observe:
-        rows = mod3.kbar_rows(minor_range)
         nz = [m for m in range(0, minor_range + 1)
               if mod3.upper_minor_f3(rows, m)]
         observe("%r" % nz, nz == want)
@@ -269,7 +268,7 @@ def suite_mod3():
                 "zero excellent count forces a zero minor; a unique count "
                 "forces a nonzero minor (counts and minors reported "
                 "separately)", "consistent") as observe:
-        ok = all((counts[m] == 0) == (mod3.upper_minor_f3(rows13, m) == 0)
+        ok = all((counts[m] == 0) == (mod3.upper_minor_f3(rows, m) == 0)
                  for m in range(1, 14))
         observe("consistent" if ok else "inconsistent", ok)
     with _claim(claims, "recursive-witness-degree-40",
@@ -277,7 +276,7 @@ def suite_mod3():
                 "(constructive witness for the m=40 contact)",
                 "excellent") as observe:
         pi40 = mod3.recursive_witness_permutation(4)
-        ok = len(pi40) == 40 and mod3.is_excellent(pi40, mod3.kbar_rows(40))
+        ok = len(pi40) == 40 and mod3.is_excellent(pi40, rows)
         observe("excellent" if ok else "not excellent", ok)
     return claims
 

@@ -201,8 +201,7 @@ def cuspidal_char_series(p, k, size):
     return CharSeries(p, coeffs, [INF] * len(coeffs), size)
 
 
-# Reruns of the graded kernel per series at most, of each kind: top-ups by
-# the shortfall, and doublings while a valuation is unproven.
+# Reruns of the graded kernel per series at most, whatever their cause.
 GRADED_RERUNS = 2
 
 
@@ -212,28 +211,25 @@ def graded_char_series(p, k, size, need):
     from the graded kernel: need[m - 1] is the absolute precision wanted
     for a_m.
 
-    The first run is at relative precision max_m need_m - G_m, G_m the sum
-    of the m smallest grades of umatrix.graded.  A run that grade drops
-    leave short is topped up by the largest shortfall; one that meets every
-    need but leaves a valuation unknown (a residue 0 modulo its precision)
-    is doubled.  Each kind of rerun happens at most GRADED_RERUNS times;
-    then the last run stands, and certify decides what it settles.
+    The first run is at relative precision N = max_m need_m - G_m, G_m the
+    sum of the m smallest grades of umatrix.graded.  A run that grade drops
+    leave short, s the largest shortfall, or that leaves a valuation unknown
+    (a residue 0 modulo its precision) is rerun at max(N + s, 2N) if one is
+    unknown, else at N + s.  After GRADED_RERUNS reruns in all, the last
+    run stands, and certify decides what it settles.
     """
     grades, krows = umatrix.graded(_cuspidal_matrix(p, k, size), weight=k)
     lows = accumulate(sorted(grades))
     prec = max([t - g for t, g in zip(need, lows)] + [1])
-    top_ups = doublings = GRADED_RERUNS
+    reruns = GRADED_RERUNS
     while True:
         g = CharSeries(p, *_charpoly_graded(grades, krows, p, prec, len(need)),
                        size)
         short = max([t - pi for t, pi in zip(need, g.precisions[1:])] + [0])
-        if short and top_ups:
-            top_ups, prec = top_ups - 1, prec + short
-        elif (not short and doublings
-              and None in map(g.valuation, range(1, len(g.residues)))):
-            doublings, prec = doublings - 1, 2 * prec
-        else:
+        unknown = None in map(g.valuation, range(1, len(g.residues)))
+        if not (short or unknown) or not reruns:
             return g
+        reruns, prec = reruns - 1, prec + max(short, prec if unknown else 0)
 
 
 def certificate_need(p, m_max, size):

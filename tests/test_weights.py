@@ -426,8 +426,8 @@ def _no_exact(*args):
 def test_graded_congruence_rows_equal_the_exact_ones(monkeypatch, k, k2,
                                                       m_max, size):
     # one graded read per weight.  (138, 156) has v_diff 648 and 724 at
-    # m = 19 and 20, above what one doubling proves (precisions 646 and
-    # 696), so the series' own second doubling settles them
+    # m = 19 and 20, and each series' second doubling knows the differences
+    # there to 798 and 848, above them
     exact = _exact_congruence(monkeypatch, k, k2, m_max, size)
     calls = []
     real = weights.graded_char_series
@@ -441,21 +441,25 @@ def test_graded_congruence_rows_equal_the_exact_ones(monkeypatch, k, k2,
         assert [r["v_diff"] for r in rep["rows"][19:]] == [648, 724]
 
 
-@pytest.mark.parametrize("k, m_max, runs", [
-    # two top-ups by the shortfall, then two doublings while a_14 .. a_20
-    # keep valuations above their precisions
-    (144, 20, [90, 91, 97, 194, 388]),
+@pytest.mark.parametrize("k, m_max, size, runs", [
+    # short by a trit and with a_14 .. a_20 unknown: each rerun doubles,
+    # which also covers the shortfall
+    (144, 20, 30, [90, 180, 360]),
     # a_21 .. a_30 are exactly 0, which no precision proves: the doublings
     # stop at GRADED_RERUNS
-    (162, 30, [90, 180, 360])], ids=["k144-top-ups", "k162-exact-zeros"])
-def test_graded_series_tops_up_then_doubles(monkeypatch, k, m_max, runs):
+    (162, 30, 30, [90, 180, 360]),
+    # short after grade drops, every valuation known: topped up by the
+    # shortfall alone, not doubled
+    (0, 45, 60, [180, 209])],
+    ids=["k144-short-and-unknown", "k162-exact-zeros", "k0-short-only"])
+def test_graded_series_reruns_by_one_rule(monkeypatch, k, m_max, size, runs):
     precs = []                  # the relative precision of each kernel run
     real = weights._charpoly_graded
     monkeypatch.setattr(weights, "_charpoly_graded",
                         lambda grades, rows, p, prec, terms: precs.append(prec)
                         or real(grades, rows, p, prec, terms))
-    need = certificate_need(3, m_max, 30)
-    g = graded_char_series.__wrapped__(3, k, 30, need)
+    need = certificate_need(3, m_max, size)
+    graded_char_series.__wrapped__(3, k, size, need)
     assert precs == runs
 
 
@@ -502,6 +506,27 @@ def test_settled_congruence_makes_no_crt_call(monkeypatch):
     assert calls == []
     weights.cuspidal_char_series(3, 0, 6)      # the spy sees an exact series
     assert calls == [6]
+
+
+def test_benchmark_congruence_pairs_make_15_kernel_runs(monkeypatch):
+    # the seed-0 pairs of the benchmark's congruence workload, at its
+    # m_max 20 and size 30, from cold graded series: 7 weights, 15 runs
+    runs, crt_calls = [], []
+    kernel = weights._charpoly_graded
+    monkeypatch.setattr(weights, "_charpoly_graded",
+                        lambda *a: runs.append(a[3]) or kernel(*a))
+    crt = charseries.charpoly_crt
+    monkeypatch.setattr(charseries, "charpoly_crt",
+                        lambda rows, p, minima: crt_calls.append(len(rows))
+                        or crt(rows, p, minima))
+    monkeypatch.setattr(weights, "cuspidal_char_series",
+                        cuspidal_char_series.__wrapped__)
+    graded_char_series.cache_clear()
+    for k, k2 in [(18, 42), (42, 48), (48, 84), (84, 114), (114, 138),
+                  (138, 156)]:
+        assert congruence_check(k, k2, 20, 30)["pass"]
+    assert len(runs) == 15
+    assert crt_calls == []
 
 
 def test_suite_congruence_claims_do_not_depend_on_the_route(monkeypatch):
