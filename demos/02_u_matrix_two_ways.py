@@ -5,8 +5,7 @@
 # the whole theory run.
 
 from upadic.umatrix import (build_matrix_oracle, build_matrix_genfun,
-                            entry_bound_violations, row_bound,
-                            scaled_row_minima, kbar)
+                            row_bound, scaled_row_minima, kbar)
 from upadic.scalars import vp_int
 from upadic.modcurve import e_exponent
 
@@ -21,8 +20,11 @@ print("U(d_3) =", " + ".join("%d d^%d" % (m.entry(i, 1), i)
 g = build_matrix_genfun(3, 8)
 print("oracle == genfun:", m.rows == g.rows)
 
-# Every entry obeys v_p(M_ij) >= e(pi - j) - 1.
-print("entry-bound violations:", entry_bound_violations(m))
+# Every entry obeys v_p(M_ij) >= e(pi - j) - 1, that is, every row of the
+# scaled matrix p^(e(j-i)) M_ij has valuation at least e(p-1)i - 1.
+print("scaled row minima against the row bound:",
+      [(str(r), str(row_bound(3, i)))
+       for i, r in enumerate(scaled_row_minima(m.rows, 3), 1)])
 print("v_3(M_11) =", vp_int(m.entry(1, 1), 3),
       " bound =", e_exponent(3) * (3 - 1) - 1)
 

@@ -7,7 +7,6 @@ the U-matrix recurrence.
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
-from operator import mul
 from types import MappingProxyType
 
 from .scalars import val_p
@@ -66,17 +65,23 @@ def j_series(prec):
     return (e4 ** 3) * delta_series(prec + 2).inv()
 
 
-@lru_cache(maxsize=None)
 def d_series(p, prec):
-    """The hauptmodul d_p = (Delta(q^p)/Delta(q))^(1/(p-1)) of X_0(p),
-    computed as the eta quotient q prod ((1-q^pn)/(1-q^n))^(24/(p-1))."""
-    if p not in GENUS_ZERO_PRIMES:
-        raise ValueError("X_0(%d) is not of genus 0" % p)
-    t = 24 // (p - 1)
-    d = eta_quotient([(p, t), (1, -t)], max(prec - 1, 0)).shift(1)
+    """The hauptmodul d_p = (Delta(q^p)/Delta(q))^(1/(p-1)) of X_0(p)."""
+    d = d_powers(p, 2, prec)[1]
     if not all(isinstance(x, int) for x in d.c):
         raise ValueError("d_%d has a non-integer coefficient" % p)
     return d
+
+
+def d_powers(p, count, prec):
+    """d_p^0, ..., d_p^(count-1) below q^prec, each the eta quotient
+    d_p^i = q^i prod ((1-q^pn)/(1-q^n))^(ti), t = 24/(p-1), by the power
+    recurrence and no product of powers."""
+    if p not in GENUS_ZERO_PRIMES:
+        raise ValueError("X_0(%d) is not of genus 0" % p)
+    t = 24 // (p - 1)
+    return [eta_quotient([(p, t * i), (1, -t * i)], max(prec - i, 0)).shift(i)
+            for i in range(count)]
 
 
 def _as_int(x, what="value"):
@@ -85,21 +90,6 @@ def _as_int(x, what="value"):
             raise ValueError("%s is not an integer: %s" % (what, x))
         return x.numerator
     return x
-
-
-def powers(d, count, prec):
-    """Yield 1, d, ..., d^(count-1), each truncated to precision prec.
-
-    Each product is taken against d truncated to what it can reach below
-    q^prec, so no coefficient at or past q^prec is computed; a power whose
-    operands know less keeps their lower precision.  Lazy, so that an
-    expansion that walks the powers once holds one of them at a time."""
-    d = d.truncate(prec)
-    power = QSeries.const(1, prec)
-    for i in range(count):
-        if i:
-            power = power * d.truncate(prec - power.start)
-        yield power
 
 
 def d_expansion(f, dpows):
@@ -190,7 +180,7 @@ def solve_hauptmodul_poly(p):
     prec = 3 * (p + 2) + 16
     d = d_series(p, prec)
     target = d * j_series(prec)
-    coeffs, residual = d_expansion(target, powers(d, p + 2, target.prec))
+    coeffs, residual = d_expansion(target, d_powers(p, p + 2, target.prec))
     if not residual.is_zero():
         raise ValueError("nonzero residual at exponent %d" % residual.valuation())
     return HPoly(p, coeffs)
@@ -230,27 +220,6 @@ class BiPoly:
     def y_part(self, j):
         """Coefficient of y^j, as a dict i -> coefficient."""
         return {i: v for (i, jj), v in self.terms.items() if jj == j}
-
-    def eval_series(self, fx, fy):
-        """Substitute q-series for x and y.
-
-        A product is known to the least relative precision of its factors,
-        so x^i y^j starts at q^(i sx + j sy) and is known for as many terms
-        as the least of rx (if i > 0) and ry (if j > 0), where fx and fy
-        start at q^sx and q^sy with relative precisions rx and ry.  The sum
-        is known only to the least of these precisions, so every power and
-        every product is taken to that precision and no further.
-        """
-        di, dj = self.bidegree()
-        sx, sy = fx.start, fy.start
-        rx, ry = fx.prec - sx, fy.prec - sy
-        prec = min(i * sx + j * sy + min(r for r, e in ((rx, i), (ry, j)) if e)
-                   for i, j in self.terms if i or j)
-        xp = list(powers(fx, di + 1, prec - min(0, dj * sy)))
-        yp = list(powers(fy, dj + 1, prec - min(0, di * sx)))
-        return sum(((xp[i].truncate(prec - yp[j].start)
-                     * yp[j].truncate(prec - xp[i].start)).scalar_mul(v)
-                    for (i, j), v in self.terms.items()), QSeries.zero(prec))
 
     def __eq__(self, other):
         return isinstance(other, BiPoly) and self.terms == other.terms
@@ -295,33 +264,37 @@ def modular_equation_ip(p):
         for a in range(1, p + 1) for b in range(1, p + 2 - a)}})
 
 
+def _ip_powers(p):
+    """1, x, ..., x^p and 1, d, ..., d^p for x = d(q^p) and d = d_p(q), to
+    the precision of certify_ip_laurent."""
+    prec = max(p * (p + 1) + 40, p * (p + 3) + 24)
+    dpows = d_powers(p, p + 1, prec)
+    return [f.v_substitute(p).truncate(prec) for f in dpows], dpows
+
+
 @lru_cache(maxsize=None)
 def practical_ip_fit(p, n_eq=None):
     """Find I_p by exact linear algebra: the bidegree-(p,p) polynomial with
     constant term 1 vanishing on (d_p(q^p), 1/d_p(q)).
 
-    The q-expansion of sum c_ij d(q^p)^i d(q)^(p-j) gives one integer linear
-    equation per coefficient.  The kernel of the system is taken modulo a
+    The q-expansion of sum c_ij d(q^p)^i d(q)^(p-j) below q^n_eq gives one
+    integer linear equation per coefficient, built and solved modulo a
     product M of _CHUNK pool primes, moving to the next chunk (at most three)
     when a pivot is not a unit or the kernel there is not one-dimensional.
     Scaled to c_00 = 1 and lifted to (-M/2, M/2], the vector must pass the
-    exact integer residual check on every equation.  That makes it the
-    unique I_p: the rank over each F_q is at most the rank over Q, so the
+    check of certify_ip_laurent, which covers every equation.  That makes it
+    the unique I_p: the rank over each F_q is at most the rank over Q, so the
     kernel over Q has dimension at most 1.
     """
     if n_eq is None:
         n_eq = p * (p + 1) + 40
-    d = d_series(p, n_eq + 2)
-    dp = d_series(p, n_eq // p + 2).v_substitute(p).truncate(n_eq + 2)
-    dpows = list(powers(d, p + 1, n_eq + 2))
-    vpows = list(powers(dp, p + 1, n_eq + 2))
+    xpows, dpows = _ip_powers(p)
     cols = [(i, j) for i in range(p + 1) for j in range(p + 1)]
-    series = [(vpows[i] * dpows[p - j]).coeffs_from(0, n_eq) for i, j in cols]
-    rows = list(zip(*series))
-
     primes = _prime_pool(3 * _CHUNK)
     for start in range(0, len(primes), _CHUNK):
         modulus = prod(primes[start:start + _CHUNK])
+        rows = list(zip(*([c % modulus for c in (xpows[i] * dpows[p - j])
+                           .coeffs_from(0, n_eq)] for i, j in cols)))
         kern = _mod_kernel(rows, modulus)
         if kern is not None:
             break
@@ -331,28 +304,36 @@ def practical_ip_fit(p, n_eq=None):
         raise ValueError("relation misses the constant term")
     scale = pow(kern[0], -1, modulus)
     vec = _sym_crt([[v * scale for v in kern]], [modulus])
-    if any(sum(map(mul, vec, row)) for row in rows):
+    fit = BiPoly(dict(zip(cols, vec)))
+    if not certify_ip_laurent(p, fit):
         raise ValueError("exact residual check failed")
-    return BiPoly(dict(zip(cols, vec)))
+    return fit
 
 
 def certify_ip_laurent(p, ip):
-    """Check I_p(d_p(q^p), 1/d_p(q)) = 0 to the working precision."""
-    prec = p * (p + 3) + 24
-    d = d_series(p, prec)
-    dp = d_series(p, prec // p + 2).v_substitute(p).truncate(prec)
-    val = ip.eval_series(dp, d.inv())
-    return val.is_zero()
+    """Check I_p(d_p(q^p), 1/d_p(q)) = 0 in the polynomial form
+    d^p I_p = sum_i x^i (sum_j c_ij d^(p-j)), x = d(q^p), below
+    q^max(p(p + 1) + 40, p(p + 3) + 24).  As d = q + O(q^2), d^p is q^p
+    times a unit, so that is the Laurent identity to p fewer terms.  A
+    relation of bidegree above (p, p) is rejected, not evaluated."""
+    if max(ip.bidegree()) > p:
+        return False
+    xpows, dpows = _ip_powers(p)
+    prec = dpows[0].prec
+    inner = [[0] * prec for _ in xpows]
+    for (i, j), c in ip.terms.items():
+        f, acc = dpows[p - j], inner[i]
+        acc[f.start:f.start + len(f.c)] = [a + c * b for a, b in
+                                           zip(acc[f.start:], f.c)]
+    return sum((x * QSeries(0, acc, prec - x.start)
+                for x, acc in zip(xpows, inner)), QSeries.zero(prec)).is_zero()
 
 
 @lru_cache(maxsize=None)
 def ip_poly(p):
-    """The canonical I_p: both construction routes must agree exactly, and the
-    Laurent-series identity must hold to working precision."""
+    """The canonical I_p: the exact fit, which passes certify_ip_laurent,
+    must agree exactly with the symbolic route."""
     fit = practical_ip_fit(p)
-    sym = modular_equation_ip(p)
-    if fit != sym:
+    if fit != modular_equation_ip(p):
         raise ValueError("the two I_%d routes disagree" % p)
-    if not certify_ip_laurent(p, fit):
-        raise ValueError("I_%d fails its Laurent-series certificate" % p)
     return fit

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .scalars import QuadInt3, val_quad3, val_p, vp_int, INF
 from .series import eta_quotient
-from .modcurve import (d_series, d_expansion, powers, ip_poly, e_exponent,
+from .modcurve import (d_expansion, d_powers, ip_poly, e_exponent,
                        GENUS_ZERO_PRIMES, _as_int)
 
 # the matrix generating function carries one global sign choice relative to
@@ -78,7 +78,7 @@ def build_matrix_oracle(p, n):
     # before u_extract q^j E^(-tj) therefore needs p*(p*n+GUARD)
     solve_prec = p * n + GUARD
     t = 24 // (p - 1)
-    dpows = list(powers(d_series(p, solve_prec), p * n + 1, solve_prec))
+    dpows = d_powers(p, p * n + 1, solve_prec)
     columns = []
     for j in range(1, n + 1):
         g = eta_quotient([(1, -t * j)], p * solve_prec - j).shift(j)
@@ -141,12 +141,11 @@ def row_bound(p, i):
 
 
 def entry_bound(p, basis, i, j):
-    """Proven lower bound on the valuation of entry (i, j): e(pi - j) - 1 in
-    the basis of powers of d_p, and the row bound 3i - 1 in the scaled p=3
-    basis."""
-    if basis == SCALED_P3:
-        return row_bound(3, i)
-    return e_exponent(p) * (p * i - j) - 1
+    """Proven lower bound on the valuation of entry (i, j): the row bound
+    less e(j - i), that is e(pi - j) - 1, in the basis of powers of d_p, and
+    the row bound 3i - 1 itself in the scaled p=3 basis."""
+    return row_bound(p, i) - (0 if basis == SCALED_P3 else
+                              e_exponent(p) * (j - i))
 
 
 def entry_valuation(m, i, j):
@@ -154,14 +153,6 @@ def entry_valuation(m, i, j):
     basis, an element of Z[sqrt3] with v(sqrt3) = 1/2."""
     x = m.entry(i, j)
     return val_quad3(x) if isinstance(x, QuadInt3) else val_p(x, m.p)
-
-
-def entry_bound_violations(m):
-    """Entries (i, j, x) of m with valuation below entry_bound; empty on
-    success."""
-    return [(i, j, m.entry(i, j))
-            for i in range(1, m.n + 1) for j in range(1, m.n + 1)
-            if entry_valuation(m, i, j) < entry_bound(m.p, m.basis, i, j)]
 
 
 def scaled_row_minima(rows, p):

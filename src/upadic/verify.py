@@ -132,8 +132,10 @@ def suite_umatrix():
         with _claim(claims, "entry-bound-p%d" % p,
                     "v_p(M_ij) >= e(pi - j) - 1 for every computed entry",
                     "0 violations") as observe:
-            viol = umatrix.entry_bound_violations(
-                umatrix.build_matrix_oracle(p, n))
+            minima = umatrix.scaled_row_minima(
+                umatrix.build_matrix_oracle(p, n).rows, p)
+            viol = [i for i, r in enumerate(minima, 1)
+                    if r < umatrix.row_bound(p, i)]
             observe("%d violations" % len(viol), not viol)
     m = umatrix.build_matrix_genfun(3, 40)
     kbar = umatrix.kbar(m)

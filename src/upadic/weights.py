@@ -11,11 +11,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count, takewhile
-from operator import mul
+from operator import itemgetter, mul
 
 from .scalars import INF, vp_int
 from .series import QSeries, _sparse_power, eta_quotient
-from .modcurve import d_series, d_expansion, eisenstein, ip_poly, powers
+from .modcurve import d_expansion, d_powers, eisenstein, ip_poly
 from .newton import NewtonPolygon
 from . import charseries, umatrix
 from .linalg import _charpoly_graded
@@ -64,8 +64,7 @@ def expand_in_d3(f, nterms):
     prec = nterms + 2
     if f.prec < prec:
         raise ValueError("series precision %d too low for %d terms" % (f.prec, nterms))
-    dpows = powers(d_series(3, prec), nterms + 1, prec)
-    return d_expansion(f.truncate(prec), dpows)[0]
+    return d_expansion(f.truncate(prec), d_powers(3, nterms + 1, prec))[0]
 
 
 def s_ratio_divisibility():
@@ -215,21 +214,25 @@ def graded_char_series(p, k, size, need):
     sum of the m smallest grades of umatrix.graded.  A run that grade drops
     leave short, s the largest shortfall, or that leaves a valuation unknown
     (a residue 0 modulo its precision) is rerun at max(N + s, 2N) if one is
-    unknown, else at N + s.  After GRADED_RERUNS reruns in all, the last
-    run stands, and certify decides what it settles.
+    unknown, else at N + s, as the last run decides, up to GRADED_RERUNS
+    reruns in all.  The precision a run proves is not monotone in N, so
+    each a_m takes the residue of the latest run that proved it furthest.
     """
     grades, krows = umatrix.graded(_cuspidal_matrix(p, k, size), weight=k)
     lows = accumulate(sorted(grades))
     prec = max([t - g for t, g in zip(need, lows)] + [1])
-    reruns = GRADED_RERUNS
+    reruns, runs = GRADED_RERUNS, []
     while True:
-        g = CharSeries(p, *_charpoly_graded(grades, krows, p, prec, len(need)),
-                       size)
+        runs.append(_charpoly_graded(grades, krows, p, prec, len(need)))
+        g = CharSeries(p, *runs[-1], size)
         short = max([t - pi for t, pi in zip(need, g.precisions[1:])] + [0])
         unknown = None in map(g.valuation, range(1, len(g.residues)))
         if not (short or unknown) or not reruns:
-            return g
+            break
         reruns, prec = reruns - 1, prec + max(short, prec if unknown else 0)
+    best = [max(reversed(terms), key=itemgetter(1))
+            for terms in zip(*(zip(*run) for run in runs))]
+    return CharSeries(p, *zip(*best), size)
 
 
 def certificate_need(p, m_max, size):
@@ -241,16 +244,18 @@ def certificate_need(p, m_max, size):
 
 def stable_valuations(p, k, m_max, size):
     """Certified records of a_0..a_m_max of the weight-k series, from the
-    truncations size and size + 10: certify on their graded residues, or on
-    the exact series when the residues leave a record unsettled.  Either
-    way the records are those certify gives on the exact series."""
+    truncations size and size + 10: certify on their graded residues, the
+    second built only when the first proves every valuation, or on the
+    exact series when the residues leave a record unsettled.  Either way
+    the records are those certify gives on the exact series."""
     if not 0 <= m_max <= size:
         raise ValueError("m_max = %d lies outside 0..size = %d: a size-%d "
                          "truncation has a_0..a_%d"
                          % (m_max, size, size, size))
     need = certificate_need(p, m_max, size)
-    return (certify(graded_char_series(p, k, size, need),
-                    graded_char_series(p, k, size + 10, need), m_max)
+    g = graded_char_series(p, k, size, need)
+    return (None not in map(g.valuation, range(1, m_max + 1))
+            and certify(g, graded_char_series(p, k, size + 10, need), m_max)
             or certify(cuspidal_char_series(p, k, size),
                        cuspidal_char_series(p, k, size + 10), m_max))
 
@@ -431,9 +436,9 @@ def eisenstein_unit_congruence(p, n):
     phi = en * env.inv() - 1
     mod = p ** (n + 1)
     q_ok = all(Fraction(phi.coeff(i)) % mod == 0 for i in range(phi.prec))
-    d = d_series(p, min(dterms + 2, phi.prec))
-    dpows = powers(d, min(dterms, d.prec - 2) + 1, d.prec)
-    coeffs, _ = d_expansion(phi.truncate(d.prec), dpows)
+    dprec = min(dterms + 2, phi.prec)
+    dpows = d_powers(p, min(dterms, dprec - 2) + 1, dprec)
+    coeffs, _ = d_expansion(phi.truncate(dprec), dpows)
     d_ok = all(r % mod == 0 for r in coeffs)
     return {"p": p, "n": n, "q_divisible": q_ok, "d_divisible": d_ok,
             "pass": q_ok and d_ok}

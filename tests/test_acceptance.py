@@ -70,8 +70,7 @@ def claims_pass(claims, ids):
 def test_criterion_01_ip_reproduction():
     # cold timings: the criterion budgets one minute per prime
     for fn in (modcurve.ip_poly, modcurve.practical_ip_fit,
-               modcurve.modular_equation_ip, modcurve.solve_hauptmodul_poly,
-               modcurve.d_series):
+               modcurve.modular_equation_ip, modcurve.solve_hauptmodul_poly):
         fn.cache_clear()
     times = {}
     ok = True

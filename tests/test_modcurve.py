@@ -11,7 +11,7 @@ from upadic.modcurve import (bernoulli, eisenstein, delta_series, j_series,
                              d_series, verify_eisenstein_power, solve_hauptmodul_poly,
                              check_hauptmodul_polygon, modular_equation_ip,
                              practical_ip_fit, ip_poly, certify_ip_laurent,
-                             e_exponent, HPoly, C_P, d_expansion, powers)
+                             e_exponent, HPoly, C_P, d_expansion, d_powers)
 from upadic.series import QSeries
 from upadic.umatrix import GUARD
 from upadic import tables
@@ -90,7 +90,7 @@ def test_d_series_integral_unit_leading():
 def test_d_expansion_of_a_polynomial_in_d():
     d = d_series(3, 30)
     f = 3 + d.scalar_mul(5) - (d ** 3).scalar_mul(2)
-    coeffs, residual = d_expansion(f, powers(d, 10, 30))
+    coeffs, residual = d_expansion(f, d_powers(3, 10, 30))
     assert coeffs == [3, 5, 0, -2, 0, 0, 0, 0, 0, 0]
     assert residual.is_zero() and residual.prec == 30
 
@@ -98,36 +98,39 @@ def test_d_expansion_of_a_polynomial_in_d():
 def test_d_expansion_rejects_a_non_integer_coefficient():
     d = d_series(3, 30)
     with pytest.raises(ValueError, match="degree 1 "):
-        d_expansion(d.scalar_mul(Fraction(1, 2)), powers(d, 5, 30))
+        d_expansion(d.scalar_mul(Fraction(1, 2)), d_powers(3, 5, 30))
 
 
 def test_d_expansion_needs_precision_for_every_term():
     d = d_series(3, 30)
     with pytest.raises(ValueError):
-        d_expansion(d.scalar_mul(2), powers(d, 31, 40))
+        d_expansion(d.scalar_mul(2), d_powers(3, 31, 40))
+
+
+def _powers(d, count, prec):
+    # 1, d, ..., d^(count-1) by repeated products, each truncated to prec
+    out = [QSeries.const(1, prec)][:count]
+    while len(out) < count:
+        out.append((out[-1] * d).truncate(prec))
+    return out
 
 
 @pytest.mark.parametrize("p, n", [(2, 6), (13, 2)])
 def test_powers_match_the_hand_written_loops(p, n):
-    # the oracle's list at its solve precision, and the loop that multiplied
-    # a constant 1 by d over and over, each product truncated to the
-    # precision asked
+    # the eta quotients q^i E(q^p)^(ti) E^(-ti) against the loop that
+    # multiplied a constant 1 by d over and over, each product truncated to
+    # the precision asked: at the oracle's solve precision and at 40
     solve_prec = p * n + GUARD
-    d = d_series(p, p * solve_prec)
-    oracle = [QSeries.const(1, solve_prec), d.truncate(solve_prec)]
-    for _ in range(2, p * n + 1):
-        oracle.append((oracle[-1] * oracle[1]).truncate(solve_prec))
-    new = list(powers(d, p * n + 1, solve_prec))
-    assert new == oracle                      # == compares the precision too
+    new = d_powers(p, p * n + 1, solve_prec)
+    assert new == _powers(d_series(p, solve_prec), p * n + 1, solve_prec)
     assert [f.prec for f in new] == [solve_prec] * (p * n + 1)
-    small = d_series(p, 40)
-    loop = [QSeries.const(1, 40)]
-    for _ in range(p):
-        loop.append((loop[-1] * small).truncate(40))
-    assert list(powers(small, p + 1, 40)) == loop
+    loop = _powers(d_series(p, 40), p + 1, 40)
+    assert d_powers(p, p + 1, 40) == loop   # == compares the precision too
     assert [f.prec for f in loop] == [40] * (p + 1)
-    assert list(powers(small, 0, 40)) == []
-    assert list(powers(small, 1, 40)) == loop[:1]
+    assert d_powers(p, 0, 40) == []
+    assert d_powers(p, 1, 40) == loop[:1]
+    with pytest.raises(ValueError, match="not of genus 0"):
+        d_powers(11, 2, 40)
 
 
 def _d_expansion_by_qseries(f, dpows):
@@ -162,7 +165,7 @@ def _expansions(draw):
     d = QSeries(1, [1] + draw(st.lists(small, max_size=dprec)), dprec)
     fprec = draw(st.integers(0, 14))
     pprec = draw(st.integers(max(fprec - 4, 0), fprec))
-    dpows = list(powers(d, draw(st.integers(0, fprec + 2)), pprec))
+    dpows = _powers(d, draw(st.integers(0, fprec + 2)), pprec)
     for k in draw(st.lists(st.integers(0, max(len(dpows) - 1, 0)),
                            max_size=2)):
         if k >= len(dpows):
@@ -173,7 +176,7 @@ def _expansions(draw):
             dpows[k] = dpows[k] + QSeries(draw(st.integers(-3, k)), [1],
                                           pprec)
     poly = QSeries(0, draw(st.lists(small, max_size=fprec)), fprec)
-    f = sum((dpow.scalar_mul(c) for dpow, c in zip(powers(d, fprec, fprec),
+    f = sum((dpow.scalar_mul(c) for dpow, c in zip(_powers(d, fprec, fprec),
                                                     poly.coeffs_from(0, fprec))),
             QSeries.zero(fprec))
     start = draw(st.integers(-3, fprec))
@@ -234,25 +237,50 @@ def test_ip_laurent_certificate():
 
 
 def test_laurent_certificate_keeps_its_precision(monkeypatch):
-    # I_p(d_p(q^p), 1/d_p(q)) vanishes to these q-precisions, one per prime
+    # d^p I_p(d_p(q^p), 1/d_p(q)) vanishes below these q-precisions, one per
+    # prime: the fit's p(p + 1) + 40 equations, and at p = 13 the Laurent
+    # identity to p(p + 3) + 24 - p terms
     ips = [ip_poly(p) for p in PRIMES]       # cached before the spy
     seen = []
-    evaluate = modcurve.BiPoly.eval_series
+    tables = modcurve._ip_powers
 
-    def spy(ip, fx, fy):
-        seen.append(evaluate(ip, fx, fy))
+    def spy(p):
+        seen.append(tables(p))
         return seen[-1]
 
-    monkeypatch.setattr(modcurve.BiPoly, "eval_series", spy)
+    monkeypatch.setattr(modcurve, "_ip_powers", spy)
     assert all(certify_ip_laurent(p, ip) for p, ip in zip(PRIMES, ips))
-    assert [v.prec for v in seen] == [32, 39, 59, 87, 219]
-    assert all(v.is_zero() for v in seen)
+    assert [dpows[0].prec for _, dpows in seen] == [46, 52, 70, 96, 232]
+    assert all(f.prec == dpows[0].prec for xpows, dpows in seen
+               for f in xpows + dpows)
+    # the fit builds its system from the same tables and checks its lift
+    # with the same check
+    first = len(seen)
+    practical_ip_fit.__wrapped__(3)
+    assert [dpows[0].prec for _, dpows in seen[first:]] == [52, 52]
 
 
 def test_laurent_certificate_fails_on_a_perturbed_i13():
     terms = dict(ip_poly(13).terms)
     terms[13, 1] += 1                       # the corner term -13^12 x^13 y
     assert not certify_ip_laurent(13, modcurve.BiPoly(terms))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_every_single_term_change_fails_the_ip_check(monkeypatch, p):
+    # each term of I_p moved by +1 or -1 fails, and so does a relation of
+    # bidegree above (p, p)
+    tables = modcurve._ip_powers(p)
+    monkeypatch.setattr(modcurve, "_ip_powers", lambda q: tables)
+    ip = ip_poly(p)
+    assert certify_ip_laurent(p, ip)
+    for key, c in ip.terms.items():
+        for delta in (1, -1):
+            moved = modcurve.BiPoly({**ip.terms, key: c + delta})
+            assert not certify_ip_laurent(p, moved)
+    for key in ((p + 1, 0), (0, p + 1)):
+        assert not certify_ip_laurent(p, modcurve.BiPoly({**ip.terms,
+                                                          key: 1}))
 
 
 def test_ip7_displayed_and_corrected():

@@ -22,7 +22,7 @@ def test_geometric_inverse():
 
 
 def test_a_cached_series_cannot_be_changed():
-    # the coefficients are a tuple, so no caller of the cached d_series can
+    # the coefficients are a tuple, so no caller of a cached series can
     # change what every later caller reads
     d = d_series(3, 30)
     with pytest.raises(TypeError):

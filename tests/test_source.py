@@ -206,8 +206,6 @@ CACHES = {
                            "weights.eisenstein_unit_congruence",
     "modcurve:delta_series": "verify_eisenstein_power",
     "modcurve:j_series": "verify_eisenstein_power",
-    "modcurve:d_series": "certify_ip_laurent, weights.expand_in_d3 and "
-                         "weights.eisenstein_unit_congruence",
     "modcurve:solve_hauptmodul_poly": "check_hauptmodul_polygon and "
                                       "modular_equation_ip",
     "modcurve:modular_equation_ip": "ip_poly, after the modcurve suite",

@@ -4,13 +4,14 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from upadic.scalars import INF, val_quad3, vp_int
 from upadic.umatrix import (UMatrix, build_matrix_oracle, build_matrix_genfun,
-                            check_row_bounds, column_recurrence,
-                            entry_bound_violations, graded, row_bound,
-                            scaled_matrix_p3, scaled_row_minima, kbar)
-from upadic.modcurve import ip_poly
+                            check_row_bounds, column_recurrence, graded,
+                            row_bound, scaled_matrix_p3, scaled_row_minima,
+                            kbar)
+from upadic.modcurve import GENUS_ZERO_PRIMES, e_exponent, ip_poly
 from upadic import charseries
 from upadic.weights import (TwistMatrix, cuspidal_char_series,
                             graded_char_series, uk_matrix, twist_matrix)
@@ -96,7 +97,37 @@ def test_column_recurrence_row_cap_is_exact(p):
 def test_entry_bound_small():
     for p, n in ((2, 8), (3, 8), (5, 6), (7, 5), (13, 3)):
         m = build_matrix_genfun(p, n)
-        assert entry_bound_violations(m) == []
+        assert all(r >= row_bound(p, i)
+                   for i, r in enumerate(scaled_row_minima(m.rows, p), 1))
+
+
+@st.composite
+def _matrices(draw):
+    # entries p^k u around the bound e(pi - j) - 1, so rows fall on both
+    # sides of it
+    p = draw(st.sampled_from(GENUS_ZERO_PRIMES))
+    n = draw(st.integers(1, 6))
+    top = int(e_exponent(p) * p * n) + 1       # above every bound
+    entry = st.one_of(st.just(0), st.builds(
+        lambda k, u: p ** k * u, st.integers(0, top),
+        st.integers(-50, 50).filter(lambda u: u % p)))
+    return p, [draw(st.lists(entry, min_size=n, max_size=n))
+               for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_an_entry_below_its_bound_is_a_row_below_the_row_bound(case):
+    # e(p - 1)i - 1 - e(j - i) = e(pi - j) - 1: the entry bound and the
+    # row bound on the scaled minima are one inequality
+    p, rows = case
+    e = e_exponent(p)
+    entry_low = any(x and vp_int(x, p) < e * (p * i - j) - 1
+                    for i, row in enumerate(rows, 1)
+                    for j, x in enumerate(row, 1))
+    row_low = any(r < row_bound(p, i)
+                  for i, r in enumerate(scaled_row_minima(rows, p), 1))
+    assert entry_low == row_low
 
 
 def test_m11_valuation_p3():
@@ -229,13 +260,14 @@ def test_oracle_rejects_bad_prime():
 
 
 def test_oracle_rejects_a_column_with_a_residual(monkeypatch):
-    # with d_2 + q^5 in place of the hauptmodul, U(d^j) is no longer a
-    # polynomial of degree 2j in d
+    # with d_2 + q^5 in place of the hauptmodul in the table of powers of d,
+    # U(d^j) is no longer a polynomial of degree 2j in d
     from upadic import umatrix
-    from upadic.modcurve import d_series
+    from upadic.modcurve import d_powers
     from upadic.series import QSeries
-    monkeypatch.setattr(umatrix, "d_series",
-                        lambda p, prec: d_series(p, prec) + QSeries(5, [1], prec))
+    monkeypatch.setattr(umatrix, "d_powers", lambda p, count, prec: [
+        f + QSeries(5, [1], prec) if i == 1 else f
+        for i, f in enumerate(d_powers(p, count, prec))])
     with pytest.raises(ValueError, match="not a polynomial of degree 2 in d"):
         build_matrix_oracle.__wrapped__(2, 3)
 

@@ -463,6 +463,33 @@ def test_graded_series_reruns_by_one_rule(monkeypatch, k, m_max, size, runs):
     assert precs == runs
 
 
+@pytest.mark.parametrize("budget", [3, 4])
+def test_slope_floors_hold_whatever_the_rerun_budget(monkeypatch, budget):
+    # the precision a run proves is not monotone in N: at weight 54, size
+    # 26, N = 4 proves a_13 .. a_15 past their floors and N = 8 and 16 do
+    # not, so each coefficient keeps the residue of its best run
+    monkeypatch.setattr(weights, "GRADED_RERUNS", budget)
+    monkeypatch.setattr(weights, "graded_char_series",
+                        graded_char_series.__wrapped__)
+    assert all(c["pass"] for c in verify.slope_floor_claims())
+
+
+def test_an_open_first_truncation_builds_no_second(monkeypatch):
+    # a_21 .. a_30 of the weight-162 series at size 30 are exactly 0, which
+    # no residue proves, so certify cannot settle on the residues: the
+    # size-40 graded series is never built, and the exact series gives the
+    # records
+    runs = []
+    kernel = weights._charpoly_graded
+    monkeypatch.setattr(weights, "_charpoly_graded",
+                        lambda *a: runs.append(a[3]) or kernel(*a))
+    monkeypatch.setattr(weights, "graded_char_series",
+                        graded_char_series.__wrapped__)
+    recs = stable_valuations(3, 162, 30, 30)
+    assert runs == [90, 180, 360]
+    assert _fields(recs) == _fields(_exact_records(3, 162, 30, 30))
+
+
 def _blank_residues(p, k, size, need):
     # residues known modulo p^0, which prove nothing but the exact a_0 = 1
     return CharSeries(p, [1] + [0] * len(need), [0] * (len(need) + 1), size)
