@@ -86,11 +86,10 @@ def _mod_kernel(rows, modulus):
     update touches a few entries instead of the whole row.
     """
     nrows, ncols = len(rows), len(rows[0])
-    mat = [[x % modulus for x in row] for row in rows]
-    lead = [next((r for r, row in enumerate(mat) if row[c]), nrows)
+    lead = [next((r for r, row in enumerate(rows) if row[c] % modulus), nrows)
             for c in range(ncols)]
     order = sorted(range(ncols), key=lead.__getitem__)
-    mat = [[row[c] for c in order] for row in mat]
+    mat = [[row[c] % modulus for c in order] for row in rows]
     pivots = []                           # (column, end of its pivot row)
     free = []
     for col in range(ncols):
@@ -228,19 +227,21 @@ def _charpoly_graded(grades, rows, p, prec, terms):
     smallest final grades; _hessenberg_charpoly carries the grades through
     the recurrence.
 
-    At precision 1 with every grade 0, p may be any modulus m > 1.  Every
-    nonzero entry of S then has valuation 0, so the pivot is the first
-    nonzero row, no row drops its grade and every shift c_i - c_piv is 0:
-    each step is a ring operation or the inverse of a unit modulo m, and the
-    result reduced modulo each prime factor of m is that prime's.  A pivot
-    that is not a unit modulo a composite m makes pow raise ValueError.
+    At precision 1 every nonzero entry of S has valuation 0, so no vp_int
+    call is made, and a shift of 0 multiplies by nothing.  With every grade
+    0 there, p may be any modulus m > 1: the pivot is the first nonzero row,
+    no row drops its grade and every shift c_i - c_piv is 0, so each step
+    is a ring operation or the inverse of a unit modulo m, and the result
+    reduced modulo each prime factor of m is that prime's.  A pivot that is
+    not a unit modulo a composite m makes pow raise ValueError.
     """
     n = len(rows)
     mod = p ** prec
     c = list(grades)
     h = [[x % mod for x in row] for row in rows]
     for k in range(n - 2):
-        vals = {r: vp_int(h[r][k], p) for r in range(k + 1, n) if h[r][k]}
+        vals = {r: vp_int(h[r][k], p) if prec > 1 else 0
+                for r in range(k + 1, n) if h[r][k]}
         if not vals:
             continue
         piv = min(vals, key=lambda r: (c[r] + vals[r], vals[r], r))
@@ -267,7 +268,8 @@ def _charpoly_graded(grades, rows, p, prec, terms):
             g = h[i][k] // ppv * inv % mod
             h[i][k:] = [(x - g * y) % mod for x, y in zip(h[i][k:], hk1)]
             d = c[i] - cp
-            fs.append(g * p ** d % mod if d >= 0 else g // p ** -d)
+            fs.append(g if not d else g * p ** d % mod if d > 0
+                      else g // p ** -d)
         if not any(fs):
             continue
         for row in h:

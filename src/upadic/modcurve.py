@@ -6,13 +6,13 @@ the U-matrix recurrence.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, prod
+from math import comb, gcd
 from types import MappingProxyType
 
 from .scalars import val_p
 from .series import PrecisionError, QSeries, eta_quotient
 from .newton import NewtonPolygon
-from .linalg import _CHUNK, _mod_kernel, _prime_pool, _sym_crt
+from .linalg import _mod_kernel, _prime_pool, _sym_crt
 
 GENUS_ZERO_PRIMES = (2, 3, 5, 7, 13)
 
@@ -264,12 +264,14 @@ def modular_equation_ip(p):
         for a in range(1, p + 1) for b in range(1, p + 2 - a)}})
 
 
+@lru_cache(maxsize=None)
 def _ip_powers(p):
     """1, x, ..., x^p and 1, d, ..., d^p for x = d(q^p) and d = d_p(q), to
-    the precision of certify_ip_laurent."""
+    the precision of certify_ip_laurent, as tuples: the fit builds its
+    system from them, and its check and the certificate claims re-read them."""
     prec = max(p * (p + 1) + 40, p * (p + 3) + 24)
     dpows = d_powers(p, p + 1, prec)
-    return [f.v_substitute(p).truncate(prec) for f in dpows], dpows
+    return tuple(f.v_substitute(p).truncate(prec) for f in dpows), tuple(dpows)
 
 
 @lru_cache(maxsize=None)
@@ -278,8 +280,9 @@ def practical_ip_fit(p, n_eq=None):
     constant term 1 vanishing on (d_p(q^p), 1/d_p(q)).
 
     The q-expansion of sum c_ij d(q^p)^i d(q)^(p-j) below q^n_eq gives one
-    integer linear equation per coefficient, built and solved modulo a
-    product M of _CHUNK pool primes, moving to the next chunk (at most three)
+    integer linear equation per coefficient, built and solved modulo the
+    product M of two pool primes (about 2^60; the largest coefficient, of
+    I_13, has 46 bits), moving to the next disjoint pair (at most three)
     when a pivot is not a unit or the kernel there is not one-dimensional.
     Scaled to c_00 = 1 and lifted to (-M/2, M/2], the vector must pass the
     check of certify_ip_laurent, which covers every equation.  That makes it
@@ -290,9 +293,8 @@ def practical_ip_fit(p, n_eq=None):
         n_eq = p * (p + 1) + 40
     xpows, dpows = _ip_powers(p)
     cols = [(i, j) for i in range(p + 1) for j in range(p + 1)]
-    primes = _prime_pool(3 * _CHUNK)
-    for start in range(0, len(primes), _CHUNK):
-        modulus = prod(primes[start:start + _CHUNK])
+    primes = _prime_pool(6)
+    for modulus in (a * b for a, b in zip(primes[::2], primes[1::2])):
         rows = list(zip(*([c % modulus for c in (xpows[i] * dpows[p - j])
                            .coeffs_from(0, n_eq)] for i, j in cols)))
         kern = _mod_kernel(rows, modulus)

@@ -28,9 +28,11 @@ class QSeries:
     __slots__ = ("start", "prec", "c")
 
     def __init__(self, start, coeffs, prec):
-        c = tuple(map(_norm, coeffs))
         # canonical form: no leading or trailing zeros, length <= prec - start;
         # a tuple, so that no caller can change a cached series
+        c = tuple(coeffs)
+        if Fraction in map(type, c):
+            c = tuple(map(_norm, c))
         lo = next((i for i, x in enumerate(c) if x != 0), len(c))
         hi = min(len(c), prec - start)
         while hi > lo and c[hi - 1] == 0:
@@ -65,7 +67,9 @@ class QSeries:
         """Coefficients of q^lo .. q^(hi-1) as a list; hi must be <= prec."""
         if hi > self.prec:
             raise PrecisionError("range beyond precision")
-        return [self.coeff(n) for n in range(lo, hi)]
+        pad = max(min(self.start, hi) - lo, 0)
+        body = self.c[max(lo - self.start, 0):max(hi - self.start, 0)]
+        return [0] * pad + list(body) + [0] * (hi - lo - pad - len(body))
 
     def valuation(self):
         """Exponent of the first nonzero known coefficient, or None if the
@@ -224,19 +228,20 @@ def _sparse_power(groups, expo, n):
 
     F = g^expo satisfies g F' = expo g' F, that is J. C. P. Miller's
     m F_m = sum_(k>=1) c_k ((expo + 1) k - m) F_(m-k) (Knuth, TAOCP 2,
-    4.7): O(n t) operations for t terms instead of dense products, one
-    multiplication by c per group.  Each division by m must be exact.
+    4.7): O(n t) operations for t terms instead of dense products, with
+    (expo + 1) k formed once per term and one multiplication by c per
+    group.  Each division by m must be exact.
     """
     f = [1] + [0] * (n - 1) if n > 0 else []
-    a = expo + 1
+    terms = [(c, [(k, (expo + 1) * k) for k in ks]) for c, ks in groups]
     for m in range(1, n):
         s = 0
-        for c, ks in groups:
+        for c, pairs in terms:
             t = 0
-            for k in ks:
+            for k, ak in pairs:
                 if k > m:
                     break
-                t += (a * k - m) * f[m - k]
+                t += (ak - m) * f[m - k]
             s += c * t
         q, r = divmod(s, m)
         if r:
@@ -266,5 +271,7 @@ def eta_quotient(pairs, prec):
         f = _sparse_power(((1, plus), (-1, minus)), expo, -(-prec // scale))
         spread = [0] * (scale * len(f))
         spread[::scale] = f
-        result = result * QSeries(0, spread, prec)
+        factor = QSeries(0, spread, prec)
+        # while the product is still 1, the factor itself is the product
+        result = factor if result.c == (1,) else result * factor
     return result.truncate(prec)

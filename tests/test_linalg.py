@@ -4,11 +4,12 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
+from upadic import linalg
 from upadic.charseries import charpoly_leverrier
 from upadic.linalg import (_CHUNK, _charpoly_graded, _charpoly_mod,
                            _mod_kernel, _prime_pool)
 from upadic.mod3 import kbar_rows, upper_minor_f3
-from upadic.scalars import val_p
+from upadic.scalars import val_p, vp_int
 
 
 def _system_with_kernel(seed, nrows, ncols):
@@ -195,6 +196,23 @@ def test_charpoly_mod_is_none_on_a_non_unit_pivot():
     assert _charpoly_mod(rows, q1 * q2) is None
     for q in (q1, q2):
         assert _charpoly_mod(rows, q) == [a % q for a in want]
+
+
+def test_charpoly_mod_reads_no_valuation(monkeypatch):
+    # at precision 1 every nonzero entry has valuation 0, so neither the CRT
+    # route's chunk reductions nor the F_3 minors call vp_int; at precision
+    # 2 the graded reduction does
+    calls = []
+    monkeypatch.setattr(linalg, "vp_int",
+                        lambda x, p: calls.append(x) or vp_int(x, p))
+    rng = random.Random(5)
+    rows = [[rng.randint(-30, 30) for _ in range(8)] for _ in range(8)]
+    want = charpoly_leverrier(rows)
+    for modulus in (math.prod(_prime_pool(_CHUNK)), 3):
+        assert _charpoly_mod(rows, modulus) == [a % modulus for a in want]
+    assert calls == []
+    _charpoly_graded([0] * 8, rows, 3, 2, 8)
+    assert calls
 
 
 def test_upper_f3_minors_are_determinants():

@@ -1,12 +1,11 @@
-import math
-
 import pytest
 from fractions import Fraction
+from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from upadic import modcurve
-from upadic.linalg import _CHUNK, _prime_pool
+from upadic import modcurve, verify
+from upadic.linalg import _prime_pool
 from upadic.modcurve import (bernoulli, eisenstein, delta_series, j_series,
                              d_series, verify_eisenstein_power, solve_hauptmodul_poly,
                              check_hauptmodul_polygon, modular_equation_ip,
@@ -242,22 +241,55 @@ def test_laurent_certificate_keeps_its_precision(monkeypatch):
     # identity to p(p + 3) + 24 - p terms
     ips = [ip_poly(p) for p in PRIMES]       # cached before the spy
     seen = []
-    tables = modcurve._ip_powers
+    build = modcurve._ip_powers.__wrapped__
 
     def spy(p):
-        seen.append(tables(p))
+        seen.append(build(p))
         return seen[-1]
 
-    monkeypatch.setattr(modcurve, "_ip_powers", spy)
+    monkeypatch.setattr(modcurve, "_ip_powers", lru_cache(maxsize=None)(spy))
     assert all(certify_ip_laurent(p, ip) for p, ip in zip(PRIMES, ips))
     assert [dpows[0].prec for _, dpows in seen] == [46, 52, 70, 96, 232]
     assert all(f.prec == dpows[0].prec for xpows, dpows in seen
                for f in xpows + dpows)
-    # the fit builds its system from the same tables and checks its lift
-    # with the same check
+    # the fit builds its system from the same table, which its check of
+    # its lift re-reads
+    modcurve._ip_powers.cache_clear()        # the spy's cache
     first = len(seen)
     practical_ip_fit.__wrapped__(3)
-    assert [dpows[0].prec for _, dpows in seen[first:]] == [52, 52]
+    assert [dpows[0].prec for _, dpows in seen[first:]] == [52]
+
+
+def test_each_ip_table_is_built_once(monkeypatch):
+    # ip_poly and then the ip-laurent-certificate claims: the fit, its
+    # check and the claims read one table per prime
+    for fn in (ip_poly, practical_ip_fit, modcurve._ip_powers):
+        fn.cache_clear()
+    built = []
+    real = modcurve.d_powers
+
+    def spy(p, count, prec):
+        if count == p + 1:                  # 1, d, ..., d^p
+            built.append(p)
+        return real(p, count, prec)
+
+    monkeypatch.setattr(modcurve, "d_powers", spy)
+    for p in PRIMES:
+        ip_poly(p)
+    claims = [c for c in verify.suite_modcurve()
+              if c["id"].startswith("ip-laurent-certificate-p")]
+    assert len(claims) == len(PRIMES) and all(c["pass"] for c in claims)
+    assert built == list(PRIMES)
+
+
+def test_ip_tables_cannot_be_changed():
+    # the fit's check of its lift and the certificate claims re-read them
+    xpows, dpows = modcurve._ip_powers(3)
+    assert type(xpows) is tuple and type(dpows) is tuple
+    with pytest.raises(TypeError):
+        dpows[1] = dpows[0]
+    with pytest.raises(TypeError):
+        xpows[1].c[0] += 1
 
 
 def test_laurent_certificate_fails_on_a_perturbed_i13():
@@ -345,8 +377,8 @@ def test_ip_fit_non_unit_pivot_uses_next_chunk(monkeypatch):
 
     monkeypatch.setattr(modcurve, "_mod_kernel", spy)
     fit = practical_ip_fit.__wrapped__(3)
-    chunks = _prime_pool(2 * _CHUNK)
-    assert moduli == [math.prod(chunks[:_CHUNK]), math.prod(chunks[_CHUNK:])]
+    pool = _prime_pool(4)
+    assert moduli == [pool[0] * pool[1], pool[2] * pool[3]]
     assert kernels[0] is None and kernels[1] is not None
     assert fit == modular_equation_ip(3)
 

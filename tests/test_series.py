@@ -236,3 +236,42 @@ def test_inverse_of_a_unit_to_its_precision(f):
     # f * f.inv() = 1 + O(q^(f.prec - f.start)): the inverse keeps f's
     # relative precision, and every known coefficient past q^0 vanishes
     assert f * f.inv() == QSeries.const(1, f.prec - f.start)
+
+
+def _old_norm(x):
+    # the reference: each coefficient on its own, a Fraction of denominator
+    # 1 becoming its numerator
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+_mixed = st.lists(st.one_of(st.integers(-9, 9),
+                            st.fractions(min_value=-9, max_value=9,
+                                         max_denominator=4)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=st.integers(-4, 4), coeffs=_mixed, extra=st.integers(-2, 14))
+def test_mixed_coefficients_normalise_as_before(start, coeffs, extra):
+    # == cannot tell Fraction(2) from 2, so the types are compared too
+    f = QSeries(start, coeffs, start + extra)
+    old = tuple(map(_old_norm, coeffs))
+    assert f == QSeries(start, old, start + extra)
+    lo = f.start - start
+    assert ([(x, type(x)) for x in f.c]
+            == [(x, type(x)) for x in old[lo:lo + len(f.c)]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(-5, 5), coeffs=_mixed, extra=st.integers(0, 14),
+       lo=st.integers(-10, 20), width=st.integers(-3, 25))
+def test_coeffs_from_reads_each_coefficient(start, coeffs, extra, lo, width):
+    # Laurent starts, ranges before start and past the stored coefficients;
+    # past the precision it raises
+    f = QSeries(start, coeffs, start + extra)
+    hi = lo + width
+    if hi > f.prec:
+        with pytest.raises(PrecisionError):
+            f.coeffs_from(lo, hi)
+    else:
+        assert f.coeffs_from(lo, hi) == [f.coeff(n) for n in range(lo, hi)]
+

@@ -209,6 +209,8 @@ CACHES = {
     "modcurve:solve_hauptmodul_poly": "check_hauptmodul_polygon and "
                                       "modular_equation_ip",
     "modcurve:modular_equation_ip": "ip_poly, after the modcurve suite",
+    "modcurve:_ip_powers": "the fit's check of its lift and the "
+                           "ip-laurent-certificate claims",
     "modcurve:practical_ip_fit": "ip_poly and the modcurve suite",
     "modcurve:ip_poly": "every U-matrix build, uk_matrix and "
                         "charseries.check_scaled_integrality",
