@@ -219,7 +219,8 @@ def _charpoly_graded(grades, rows, p, prec, terms):
     - the row update S_i -= g S_piv, with g = f_i p^(c_piv - c_i) of
       valuation w - pv >= 0, and the column update S_j,piv += f_i S_j,i
       apply one exact similarity with integral g and f_i to S and K' alike;
-      the entry it clears is 0 modulo p^prec, which the invariant absorbs;
+      the entry it clears is 0 modulo p^prec, which the invariant absorbs,
+      so it is written as 0, and the rest runs over the pivot row's span;
     - swapping two rows and the same two columns permutes the grades too.
 
     Each term of an m-row minor of diag(p^c) K takes one entry from each of
@@ -254,9 +255,10 @@ def _charpoly_graded(grades, rows, p, prec, terms):
         pv, cp = vals[k + 1], c[k + 1]
         ppv = p ** pv
         inv = pow(h[k + 1][k] // ppv, -1, mod)
-        hk1 = h[k + 1][k:]
+        end = max(j for j, x in enumerate(h[k + 1]) if x) + 1
+        span = h[k + 1][k + 1:end]
         fs = []
-        for i in range(k + 2, n):
+        for i in range(k + 2, max(vals) + 1):
             w = vals.get(i)
             if w is None:
                 fs.append(0)
@@ -266,7 +268,9 @@ def _charpoly_graded(grades, rows, p, prec, terms):
                 h[i][k:] = [x * scale % mod for x in h[i][k:]]
                 c[i] -= pv - w
             g = h[i][k] // ppv * inv % mod
-            h[i][k:] = [(x - g * y) % mod for x, y in zip(h[i][k:], hk1)]
+            h[i][k] = 0
+            h[i][k + 1:end] = [(x - g * y) % mod
+                               for x, y in zip(h[i][k + 1:end], span)]
             d = c[i] - cp
             fs.append(g if not d else g * p ** d % mod if d > 0
                       else g // p ** -d)

@@ -84,10 +84,10 @@ def d_powers(p, count, prec):
             for i in range(count)]
 
 
-def _as_int(x, what="value"):
+def _as_int(x, what="value", *args):
     if isinstance(x, Fraction):
         if x.denominator != 1:
-            raise ValueError("%s is not an integer: %s" % (what, x))
+            raise ValueError("%s is not an integer: %s" % (what % args, x))
         return x.numerator
     return x
 
@@ -111,7 +111,7 @@ def d_expansion(f, dpows):
             raise PrecisionError("coefficient of q^%d unknown (precision %d)"
                                  % (i, prec))
         r = _as_int(res[i - lo] if i >= lo else 0,
-                    "d-expansion coefficient of degree %d" % i)
+                    "d-expansion coefficient of degree %d", i)
         coeffs.append(r)
         if not r:
             continue
@@ -260,7 +260,7 @@ def modular_equation_ip(p):
     h = solve_hauptmodul_poly(p).coeffs
     pi = Fraction(1, p ** (12 // (p - 1)))
     return BiPoly({(0, 0): 1, **{(a, b): _as_int(
-        -h[a + b] * pi ** b, "I_%d coefficient of x^%d y^%d" % (p, a, b))
+        -h[a + b] * pi ** b, "I_%d coefficient of x^%d y^%d", p, a, b)
         for a in range(1, p + 1) for b in range(1, p + 2 - a)}})
 
 

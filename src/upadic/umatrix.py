@@ -9,8 +9,10 @@ graded char-series kernel reads, and at p=3 the scaled matrix over Z[sqrt3]
 and K mod sqrt3, where M' = diag(3^(3i-1)) K.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .scalars import QuadInt3, val_quad3, val_p, vp_int, INF
 from .series import eta_quotient
@@ -118,7 +120,7 @@ def column_recurrence(p, ip, jmax, imax):
         if j <= p:
             for i, v in c[j].items():
                 col[i] = col.get(i, 0) + Fraction(j * v, p)
-        col = {i: _as_int(v, "recurrence entry (%d,%d)" % (i, j))
+        col = {i: _as_int(v, "recurrence entry (%d,%d)", i, j)
                for i, v in col.items() if v}
         cols.append(col)
     return cols
@@ -161,14 +163,17 @@ def scaled_row_minima(rows, p):
 
     r_i is the valuation of row i of the scaled matrix p^(e(j-i)) x_ij:
     conjugating x by diag(p^(-e i)) leaves every principal minor unchanged.
-    The per-entry arithmetic stays in integers, b v_p(x_ij) + a(j - i) with
-    e = a/b, and each row builds one Fraction.
+    With e = a/b, column j = r + bt of class r mod b adds at to v_p(x_ij),
+    so b r_i = min_r b v_p(gcd_t x_ij p^(at)) + a(r - i): b vp_int per row.
     """
     e = e_exponent(p)
     a, b = e.numerator, e.denominator
+    width = -(-max(map(len, rows), default=0) // b)
+    steps = [p ** (a * t) for t in range(width)]
     out = []
     for i, row in enumerate(rows):
-        vals = [b * vp_int(x, p) + a * (j - i) for j, x in enumerate(row) if x]
+        vals = [b * vp_int(g, p) + a * (r - i) for r in range(b)
+                if (g := math.gcd(*map(mul, row[r::b], steps)))]
         out.append(Fraction(min(vals), b) if vals else INF)
     return out
 

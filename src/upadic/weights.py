@@ -79,19 +79,17 @@ def s_ratio_divisibility():
 
 
 def twist_coefficients(k, size):
-    """rho_0..rho_size, the d_3-expansion of (S/V(S))^(k/3), by the closed
-    form of the TwistMatrix docstring.  Each division by m must be exact."""
-    a = k // 3
-    rho = [1]
-    for m in range(1, size + 1):
-        f = _sparse_power(((9, (1,)), (27, (2,))), -(a + m + 1), m)
-        c = 9 * f[m - 1] + (54 * f[m - 2] if m >= 2 else 0)
-        q, r = divmod(-a * c, m)
+    """rho_0..rho_size, the d_3-expansion of (S/V(S))^(k/3), as one power of
+    G (TwistMatrix docstring).  Each division by m + 2 must be exact."""
+    g = [1]
+    for m in range(size):
+        q, r = divmod(-9 * (3 * m + 2) * g[m], m + 2)
         if r:
-            raise ValueError("twist coefficient rho_%d for k = %d: inexact "
-                             "division by %d" % (m, k, m))
-        rho.append(q)
-    return rho
+            raise ValueError("twist root coefficient g_%d: inexact division "
+                             "by %d" % (m + 1, m + 2))
+        g.append(q)
+    return _sparse_power([(c, (m,)) for m, c in enumerate(g[1:], 1)],
+                         k // 3, size + 1)
 
 
 class TwistMatrix:
@@ -101,13 +99,13 @@ class TwistMatrix:
     Toeplitz matrix with subdiagonal coefficients rho_m; in the scaled basis
     its (j+m, j) entry is rho_m 3^(-3m/2), an element of Z[sqrt3].
 
-    The rho_m come in closed form from twist_coefficients: with a = k/3,
-    rho_m = -(a/m) [x^(m-1)] (9 + 54x) (1 + 9x + 27x^2)^(-(a+m+1)), by
-    Lagrange-Buermann inversion of d_3 = d_9 (1 + 9d_9 + 27d_9^2), the
-    identity the hauptmodul-tower claim checks.  The trinomial powers come
-    from series._sparse_power, the power recurrence behind every eta power
-    too.  No q-series is built; the twist-routes-agree claim compares this
-    with the q-series route.
+    The rho_m are the coefficients of G^(k/3), G = S/V(S) = x/d_3, x = d_9.
+    The identity d_3 = x (1 + 9x + 27x^2), which the hauptmodul-tower claim
+    checks, gives (1 + 9x)^3 = 1 + 27 d_3, so G = ((1 + 27 d_3)^(1/3) - 1) /
+    (9 d_3) = sum g_m d_3^m, g_0 = 1, g_(m+1) = -9 (3m + 2) g_m / (m + 2).
+    series._sparse_power, the power recurrence behind every eta power too,
+    raises G to k/3.  No q-series is built; the twist-routes-agree claim
+    compares this with the q-series route.
     """
 
     def __init__(self, k, size):
@@ -127,7 +125,7 @@ class TwistMatrix:
     def check_bounds(self):
         """Unit diagonal, strict lower triangularity (by construction), the
         Z[sqrt3] membership v_3(rho_m) >= ceil(3m/2), and the subdiagonal
-        bound v_3(C_(j+m,j)) >= n - v_3(m); returns the list of violations."""
+        bound v_3(C_(j+m,j)) >= n - v_3(m), doubled; returns the violations."""
         bad = []
         if self.rho[0] != 1:
             bad.append(("diag", self.rho[0]))
@@ -138,7 +136,7 @@ class TwistMatrix:
             v = vp_int(r, 3)
             if 2 * v < 3 * m:          # v < ceil(3m/2) for integers
                 bad.append(("integrality", m, r))
-            if self.k and v - Fraction(3 * m, 2) < self.n_param - vp_int(m, 3):
+            if self.k and 2 * v - 3 * m < 2 * (self.n_param - vp_int(m, 3)):
                 bad.append(("subdiagonal", m, r))
         return bad
 
@@ -152,6 +150,16 @@ def twist_matrix(k, size):
 
 
 @lru_cache(maxsize=None)
+def _m_slab(size):
+    """Rows 1..size of M as an n x 3n slab, row i through column 3i: the
+    same for every weight, so uk_matrix builds it once per size."""
+    wide = 3 * size
+    cols = umatrix.column_recurrence(3, ip_poly(3), wide, size)
+    return tuple(tuple(cols[l].get(i, 0) for l in range(min(3 * i, wide) + 1))
+                 for i in range(1, size + 1))
+
+
+@lru_cache(maxsize=None)
 def uk_matrix(k, size):
     """Matrix of the weight-k operator (up to similarity): M * C in the plain
     basis of d_3 powers.
@@ -162,13 +170,9 @@ def uk_matrix(k, size):
     C is Toeplitz, so row i of M * C is the correlation of row i of M with
     rho.
     """
-    wide = 3 * size
-    cols = umatrix.column_recurrence(3, ip_poly(3), wide, size)
-    rho = twist_matrix(k, wide).rho
-    rows = []
-    for i in range(1, size + 1):
-        mrow = [cols[l].get(i, 0) for l in range(min(3 * i, wide) + 1)]
-        rows.append([sum(map(mul, mrow[j:], rho)) for j in range(1, size + 1)])
+    rho = twist_matrix(k, 3 * size).rho
+    rows = [[sum(map(mul, mrow[j:], rho)) for j in range(1, size + 1)]
+            for mrow in _m_slab(size)]
     return umatrix.UMatrix(3, size, rows, provenance="genfun*twist")
 
 
@@ -213,9 +217,10 @@ def graded_char_series(p, k, size, need):
     The first run is at relative precision N = max_m need_m - G_m, G_m the
     sum of the m smallest grades of umatrix.graded.  A run that grade drops
     leave short, s the largest shortfall, or that leaves a valuation unknown
-    (a residue 0 modulo its precision) is rerun at max(N + s, 2N) if one is
+    (a residue 0 modulo its precision) is rerun at max(N + s, 3N) if one is
     unknown, else at N + s, as the last run decides, up to GRADED_RERUNS
-    reruns in all.  The precision a run proves is not monotone in N, so
+    reruns in all (3N: a run's fixed cost makes a third run dearer than a
+    longer second).  The precision a run proves is not monotone in N, so
     each a_m takes the residue of the latest run that proved it furthest.
     """
     grades, krows = umatrix.graded(_cuspidal_matrix(p, k, size), weight=k)
@@ -229,7 +234,8 @@ def graded_char_series(p, k, size, need):
         unknown = None in map(g.valuation, range(1, len(g.residues)))
         if not (short or unknown) or not reruns:
             break
-        reruns, prec = reruns - 1, prec + max(short, prec if unknown else 0)
+        reruns -= 1
+        prec = max(prec + short, 3 * prec if unknown else 0)
     best = [max(reversed(terms), key=itemgetter(1))
             for terms in zip(*(zip(*run) for run in runs))]
     return CharSeries(p, *zip(*best), size)

@@ -219,6 +219,7 @@ CACHES = {
     "umatrix:build_matrix_genfun": "weights._cuspidal_matrix, for the graded "
                                    "and the exact series of one size",
     "weights:s_over_vs": "the twist-divisibility claims, once per weight",
+    "weights:_m_slab": "uk_matrix of the other weights at the same size",
     "weights:uk_matrix": "weights._cuspidal_matrix, for the graded and the "
                          "exact series of one size",
     "weights:cuspidal_char_series": "stable_valuations' exact fallback "

@@ -125,9 +125,31 @@ def test_an_entry_below_its_bound_is_a_row_below_the_row_bound(case):
     entry_low = any(x and vp_int(x, p) < e * (p * i - j) - 1
                     for i, row in enumerate(rows, 1)
                     for j, x in enumerate(row, 1))
-    row_low = any(r < row_bound(p, i)
-                  for i, r in enumerate(scaled_row_minima(rows, p), 1))
+    minima = scaled_row_minima(rows, p)
+    row_low = any(r < row_bound(p, i) for i, r in enumerate(minima, 1))
     assert entry_low == row_low
+    assert minima == _per_entry_minima(rows, p)
+
+
+def _per_entry_minima(rows, p):
+    # the definition: min_j v_p(x_ij) + e(j - i) over the nonzero entries
+    e = e_exponent(p)
+    return [min((vp_int(x, p) + e * (j - i) for j, x in enumerate(row) if x),
+                default=INF) for i, row in enumerate(rows)]
+
+
+@pytest.mark.parametrize("p", GENUS_ZERO_PRIMES)
+def test_scaled_row_minima_equal_their_per_entry_definition(p):
+    n = {2: 14, 3: 12, 5: 10, 7: 8, 13: 6}[p]
+    rows = [list(row) for row in build_matrix_genfun(p, n).rows]
+    rows[1] = [0] * n
+    rng = random.Random(p)
+    rows.append([rng.choice((0, 1, p)) * p ** rng.randrange(40) * rng.choice(
+        (1, -1, p + 1)) for _ in range(n)])
+    rows.append([0] * n)
+    for m in (rows, [row[:n - 1] for row in rows], rows[:1], []):
+        assert scaled_row_minima(m, p) == _per_entry_minima(m, p)
+    assert scaled_row_minima(rows, p)[1] == scaled_row_minima(rows, p)[-1] == INF
 
 
 def test_m11_valuation_p3():

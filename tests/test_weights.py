@@ -78,10 +78,35 @@ def test_trinomial_power_matches_dense_power():
     assert _sparse_power(TRINOMIAL, 3, 0) == []
 
 
+def _lagrange_buermann_rho(k, size):
+    # rho_m = -(a/m) [x^(m-1)] (9 + 54x) (1 + 9x + 27x^2)^(-(a+m+1)), a = k/3,
+    # by Lagrange-Buermann inversion of d_3 = x (1 + 9x + 27x^2)
+    a, rho = k // 3, [1]
+    for m in range(1, size + 1):
+        f = _sparse_power(TRINOMIAL, -(a + m + 1), m)
+        c = 9 * f[m - 1] + (54 * f[m - 2] if m >= 2 else 0)
+        assert -a * c % m == 0
+        rho.append(-a * c // m)
+    return rho
+
+
+def test_twist_power_equals_the_lagrange_buermann_form():
+    for k in range(0, 163, 6):
+        assert twist_coefficients(k, 120) == _lagrange_buermann_rho(k, 120)
+
+
 def test_closed_form_divisions_must_be_exact(monkeypatch):
     # (1 + 9x + 27x^2)^(1/2) has the non-integral coefficient 9/2 at x
     with pytest.raises(ValueError, match="inexact division at q\\^1"):
         _sparse_power(TRINOMIAL, Fraction(1, 2), 3)
+    # a remainder in the ratio g_(m+1) / g_m of the coefficients of G
+    monkeypatch.setattr(weights, "divmod", lambda x, y: (x // y, x % y or 1),
+                        raising=False)
+    with pytest.raises(ValueError, match="g_1: inexact division by 2"):
+        twist_coefficients(6, 4)
+
+
+def test_a_perturbed_twist_power_fails_the_bounds(monkeypatch):
     real = weights._sparse_power
 
     def off_by_one(groups, e, n):
@@ -90,8 +115,9 @@ def test_closed_form_divisions_must_be_exact(monkeypatch):
         return f
 
     monkeypatch.setattr(weights, "_sparse_power", off_by_one)
-    with pytest.raises(ValueError, match="rho_4 for k = 6: inexact"):
-        twist_coefficients(6, 4)
+    with pytest.raises(ValueError, match="twist bound violations for k=6: "
+                                         "\\[\\('integrality', 4, "):
+        twist_matrix(6, 4)
 
 
 def test_weight_zero_twist_is_the_identity():
@@ -166,6 +192,23 @@ def test_uk_matrix_is_the_product_with_the_toeplitz_twist():
         want = [[sum(m[i][l] * rho[l - j] for l in range(j, 3 * n))
                  for j in range(n)] for i in range(n)]
         assert [list(row) for row in uk_matrix(k, n).rows] == want
+
+
+def test_the_m_slab_is_built_once_per_size(monkeypatch):
+    # the slab of M does not depend on the weight: uk_matrix of the other
+    # weights at one size re-reads it
+    sizes = []
+    real = umatrix.column_recurrence
+    monkeypatch.setattr(umatrix, "column_recurrence",
+                        lambda p, ip, jmax, imax: sizes.append(imax)
+                        or real(p, ip, jmax, imax))
+    weights._m_slab.cache_clear()
+    for size in (8, 10):
+        for k in (6, 18, -6, 162):
+            assert uk_matrix.__wrapped__(k, size) == uk_matrix(k, size)
+    assert sizes == [8, 10]
+    assert isinstance(weights._m_slab(8), tuple)
+    assert all(isinstance(row, tuple) for row in weights._m_slab(8))
 
 
 def test_twisted_series_checks_the_scaled_row_bound(monkeypatch):
@@ -442,12 +485,12 @@ def test_graded_congruence_rows_equal_the_exact_ones(monkeypatch, k, k2,
 
 
 @pytest.mark.parametrize("k, m_max, size, runs", [
-    # short by a trit and with a_14 .. a_20 unknown: each rerun doubles,
+    # short by a trit and with a_14 .. a_20 unknown: the rerun triples,
     # which also covers the shortfall
-    (144, 20, 30, [90, 180, 360]),
-    # a_21 .. a_30 are exactly 0, which no precision proves: the doublings
+    (144, 20, 30, [90, 270]),
+    # a_21 .. a_30 are exactly 0, which no precision proves: the triplings
     # stop at GRADED_RERUNS
-    (162, 30, 30, [90, 180, 360]),
+    (162, 30, 30, [90, 270, 810]),
     # short after grade drops, every valuation known: topped up by the
     # shortfall alone, not doubled
     (0, 45, 60, [180, 209])],
@@ -486,7 +529,7 @@ def test_an_open_first_truncation_builds_no_second(monkeypatch):
     monkeypatch.setattr(weights, "graded_char_series",
                         graded_char_series.__wrapped__)
     recs = stable_valuations(3, 162, 30, 30)
-    assert runs == [90, 180, 360]
+    assert runs == [90, 270, 810]
     assert _fields(recs) == _fields(_exact_records(3, 162, 30, 30))
 
 
@@ -535,9 +578,9 @@ def test_settled_congruence_makes_no_crt_call(monkeypatch):
     assert calls == [6]
 
 
-def test_benchmark_congruence_pairs_make_15_kernel_runs(monkeypatch):
+def test_benchmark_congruence_pairs_make_12_kernel_runs(monkeypatch):
     # the seed-0 pairs of the benchmark's congruence workload, at its
-    # m_max 20 and size 30, from cold graded series: 7 weights, 15 runs
+    # m_max 20 and size 30, from cold graded series: 7 weights, 12 runs
     runs, crt_calls = [], []
     kernel = weights._charpoly_graded
     monkeypatch.setattr(weights, "_charpoly_graded",
@@ -552,7 +595,7 @@ def test_benchmark_congruence_pairs_make_15_kernel_runs(monkeypatch):
     for k, k2 in [(18, 42), (42, 48), (48, 84), (84, 114), (114, 138),
                   (138, 156)]:
         assert congruence_check(k, k2, 20, 30)["pass"]
-    assert len(runs) == 15
+    assert len(runs) == 12
     assert crt_calls == []
 
 
