@@ -68,10 +68,16 @@ def _prime_pool(count):
 _CHUNK = 8
 
 
-def _mod_kernel(rows, modulus):
-    """A kernel vector of the integer matrix ``rows`` modulo ``modulus``,
-    in the caller's column order, when the kernel there is one-dimensional;
-    None when it is not, or when a pivot is not a unit.
+def _mod_kernel(columns, modulus):
+    """A kernel vector of the integer matrix with these ``columns`` modulo
+    ``modulus``, in the caller's column order, when the kernel there is
+    one-dimensional; None when it is not, or when a pivot is not a unit.
+
+    Each column holds the residues of its entries in [0, modulus), all
+    columns of one length: a list of ints, for any modulus, or 64-bit words
+    (``memoryview(bytearray(8 * nrows)).cast("Q")``), which need a modulus
+    below 2^64.  The columns are eliminated in place, so the caller's
+    columns come back changed.
 
     The modulus may be composite: echelon form and back-substitution use ring
     operations and inverses of units only, so without a None the result
@@ -79,54 +85,49 @@ def _mod_kernel(rows, modulus):
     mod q is one-dimensional too.
 
     The columns are eliminated in order of their first nonzero row (a stable
-    sort, so ties keep the caller's order), and a row update stops at the
-    last nonzero entry of the pivot row.  In that order every row is zero in
-    the columns that start below it, so on a staircase system such as the
-    I_p fit's, whose columns start at distinct rows up to a few ties, an
-    update touches a few entries instead of the whole row.
+    sort, so ties keep the caller's order).  A pivot row is marked, not
+    moved: it is the first unmarked row nonzero in its column, and it
+    updates only the later columns nonzero in it, on the unmarked rows
+    nonzero in its column.  In that order every row is zero in the columns
+    that start below it, so on a staircase system such as the I_p fit's,
+    whose columns start at distinct rows up to a few ties, a pivot updates a
+    few columns instead of all of them.
     """
-    nrows, ncols = len(rows), len(rows[0])
-    lead = [next((r for r, row in enumerate(rows) if row[c] % modulus), nrows)
-            for c in range(ncols)]
-    order = sorted(range(ncols), key=lead.__getitem__)
-    mat = [[row[c] % modulus for c in order] for row in rows]
-    pivots = []                           # (column, end of its pivot row)
+    nrows = len(columns[0])
+    order = sorted(range(len(columns)), key=lambda c: next(
+        (r for r, x in enumerate(columns[c]) if x), nrows))
+    live = list(range(nrows))               # the unmarked rows, ascending
+    pivots = []                             # (place in order, row, inverse)
     free = []
-    for col in range(ncols):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, nrows) if mat[r][col]), None)
+    for k, c in enumerate(order):
+        col = columns[c]
+        piv = next((r for r in live if col[r]), None)
         if piv is None:
-            free.append(col)
+            free.append(c)
             if len(free) > 1:
                 return None
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
         try:
-            inv = pow(prow[col], -1, modulus)
+            inv = pow(col[piv], -1, modulus)
         except ValueError:
             return None
-        end = len(prow)
-        while not prow[end - 1]:
-            end -= 1
-        prow[col:end] = tail = [x * inv % modulus for x in prow[col:end]]
-        for row in mat[rank + 1:]:
-            f = row[col]
+        live.remove(piv)
+        rows = [(r, col[r]) for r in live if col[r]]
+        for other in map(columns.__getitem__, order[k + 1:]):
+            f = other[piv] * inv % modulus
             if f:
-                row[col:end] = [(a - f * b) % modulus
-                                for a, b in zip(row[col:end], tail)]
-        pivots.append((col, end))
+                for r, x in rows:
+                    other[r] = (other[r] - f * x) % modulus
+        pivots.append((k, piv, inv))
     if len(free) != 1:
         return None
-    vec = [0] * ncols
+    vec = [0] * len(columns)
     vec[free[0]] = 1
-    # each pivot row is 1 at its pivot and 0 before it and from its end on
-    for row, (col, end) in reversed(list(zip(mat, pivots))):
-        vec[col] = -sum(map(mul, row[col + 1:end], vec[col + 1:end])) % modulus
-    out = [0] * ncols
-    for c, v in zip(order, vec):
-        out[c] = v
-    return out
+    # a pivot row keeps stale entries in earlier pivot columns: read the later
+    for k, piv, inv in reversed(pivots):
+        vec[order[k]] = -inv * sum(columns[c][piv] * vec[c]
+                                   for c in order[k + 1:]) % modulus
+    return vec
 
 
 def _hessenberg_charpoly(h, grades, mod, pw, terms):

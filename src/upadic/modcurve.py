@@ -67,7 +67,7 @@ def j_series(prec):
 
 def d_series(p, prec):
     """The hauptmodul d_p = (Delta(q^p)/Delta(q))^(1/(p-1)) of X_0(p)."""
-    d = d_powers(p, 2, prec)[1]
+    d = list(d_powers(p, 2, prec))[1]
     if not all(isinstance(x, int) for x in d.c):
         raise ValueError("d_%d has a non-integer coefficient" % p)
     return d
@@ -76,12 +76,13 @@ def d_series(p, prec):
 def d_powers(p, count, prec):
     """d_p^0, ..., d_p^(count-1) below q^prec, each the eta quotient
     d_p^i = q^i prod ((1-q^pn)/(1-q^n))^(ti), t = 24/(p-1), by the power
-    recurrence and no product of powers."""
+    recurrence and no product of powers: an iterator, each power built as
+    it is read (the prime is checked at the call)."""
     if p not in GENUS_ZERO_PRIMES:
         raise ValueError("X_0(%d) is not of genus 0" % p)
     t = 24 // (p - 1)
-    return [eta_quotient([(p, t * i), (1, -t * i)], max(prec - i, 0)).shift(i)
-            for i in range(count)]
+    return (eta_quotient([(p, t * i), (1, -t * i)], max(prec - i, 0)).shift(i)
+            for i in range(count))
 
 
 def _as_int(x, what="value", *args):
@@ -92,38 +93,43 @@ def _as_int(x, what="value", *args):
     return x
 
 
-def d_expansion(f, dpows):
-    """Expand f in the powers dpows = 1, d, ..., d^(k-1) of a d = q + O(q^2)
-    by triangular solve: the coefficient of q^i of what is left pins r_i.
+def d_expansion(fs, dpows):
+    """Expand each series f of the list fs in the powers dpows = 1, d, ...,
+    d^(k-1) of a d = q + O(q^2) by triangular solve: the coefficient of q^i
+    of what is left of f pins its r_i.  dpows may be an iterator: each
+    power is read once, and every f takes it before the next is read.
 
-    Returns the integer coefficients r_0..r_(k-1) and the residual
-    f - sum r_i d^i, which the caller checks; a non-integer r_i raises, and
-    so does a degree i at or past the residual's precision.  The residual
-    is one list of the coefficients of q^lo .. q^(prec-1): each step with
-    r_i != 0 lowers prec to that of d^i and subtracts r_i d^i in one slice
-    update, as f - r_0 - r_1 d - ... in QSeries arithmetic would.
+    Returns, for each f in turn, its integer coefficients r_0..r_(k-1) and
+    its residual f - sum r_i d^i, which the caller checks; a non-integer r_i
+    raises, and so does a degree i at or past a residual's precision, for
+    the first f at the least such degree.  A residual is one list of the
+    coefficients of q^lo .. q^(prec-1): each step with r_i != 0 lowers prec
+    to that of d^i and subtracts r_i d^i in one slice update, as
+    f - r_0 - r_1 d - ... in QSeries arithmetic would.
     """
-    coeffs = []
-    lo, prec = f.start, f.prec
-    res = list(f.c) + [0] * (prec - lo - len(f.c))
+    out = [([], f.start, f.prec, list(f.c) + [0] * (f.prec - f.start - len(f.c)))
+           for f in fs]
     for i, dpow in enumerate(dpows):
-        if i >= prec:
-            raise PrecisionError("coefficient of q^%d unknown (precision %d)"
-                                 % (i, prec))
-        r = _as_int(res[i - lo] if i >= lo else 0,
-                    "d-expansion coefficient of degree %d", i)
-        coeffs.append(r)
-        if not r:
-            continue
-        if dpow.start < lo:
-            res[:0] = [0] * (lo - dpow.start)
-            lo = dpow.start
-        prec = min(prec, dpow.prec)
-        del res[max(prec - lo, 0):]
-        a = dpow.start - lo
-        seg = dpow.c[:max(len(res) - a, 0)]
-        res[a:a + len(seg)] = [x - r * y for x, y in zip(res[a:a + len(seg)], seg)]
-    return coeffs, QSeries(lo, res, prec)
+        for k, (coeffs, lo, prec, res) in enumerate(out):
+            if i >= prec:
+                raise PrecisionError("coefficient of q^%d unknown (precision %d)"
+                                     % (i, prec))
+            r = _as_int(res[i - lo] if i >= lo else 0,
+                        "d-expansion coefficient of degree %d", i)
+            coeffs.append(r)
+            if not r:
+                continue
+            if dpow.start < lo:
+                res[:0] = [0] * (lo - dpow.start)
+                lo = dpow.start
+            prec = min(prec, dpow.prec)
+            del res[max(prec - lo, 0):]
+            a = dpow.start - lo
+            seg = dpow.c[:max(len(res) - a, 0)]
+            res[a:a + len(seg)] = [x - r * y
+                                   for x, y in zip(res[a:a + len(seg)], seg)]
+            out[k] = coeffs, lo, prec, res
+    return [(coeffs, QSeries(lo, res, prec)) for coeffs, lo, prec, res in out]
 
 
 def verify_eisenstein_power(p):
@@ -180,7 +186,8 @@ def solve_hauptmodul_poly(p):
     prec = 3 * (p + 2) + 16
     d = d_series(p, prec)
     target = d * j_series(prec)
-    coeffs, residual = d_expansion(target, d_powers(p, p + 2, target.prec))
+    [(coeffs, residual)] = d_expansion([target],
+                                       d_powers(p, p + 2, target.prec))
     if not residual.is_zero():
         raise ValueError("nonzero residual at exponent %d" % residual.valuation())
     return HPoly(p, coeffs)
@@ -270,8 +277,8 @@ def _ip_powers(p):
     the precision of certify_ip_laurent, as tuples: the fit builds its
     system from them, and its check and the certificate claims re-read them."""
     prec = max(p * (p + 1) + 40, p * (p + 3) + 24)
-    dpows = d_powers(p, p + 1, prec)
-    return tuple(f.v_substitute(p).truncate(prec) for f in dpows), tuple(dpows)
+    dpows = tuple(d_powers(p, p + 1, prec))
+    return tuple(f.v_substitute(p).truncate(prec) for f in dpows), dpows
 
 
 @lru_cache(maxsize=None)
@@ -280,10 +287,11 @@ def practical_ip_fit(p, n_eq=None):
     constant term 1 vanishing on (d_p(q^p), 1/d_p(q)).
 
     The q-expansion of sum c_ij d(q^p)^i d(q)^(p-j) below q^n_eq gives one
-    integer linear equation per coefficient, built and solved modulo the
-    product M of two pool primes (about 2^60; the largest coefficient, of
-    I_13, has 46 bits), moving to the next disjoint pair (at most three)
-    when a pivot is not a unit or the kernel there is not one-dimensional.
+    integer linear equation per coefficient, solved modulo the product M of
+    two pool primes (about 2^60, so the system is held once, as columns of
+    64-bit words; the largest coefficient, of I_13, has 46 bits), moving to
+    the next disjoint pair (at most three) when a pivot is not a unit or the
+    kernel there is not one-dimensional.
     Scaled to c_00 = 1 and lifted to (-M/2, M/2], the vector must pass the
     check of certify_ip_laurent, which covers every equation.  That makes it
     the unique I_p: the rank over each F_q is at most the rank over Q, so the
@@ -295,13 +303,16 @@ def practical_ip_fit(p, n_eq=None):
     cols = [(i, j) for i in range(p + 1) for j in range(p + 1)]
     primes = _prime_pool(6)
     for modulus in (a * b for a, b in zip(primes[::2], primes[1::2])):
-        rows = list(zip(*([c % modulus for c in (xpows[i] * dpows[p - j])
-                           .coeffs_from(0, n_eq)] for i, j in cols)))
-        kern = _mod_kernel(rows, modulus)
+        columns = [memoryview(bytearray(8 * n_eq)).cast("Q") for _ in cols]
+        for col, (i, j) in zip(columns, cols):
+            for r, c in enumerate((xpows[i] * dpows[p - j]).coeffs_from(0, n_eq)):
+                col[r] = c % modulus
+        kern = _mod_kernel(columns, modulus)
         if kern is not None:
             break
     else:
         raise ValueError("kernel dimension is not 1: precision too low")
+    del columns                         # not held through the lift's check
     if gcd(kern[0], modulus) != 1:       # cols[0] is (0, 0)
         raise ValueError("relation misses the constant term")
     scale = pow(kern[0], -1, modulus)

@@ -224,19 +224,23 @@ class QSeries:
 def _sparse_power(groups, expo, n):
     """Coefficients of g^expo below q^n for g = 1 + sum_k c_k q^k, with the
     terms given grouped by coefficient: pairs (c, ks), ks the exponents
-    k >= 1 of coefficient c, ascending.
+    k >= 1 of coefficient c, ascending, the groups in any order.
 
     F = g^expo satisfies g F' = expo g' F, that is J. C. P. Miller's
     m F_m = sum_(k>=1) c_k ((expo + 1) k - m) F_(m-k) (Knuth, TAOCP 2,
     4.7): O(n t) operations for t terms instead of dense products, with
     (expo + 1) k formed once per term and one multiplication by c per
-    group.  Each division by m must be exact.
+    group.  The groups are sorted by first exponent, so that the sum for
+    F_m stops at the first group past m.  Each division by m must be exact.
     """
     f = [1] + [0] * (n - 1) if n > 0 else []
-    terms = [(c, [(k, (expo + 1) * k) for k in ks]) for c, ks in groups]
+    terms = sorted(((c, [(k, (expo + 1) * k) for k in ks])
+                    for c, ks in groups if ks), key=lambda t: t[1][0][0])
     for m in range(1, n):
         s = 0
         for c, pairs in terms:
+            if pairs[0][0] > m:
+                break
             t = 0
             for k, ak in pairs:
                 if k > m:

@@ -70,7 +70,10 @@ def build_matrix_oracle(p, n):
 
     With E = prod (1 - q^k) and t = 24/(p-1), d^j = q^j E(q^p)^(tj) E^(-tj),
     and U(f(q^p) g) = f U(g) gives U(d^j) = E^(tj) U(q^j E^(-tj)): only
-    E^(-tj) is needed at the long precision, and it is an eta power.
+    E^(-tj) is needed at the long precision, and it is an eta power.  The n
+    series U(d^j) are formed first and expanded together, one power of d at
+    a time, so no table of the p*n + 1 powers is held; column j is taken to
+    degree p*n, and its coefficients past p*j must be 0.
     """
     if p not in GENUS_ZERO_PRIMES:
         raise ValueError("unsupported prime %d" % p)
@@ -80,18 +83,15 @@ def build_matrix_oracle(p, n):
     # before u_extract q^j E^(-tj) therefore needs p*(p*n+GUARD)
     solve_prec = p * n + GUARD
     t = 24 // (p - 1)
-    dpows = d_powers(p, p * n + 1, solve_prec)
-    columns = []
-    for j in range(1, n + 1):
-        g = eta_quotient([(1, -t * j)], p * solve_prec - j).shift(j)
-        u = eta_quotient([(1, t * j)], solve_prec) * g.u_extract(p)
-        col, residual = d_expansion(u, dpows[:p * j + 1])
-        if col[0] or not residual.is_zero():
+    images = [eta_quotient([(1, t * j)], solve_prec)
+              * eta_quotient([(1, -t * j)], p * solve_prec - j).shift(j)
+              .u_extract(p) for j in range(1, n + 1)]
+    columns = d_expansion(images, d_powers(p, p * n + 1, solve_prec))
+    for j, (col, residual) in enumerate(columns, 1):
+        if col[0] or any(col[p * j + 1:]) or not residual.is_zero():
             raise ValueError("U(d^%d) is not a polynomial of degree %d in d "
                              "without constant term" % (j, p * j))
-        columns.append(col)
-    rows = [[col[i] if i < len(col) else 0 for col in columns]
-            for i in range(1, n + 1)]
+    rows = [[col[i] for col, _ in columns] for i in range(1, n + 1)]
     return UMatrix(p, n, rows, provenance="oracle")
 
 

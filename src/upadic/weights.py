@@ -64,7 +64,7 @@ def expand_in_d3(f, nterms):
     prec = nterms + 2
     if f.prec < prec:
         raise ValueError("series precision %d too low for %d terms" % (f.prec, nterms))
-    return d_expansion(f.truncate(prec), d_powers(3, nterms + 1, prec))[0]
+    return d_expansion([f.truncate(prec)], d_powers(3, nterms + 1, prec))[0][0]
 
 
 def s_ratio_divisibility():
@@ -415,10 +415,10 @@ def congruence_check(k, k2, m_max, size):
     rows = []
     ok = True
     required = n + 1
+    bounds = (INF,) + need      # ceil(T_m) >= required iff T_m >= required
     for m in range(0, m_max + 1):
         v = vals[m]
-        sound = m == 0 or min(trunc_bound(3, m, size),
-                              trunc_bound(3, m - 1, size)) >= required
+        sound = min(bounds[max(m - 1, 0):m + 1]) >= required
         passed = v >= required and sound
         ok &= passed
         margin = None
@@ -444,7 +444,7 @@ def eisenstein_unit_congruence(p, n):
     q_ok = all(Fraction(phi.coeff(i)) % mod == 0 for i in range(phi.prec))
     dprec = min(dterms + 2, phi.prec)
     dpows = d_powers(p, min(dterms, dprec - 2) + 1, dprec)
-    coeffs, _ = d_expansion(phi.truncate(dprec), dpows)
+    [(coeffs, _)] = d_expansion([phi.truncate(dprec)], dpows)
     d_ok = all(r % mod == 0 for r in coeffs)
     return {"p": p, "n": n, "q_divisible": q_ok, "d_divisible": d_ok,
             "pass": q_ok and d_ok}

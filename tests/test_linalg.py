@@ -23,11 +23,26 @@ def _system_with_kernel(seed, nrows, ncols):
     return rows, w
 
 
+def _words(values):
+    """The values as a column of 64-bit words."""
+    values = list(values)
+    col = memoryview(bytearray(8 * len(values))).cast("Q")
+    for r, x in enumerate(values):
+        col[r] = x
+    return col
+
+
+def _columns(rows, modulus, make=list):
+    """The columns of rows, reduced modulo modulus, each made by make."""
+    return [make([x % modulus for x in col]) for col in zip(*rows)]
+
+
 def test_mod_kernel_modulo_chunk_product():
+    # list columns take any modulus, here one of about 2^240
     modulus = math.prod(_prime_pool(_CHUNK))
     for seed, nrows, ncols in ((31, 12, 8), (32, 9, 9), (33, 30, 20)):
         rows, w = _system_with_kernel(seed, nrows, ncols)
-        vec = _mod_kernel(rows, modulus)
+        vec = _mod_kernel(_columns(rows, modulus), modulus)
         assert vec is not None and any(vec)
         assert all(sum(a * v for a, v in zip(row, vec)) % modulus == 0
                    for row in rows)
@@ -39,13 +54,15 @@ def test_mod_kernel_modulo_chunk_product():
 def test_mod_kernel_none_off_dimension_one_or_on_non_unit_pivot():
     modulus = math.prod(_prime_pool(_CHUNK))
     rows, _ = _system_with_kernel(34, 12, 8)
-    assert _mod_kernel([row + row[:1] for row in rows], modulus) is None
-    assert _mod_kernel([row[:-1] for row in rows], modulus) is None
-    first = _prime_pool(1)[0]
-    assert _mod_kernel([[first * x for x in row] for row in rows],
+    assert _mod_kernel(_columns([row + row[:1] for row in rows], modulus),
                        modulus) is None
-    assert _mod_kernel([[first * x for x in row] for row in rows],
-                       math.prod(_prime_pool(2 * _CHUNK)[_CHUNK:])) is not None
+    assert _mod_kernel(_columns([row[:-1] for row in rows], modulus),
+                       modulus) is None
+    first = _prime_pool(1)[0]
+    scaled = [[first * x for x in row] for row in rows]
+    assert _mod_kernel(_columns(scaled, modulus), modulus) is None
+    other = math.prod(_prime_pool(2 * _CHUNK)[_CHUNK:])
+    assert _mod_kernel(_columns(scaled, other), other) is not None
 
 
 def _rank_mod(rows, q):
@@ -96,20 +113,22 @@ def test_mod_kernel_on_planted_kernels(case):
     rows, w = case
     ncols = len(w)
     q, q2 = _prime_pool(2)
-    vec = _mod_kernel(rows, q)
-    if ncols - _rank_mod(rows, q) != 1:
-        assert vec is None
-    else:
-        # the kernel is spanned by w, and vec comes in the caller's order
-        assert vec is not None and any(vec)
-        assert all(sum(a * v for a, v in zip(row, vec)) % q == 0
-                   for row in rows)
-        assert all((vec[i] * w[j] - vec[j] * w[i]) % q == 0
-                   for i in range(ncols) for j in range(ncols))
-    # every entry a nonzero non-unit modulo q q2: the first pivot fails
-    scaled = _mod_kernel([[q * x for x in row] for row in rows], q * q2)
-    if any(any(row) for row in rows):
-        assert scaled is None
+    for make in (list, _words):
+        vec = _mod_kernel(_columns(rows, q, make), q)
+        if ncols - _rank_mod(rows, q) != 1:
+            assert vec is None
+        else:
+            # the kernel is spanned by w, and vec comes in the caller's order
+            assert vec is not None and any(vec)
+            assert all(sum(a * v for a, v in zip(row, vec)) % q == 0
+                       for row in rows)
+            assert all((vec[i] * w[j] - vec[j] * w[i]) % q == 0
+                       for i in range(ncols) for j in range(ncols))
+        # every entry a nonzero non-unit modulo q q2: the first pivot fails
+        scaled = _mod_kernel(_columns([[q * x for x in row] for row in rows],
+                                      q * q2, make), q * q2)
+        if any(any(row) for row in rows):
+            assert scaled is None
 
 
 @st.composite

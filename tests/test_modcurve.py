@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from fractions import Fraction
 from functools import lru_cache
@@ -89,7 +91,7 @@ def test_d_series_integral_unit_leading():
 def test_d_expansion_of_a_polynomial_in_d():
     d = d_series(3, 30)
     f = 3 + d.scalar_mul(5) - (d ** 3).scalar_mul(2)
-    coeffs, residual = d_expansion(f, d_powers(3, 10, 30))
+    [(coeffs, residual)] = d_expansion([f], d_powers(3, 10, 30))
     assert coeffs == [3, 5, 0, -2, 0, 0, 0, 0, 0, 0]
     assert residual.is_zero() and residual.prec == 30
 
@@ -97,13 +99,13 @@ def test_d_expansion_of_a_polynomial_in_d():
 def test_d_expansion_rejects_a_non_integer_coefficient():
     d = d_series(3, 30)
     with pytest.raises(ValueError, match="degree 1 "):
-        d_expansion(d.scalar_mul(Fraction(1, 2)), d_powers(3, 5, 30))
+        d_expansion([d.scalar_mul(Fraction(1, 2))], d_powers(3, 5, 30))
 
 
 def test_d_expansion_needs_precision_for_every_term():
     d = d_series(3, 30)
     with pytest.raises(ValueError):
-        d_expansion(d.scalar_mul(2), d_powers(3, 31, 40))
+        d_expansion([d.scalar_mul(2)], d_powers(3, 31, 40))
 
 
 def _powers(d, count, prec):
@@ -120,14 +122,14 @@ def test_powers_match_the_hand_written_loops(p, n):
     # multiplied a constant 1 by d over and over, each product truncated to
     # the precision asked: at the oracle's solve precision and at 40
     solve_prec = p * n + GUARD
-    new = d_powers(p, p * n + 1, solve_prec)
+    new = list(d_powers(p, p * n + 1, solve_prec))
     assert new == _powers(d_series(p, solve_prec), p * n + 1, solve_prec)
     assert [f.prec for f in new] == [solve_prec] * (p * n + 1)
     loop = _powers(d_series(p, 40), p + 1, 40)
-    assert d_powers(p, p + 1, 40) == loop   # == compares the precision too
+    assert list(d_powers(p, p + 1, 40)) == loop   # == compares precisions
     assert [f.prec for f in loop] == [40] * (p + 1)
-    assert d_powers(p, 0, 40) == []
-    assert d_powers(p, 1, 40) == loop[:1]
+    assert list(d_powers(p, 0, 40)) == []
+    assert list(d_powers(p, 1, 40)) == loop[:1]
     with pytest.raises(ValueError, match="not of genus 0"):
         d_powers(11, 2, 40)
 
@@ -144,27 +146,37 @@ def _d_expansion_by_qseries(f, dpows):
     return coeffs, residual
 
 
-def _outcome(expand, f, dpows):
+def _outcome(expand, fs, dpows):
     try:
-        coeffs, residual = expand(f, dpows)
+        out = expand(fs, dpows)
     except ValueError as exc:           # PrecisionError is a ValueError
         return type(exc), str(exc)
-    return coeffs, (residual.start, residual.prec, residual.c)
+    return [(coeffs, (r.start, r.prec, r.c)) for coeffs, r in out]
+
+
+def _by_qseries(fs, dpows):
+    return [_d_expansion_by_qseries(f, dpows) for f in fs]
+
+
+def _degree(error):
+    # both errors name the degree first: "coefficient of q^i unknown ..."
+    # and "d-expansion coefficient of degree i is not an integer ..."
+    return int(re.search(r"\d+", error[1])[0])
 
 
 @st.composite
 def _expansions(draw):
-    """(f, dpows): f a Laurent or power series with integer or Fraction
-    coefficients, near a polynomial in d so that most r_i are integers;
-    the powers of d at f's precision or lower, some cut shorter or given a
-    stray term below q^k, and sometimes more of them than f has
-    coefficients."""
+    """(fs, dpows): one to three series f, each a Laurent or power series
+    with integer or Fraction coefficients, near a polynomial in d so that
+    most r_i are integers; the powers of d at the first f's precision or
+    lower, some cut shorter or given a stray term below q^k, and sometimes
+    more of them than an f has coefficients."""
     small = st.integers(-4, 4)
     dprec = draw(st.integers(2, 14))
     d = QSeries(1, [1] + draw(st.lists(small, max_size=dprec)), dprec)
-    fprec = draw(st.integers(0, 14))
-    pprec = draw(st.integers(max(fprec - 4, 0), fprec))
-    dpows = _powers(d, draw(st.integers(0, fprec + 2)), pprec)
+    fprecs = draw(st.lists(st.integers(0, 14), min_size=1, max_size=3))
+    pprec = draw(st.integers(max(fprecs[0] - 4, 0), fprecs[0]))
+    dpows = _powers(d, draw(st.integers(0, max(fprecs) + 2)), pprec)
     for k in draw(st.lists(st.integers(0, max(len(dpows) - 1, 0)),
                            max_size=2)):
         if k >= len(dpows):
@@ -174,22 +186,32 @@ def _expansions(draw):
         else:
             dpows[k] = dpows[k] + QSeries(draw(st.integers(-3, k)), [1],
                                           pprec)
-    poly = QSeries(0, draw(st.lists(small, max_size=fprec)), fprec)
-    f = sum((dpow.scalar_mul(c) for dpow, c in zip(_powers(d, fprec, fprec),
-                                                    poly.coeffs_from(0, fprec))),
-            QSeries.zero(fprec))
-    start = draw(st.integers(-3, fprec))
-    noise = st.one_of(small, st.builds(Fraction, small, st.integers(1, 3)))
-    extra = draw(st.lists(noise, max_size=max(fprec - start, 0)))
-    return f + QSeries(start, extra, fprec), dpows
+    fs = []
+    for fprec in fprecs:
+        poly = QSeries(0, draw(st.lists(small, max_size=fprec)), fprec)
+        f = sum((dpow.scalar_mul(c) for dpow, c in
+                 zip(_powers(d, fprec, fprec), poly.coeffs_from(0, fprec))),
+                QSeries.zero(fprec))
+        start = draw(st.integers(-3, fprec))
+        noise = st.one_of(small, st.builds(Fraction, small, st.integers(1, 3)))
+        extra = draw(st.lists(noise, max_size=max(fprec - start, 0)))
+        fs.append(f + QSeries(start, extra, fprec))
+    return fs, dpows
 
 
 @settings(max_examples=300, deadline=None)
 @given(_expansions())
 def test_d_expansion_matches_the_qseries_loop(case):
-    f, dpows = case
-    assert (_outcome(d_expansion, f, dpows)
-            == _outcome(_d_expansion_by_qseries, f, dpows))
+    # each series alone, with the powers given as an iterator, against the
+    # QSeries loop; all of them at once give each its own result, or, when
+    # some raise, the error of the first to fail at the least degree
+    fs, dpows = case
+    singles = [_outcome(_by_qseries, [f], dpows) for f in fs]
+    assert [_outcome(d_expansion, [f], iter(dpows)) for f in fs] == singles
+    errors = [s for s in singles if isinstance(s, tuple)]
+    joint = (min(errors, key=_degree) if errors
+             else [single for single, in singles])
+    assert _outcome(d_expansion, fs, iter(dpows)) == joint
 
 
 def test_ip_tables_exact():
@@ -368,11 +390,11 @@ def test_ip_fit_non_unit_pivot_uses_next_chunk(monkeypatch):
     moduli, kernels = [], []
     kernel = modcurve._mod_kernel
 
-    def spy(rows, modulus):
+    def spy(columns, modulus):
         moduli.append(modulus)
         if len(moduli) == 1:        # every pivot nonzero, none a unit
-            rows = [[first * x for x in row] for row in rows]
-        kernels.append(kernel(rows, modulus))
+            columns = [[first * x % modulus for x in col] for col in columns]
+        kernels.append(kernel(columns, modulus))
         return kernels[-1]
 
     monkeypatch.setattr(modcurve, "_mod_kernel", spy)
@@ -383,11 +405,30 @@ def test_ip_fit_non_unit_pivot_uses_next_chunk(monkeypatch):
     assert fit == modular_equation_ip(3)
 
 
+def test_ip_fit_moduli_fit_in_64_bit_words(monkeypatch):
+    # with no kernel found, the fit tries its three moduli, the first six
+    # pool primes in pairs, each below 2^64 as its word columns need
+    moduli = []
+
+    def spy(columns, modulus):
+        moduli.append(modulus)
+        assert all(col.format == "Q" and len(col) == 13 * 14 + 40
+                   for col in columns)
+        return None
+
+    monkeypatch.setattr(modcurve, "_mod_kernel", spy)
+    with pytest.raises(ValueError, match="kernel dimension is not 1"):
+        practical_ip_fit.__wrapped__(13)
+    pool = _prime_pool(6)
+    assert moduli == [pool[0] * pool[1], pool[2] * pool[3], pool[4] * pool[5]]
+    assert all(m < 2 ** 64 for m in moduli)
+
+
 def test_ip_fit_rejects_wrong_lift(monkeypatch):
     kernel = modcurve._mod_kernel
 
-    def off_by_one(rows, modulus):
-        vec = kernel(rows, modulus)
+    def off_by_one(columns, modulus):
+        vec = kernel(columns, modulus)
         vec[-1] = (vec[-1] + 1) % modulus
         return vec
 
@@ -395,7 +436,8 @@ def test_ip_fit_rejects_wrong_lift(monkeypatch):
     with pytest.raises(ValueError, match="residual"):
         practical_ip_fit.__wrapped__(3)
     monkeypatch.setattr(modcurve, "_mod_kernel",
-                        lambda rows, modulus: [0] + kernel(rows, modulus)[1:])
+                        lambda columns, modulus: [0] + kernel(columns,
+                                                              modulus)[1:])
     with pytest.raises(ValueError, match="constant term"):
         practical_ip_fit.__wrapped__(3)
 

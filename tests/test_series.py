@@ -211,6 +211,43 @@ def test_sparse_power_matches_the_dense_power(terms, expo, n):
     assert _sparse_power(groups, expo, 0) == []
 
 
+def _sparse_power_every_group(groups, expo, n):
+    # the recurrence over every group at every m, in the order given
+    f = [1] + [0] * (n - 1) if n > 0 else []
+    for m in range(1, n):
+        s = sum(c * sum(((expo + 1) * k - m) * f[m - k] for k in ks if k <= m)
+                for c, ks in groups)
+        q, r = divmod(s, m)
+        if r:
+            raise ValueError("power recurrence: inexact division at q^%d" % m)
+        f[m] = q
+    return f
+
+
+def _power_outcome(power, groups, expo, n):
+    try:
+        return power(groups, expo, n)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(groups=st.lists(st.tuples(st.integers(-9, 9),
+                                 st.lists(st.integers(1, 12), unique=True,
+                                          max_size=4).map(sorted)),
+                       max_size=5),
+       expo=st.one_of(st.integers(-6, 6),
+                      st.fractions(-3, 3, max_denominator=3)),
+       n=st.integers(0, 20), data=st.data())
+def test_sparse_power_takes_its_groups_in_any_order(groups, expo, n, data):
+    # the recurrence stops at the first group past m once the groups are
+    # sorted: any order gives the coefficients, or the inexact division, of
+    # the sum over every group; a Fraction exponent often divides inexactly
+    shuffled = data.draw(st.permutations(groups))
+    assert (_power_outcome(_sparse_power, shuffled, expo, n)
+            == _power_outcome(_sparse_power_every_group, groups, expo, n))
+
+
 def test_eta_quotient_rejects_an_inexact_recurrence_step():
     # prod (1 - q^n)^(1/2) = 1 - q/2 - ...: the recurrence's first division
     # leaves a remainder

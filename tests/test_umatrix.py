@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -11,6 +12,7 @@ from upadic.umatrix import (UMatrix, build_matrix_oracle, build_matrix_genfun,
                             check_row_bounds, column_recurrence, graded,
                             row_bound, scaled_matrix_p3, scaled_row_minima,
                             kbar)
+from upadic import modcurve
 from upadic.modcurve import GENUS_ZERO_PRIMES, e_exponent, ip_poly
 from upadic import charseries
 from upadic.weights import (TwistMatrix, cuspidal_char_series,
@@ -274,6 +276,25 @@ def test_sum_of_minors_equals_charpoly_coefficient():
                         for s in combinations(range(4), k))
             assert total == (-1) ** k * coeffs[k]
     assert _leibniz_det([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
+
+
+def _traced_peak_mb(fn, *args):
+    """The peak of Python allocations made during fn(*args), in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_u_matrix_layer_holds_each_table_once():
+    # at p = 13 the fit holds its 222 x 196 system once, in 64-bit columns
+    # (1.56 MB traced when it held two copies as Python ints), and the
+    # oracle one power of d at a time (0.62 MB with all 105 powers held)
+    modcurve._ip_powers(13)                 # the fit's cached table
+    assert _traced_peak_mb(modcurve.practical_ip_fit.__wrapped__, 13) < 1.0
+    assert _traced_peak_mb(build_matrix_oracle.__wrapped__, 13, 8) < 0.5
 
 
 def test_oracle_rejects_bad_prime():
