@@ -95,7 +95,7 @@ def build_matrix_oracle(p, n):
     return UMatrix(p, n, rows, provenance="oracle")
 
 
-def column_recurrence(p, ip, jmax, imax):
+def column_recurrence(p, ip, jmax, imax, first=()):
     """Columns of M as polynomials in the row index, from the recurrence
     C_j = sum_r c_r C_(j-r) + (j/p) c_j induced by I_p = 1 - sum_r c_r(x) y^r.
 
@@ -103,12 +103,17 @@ def column_recurrence(p, ip, jmax, imax):
     rows i <= imax.  Dropping the rows above imax inside the recurrence is
     exact: the c_r are polynomials in x, so a row index i1 + i2 with
     i1 >= 0 never falls back below imax.
+
+    Given first columns D_1..D_t ({i: value} over i <= imax), the list
+    starts with them and runs the same recurrence from j = t + 1; with
+    t >= p that is the homogeneous recurrence D_j = sum_r c_r D_(j-r),
+    which every sum_s rho_s C_(j+s) over j > p obeys too.
     """
     c = {}
     for r in range(1, p + 1):
         c[r] = {i: -v for i, v in ip.y_part(r).items() if i <= imax}
-    cols = [dict()]                      # C_0 = 0
-    for j in range(1, jmax + 1):
+    cols = [dict()] + list(first)        # C_0 = 0
+    for j in range(len(cols), jmax + 1):
         col = {}
         for r in range(1, min(p, j - 1) + 1):
             prev = cols[j - r]

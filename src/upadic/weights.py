@@ -152,14 +152,14 @@ def twist_matrix(k, size):
 @lru_cache(maxsize=None)
 def _m_slab(size):
     """Rows 1..size of M as an n x 3n slab, row i through column 3i: the
-    same for every weight, so uk_matrix builds it once per size."""
+    same for every weight, so uk_matrix builds it once per size and reads
+    its first three columns of M * C off it."""
     wide = 3 * size
     cols = umatrix.column_recurrence(3, ip_poly(3), wide, size)
     return tuple(tuple(cols[l].get(i, 0) for l in range(min(3 * i, wide) + 1))
                  for i in range(1, size + 1))
 
 
-@lru_cache(maxsize=None)
 def uk_matrix(k, size):
     """Matrix of the weight-k operator (up to similarity): M * C in the plain
     basis of d_3 powers.
@@ -167,12 +167,18 @@ def uk_matrix(k, size):
     Row i of M vanishes beyond column 3i, so taking M as an n x 3n slab makes
     every entry of the n x n window equal to the entry of the infinite
     product; the standard truncation certificate then applies unchanged.
-    C is Toeplitz, so row i of M * C is the correlation of row i of M with
-    rho.
+    C is Toeplitz, so column j of M * C is D_j = sum_s rho_s C_(j+s), and
+    only D_1..D_3 are correlations of the slab rows with rho: every C_l with
+    l > 3 obeys the homogeneous recurrence of I_3, so D_j does for j > 3,
+    and umatrix.column_recurrence continues D_1..D_3 to D_size.
     """
     rho = twist_matrix(k, 3 * size).rho
-    rows = [[sum(map(mul, mrow[j:], rho)) for j in range(1, size + 1)]
-            for mrow in _m_slab(size)]
+    first = [{i: x for i, mrow in enumerate(_m_slab(size), 1)
+              if (x := sum(map(mul, mrow[j:], rho)))}
+             for j in range(1, min(3, size) + 1)]
+    cols = umatrix.column_recurrence(3, ip_poly(3), size, size, first)
+    rows = [[cols[j].get(i, 0) for j in range(1, size + 1)]
+            for i in range(1, size + 1)]
     return umatrix.UMatrix(3, size, rows, provenance="genfun*twist")
 
 

@@ -219,9 +219,8 @@ CACHES = {
     "umatrix:build_matrix_genfun": "weights._cuspidal_matrix, for the graded "
                                    "and the exact series of one size",
     "weights:s_over_vs": "the twist-divisibility claims, once per weight",
-    "weights:_m_slab": "uk_matrix of the other weights at the same size",
-    "weights:uk_matrix": "weights._cuspidal_matrix, for the graded and the "
-                         "exact series of one size",
+    "weights:_m_slab": "uk_matrix at every weight and each rebuild, for "
+                       "the first three columns of the same size",
     "weights:cuspidal_char_series": "stable_valuations' exact fallback "
                                     "after charpoly built the series (weight "
                                     "162, size 30)",

@@ -384,8 +384,7 @@ def test_the_secant_claim_builds_one_hull(monkeypatch):
     assert len(calls) == 1
 
 
-TWIST_CACHES = (weights.uk_matrix, weights.cuspidal_char_series,
-                weights.graded_char_series)
+TWIST_CACHES = (weights.cuspidal_char_series, weights.graded_char_series)
 
 
 @pytest.fixture

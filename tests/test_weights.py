@@ -2,6 +2,7 @@ import re
 
 import pytest
 from fractions import Fraction
+from operator import mul
 from hypothesis import given, settings, strategies as st
 
 from upadic import charseries, umatrix, verify, weights
@@ -182,30 +183,68 @@ def test_uk_matrix_scaled_rows_keep_bound():
     check_row_bounds(uk_matrix(54, 10), weight=54)
 
 
+def _slab_correlation(k, size):
+    """M * C entry by entry: each row of the n x 3n slab of M correlated
+    with rho, the route uk_matrix took for every column."""
+    rho = twist_matrix(k, 3 * size).rho
+    return [[sum(map(mul, mrow[j:], rho)) for j in range(1, size + 1)]
+            for mrow in weights._m_slab(size)]
+
+
 def test_uk_matrix_is_the_product_with_the_toeplitz_twist():
     # reference: the n x 3n slab of the square genfun matrix times the
     # lower-triangular Toeplitz twist, entry by entry
-    n = 10
-    m = build_matrix_genfun(3, 3 * n).rows
-    for k in (6, 18, -6, 162):
-        rho = twist_matrix(k, 3 * n).rho
-        want = [[sum(m[i][l] * rho[l - j] for l in range(j, 3 * n))
-                 for j in range(n)] for i in range(n)]
-        assert [list(row) for row in uk_matrix(k, n).rows] == want
+    for n in (0, 1, 2, 3, 4, 10, 30):
+        m = build_matrix_genfun(3, 3 * n).rows
+        for k in (-12, -6, 0, 6, 18, 84, 156, 162):
+            rho = twist_matrix(k, 3 * n).rho
+            want = [[sum(m[i][l] * rho[l - j] for l in range(j, 3 * n))
+                     for j in range(n)] for i in range(n)]
+            assert [list(row) for row in uk_matrix(k, n).rows] == want
+            assert _slab_correlation(k, n) == want
+
+
+class _CountingRho(tuple):
+    """rho that counts the passes made over it."""
+    passes = 0
+
+    def __iter__(self):
+        _CountingRho.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 10])
+def test_uk_matrix_correlates_only_three_columns_with_rho(monkeypatch, size):
+    # one pass over rho per entry correlated: D_1..D_3 in each row, and the
+    # recurrence of I_3 gives the later columns
+    real = weights.twist_matrix
+
+    def spy(k, n):
+        t = real(k, n)
+        t.rho = _CountingRho(t.rho)
+        return t
+    monkeypatch.setattr(weights, "twist_matrix", spy)
+    _CountingRho.passes = 0
+    m = uk_matrix(54, size)
+    assert _CountingRho.passes == size * min(3, size)
+    assert [list(row) for row in m.rows] == _slab_correlation(54, size)
 
 
 def test_the_m_slab_is_built_once_per_size(monkeypatch):
     # the slab of M does not depend on the weight: uk_matrix of the other
-    # weights at one size re-reads it
+    # weights at one size, and every rebuild, re-reads it
     sizes = []
     real = umatrix.column_recurrence
-    monkeypatch.setattr(umatrix, "column_recurrence",
-                        lambda p, ip, jmax, imax: sizes.append(imax)
-                        or real(p, ip, jmax, imax))
+
+    def spy(p, ip, jmax, imax, first=()):
+        if not first:                   # a slab build, not a twisted one
+            sizes.append(imax)
+        return real(p, ip, jmax, imax, first)
+    monkeypatch.setattr(umatrix, "column_recurrence", spy)
     weights._m_slab.cache_clear()
     for size in (8, 10):
         for k in (6, 18, -6, 162):
-            assert uk_matrix.__wrapped__(k, size) == uk_matrix(k, size)
+            assert uk_matrix(k, size) == uk_matrix(k, size)
     assert sizes == [8, 10]
     assert isinstance(weights._m_slab(8), tuple)
     assert all(isinstance(row, tuple) for row in weights._m_slab(8))
