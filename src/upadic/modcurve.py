@@ -62,7 +62,7 @@ def delta_series(prec):
 def j_series(prec):
     """j = E_4^3 / Delta = q^-1 + 744 + 196884 q + ..."""
     e4 = eisenstein(4, prec + 2)
-    return (e4 ** 3) * delta_series(prec + 2).inv()
+    return (e4 ** 3) * delta_series(prec + 2) ** -1
 
 
 def d_series(p, prec):

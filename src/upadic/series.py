@@ -7,6 +7,7 @@ determine, so downstream truncation certificates stay sound.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .scalars import INF
 
@@ -157,41 +158,34 @@ class QSeries:
             return self
         return QSeries(self.start, self.c[:max(0, prec - self.start)], prec)
 
-    def inv(self):
-        """Multiplicative inverse; leading coefficient must be nonzero."""
-        if self.is_zero():
-            raise ValueError("cannot invert a series that is zero to precision")
-        lead = self.c[0]
-        n = self.prec - self.start          # relative precision
-        u = self.c                          # unit part, u[0] = lead != 0
-        inv_lead = Fraction(1, 1) / lead
-        out = [0] * n
-        out[0] = _norm(inv_lead)
-        for k in range(1, n):
-            s = 0
-            for i in range(1, min(k, len(u) - 1) + 1):
-                ui = u[i]
-                if ui:
-                    s += ui * out[k - i]
-            out[k] = _norm(-s * inv_lead)
-        return QSeries(-self.start, out, self.prec - 2 * self.start)
-
     def __pow__(self, e):
+        """f^e for every integer e, the inverse at e = -1.
+
+        f = c q^s (1 + sum u_k q^k) gives f^e = c^e q^(se) (1 + sum u_k q^k)^e,
+        known to f's relative precision prec - start, the unit part's power
+        by _sparse_power.  Rational u_k go through the integral rescaling
+        g = 1 + sum u_k D^k q^k, D the lcm of their denominators: the
+        coefficient of q^m in the power is G_m / D^m.  A zero series has no
+        negative power; its power e >= 0 is zero to precision e * prec.
+        """
         if not isinstance(e, int):
             raise TypeError("series exponent must be an integer")
-        if e < 0:
-            return self.inv() ** (-e)
-        if e == 0:
-            return QSeries.const(1, self.prec - self.start)
-        result = None
-        base = self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if not self.c:
+            if e < 0:
+                raise ValueError("cannot invert a series that is zero to precision")
+            return QSeries.zero(e * self.prec)
+        lead, rest = self.c[0], self.c[1:]
+        unit = rest if lead == 1 else [Fraction(x, lead) for x in rest]
+        d = lcm(*(x.denominator for x in unit))
+        groups = {}
+        for k, x in enumerate(unit, 1):
+            if x:
+                groups.setdefault(int(x * d ** k), []).append(k)
+        f = _sparse_power(groups.items(), e, self.prec - self.start)
+        if lead != 1 or d != 1:
+            lead = Fraction(lead) ** e
+            f = [lead * x / d ** m for m, x in enumerate(f)]
+        return QSeries(e * self.start, f, e * self.start + self.prec - self.start)
 
     def v_substitute(self, p):
         """q -> q^p on coefficients; precision scales by p."""

@@ -307,7 +307,7 @@ def suite_weights():
         observe("%s" % c0, c0 == 1)
     with _claim(claims, "s-ratio-hauptmodul", "S/V(S) = d_9/d_3 as q-series",
                 "holds") as observe:
-        ok = weights.s_over_vs(80).agrees_with(d9 * d3.inv(), upto=70)
+        ok = weights.s_over_vs(80).agrees_with(d9 * d3 ** -1, upto=70)
         observe("holds" if ok else "fails", ok)
     with _claim(claims, "twist-divisibility",
                 "in the d_3 expansion of S/V(S): 9 divides the linear "

@@ -53,7 +53,7 @@ def s_over_vs(prec):
     """S/V(S), equal to d_9/d_3 as q-series."""
     s = s_series(prec)
     vs = s_series(prec // 3 + 1).v_substitute(3).truncate(prec)
-    return s * vs.inv()
+    return s * vs ** -1
 
 
 def expand_in_d3(f, nterms):
@@ -103,9 +103,9 @@ class TwistMatrix:
     The identity d_3 = x (1 + 9x + 27x^2), which the hauptmodul-tower claim
     checks, gives (1 + 9x)^3 = 1 + 27 d_3, so G = ((1 + 27 d_3)^(1/3) - 1) /
     (9 d_3) = sum g_m d_3^m, g_0 = 1, g_(m+1) = -9 (3m + 2) g_m / (m + 2).
-    series._sparse_power, the power recurrence behind every eta power too,
-    raises G to k/3.  No q-series is built; the twist-routes-agree claim
-    compares this with the q-series route.
+    series._sparse_power, the power recurrence behind every eta power and
+    q-series power too, raises G to k/3.  No q-series is built; the
+    twist-routes-agree claim compares this with the q-series route.
     """
 
     def __init__(self, k, size):
@@ -442,10 +442,8 @@ def eisenstein_unit_congruence(p, n):
     if p not in (5, 7):
         raise ValueError("classical route needs p in {5, 7}")
     prec, dterms = 51, 40
-    e = eisenstein(p - 1, prec)
-    en = e ** (p ** n)
-    env = (eisenstein(p - 1, prec // p + 2) ** (p ** n)).v_substitute(p).truncate(prec)
-    phi = en * env.inv() - 1
+    ev = eisenstein(p - 1, prec // p + 2).v_substitute(p).truncate(prec)
+    phi = (eisenstein(p - 1, prec) * ev ** -1) ** (p ** n) - 1
     mod = p ** (n + 1)
     q_ok = all(Fraction(phi.coeff(i)) % mod == 0 for i in range(phi.prec))
     dprec = min(dterms + 2, phi.prec)

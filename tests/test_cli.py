@@ -352,7 +352,9 @@ def test_scaled_off_p3_is_a_usage_error_before_any_build(monkeypatch, capsys):
 
 # sha256 of CLI outputs that the Hessenberg recurrence (charpoly), the power
 # recurrence (twist, and the eta powers of the oracle) and both (newton)
-# reach; a change that alters one of these bytes changes what is printed
+# reach; the five charpoly, u-matrix and newton outputs read I_p through
+# ip_poly -> j_series, so they pin the q-series powers E_4^3 and Delta^-1
+# too; a change that alters one of these bytes changes what is printed
 PINNED_OUTPUTS = [
     ("charpoly --prime 3 --terms 14 --size 24",
      "6ffecb657a644d01e5ab9eea9f8d43b1c1434fe9703b86a05a51917a1f3152e5"),

@@ -4,8 +4,10 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from upadic import series
 from upadic.series import QSeries, PrecisionError, _sparse_power, eta_quotient
-from upadic.modcurve import d_series
+from upadic.modcurve import d_series, j_series
+from upadic.weights import s_over_vs
 
 
 def geometric(prec):
@@ -14,6 +16,28 @@ def geometric(prec):
 
 def delta(prec):
     return eta_quotient([(1, 24)], prec - 1).shift(1)
+
+
+def _long_division_inverse(f):
+    # the reference inverse, to f's relative precision: g_0 = 1/c_0 and
+    # c_0 g_k = -sum_(i=1..k) c_i g_(k-i)
+    c = f.coeffs_from(f.start, f.prec)
+    g = []
+    for k in range(len(c)):
+        g.append((int(k == 0) - sum(c[i] * g[k - i] for i in range(1, k + 1)))
+                 / Fraction(c[0]))
+    return QSeries(-f.start, g, f.prec - 2 * f.start)
+
+
+def _schoolbook_power(f, e):
+    # the reference power: e repeated products, of the long-division inverse
+    # for e < 0, starting from 1 to f's relative precision
+    if e < 0:
+        f, e = _long_division_inverse(f), -e
+    out = QSeries.const(1, f.prec - f.start)
+    for _ in range(e):
+        out = out * f
+    return out
 
 
 def test_geometric_inverse():
@@ -39,7 +63,7 @@ def test_laurent_bookkeeping():
 
 def test_delta_inverse_roundtrip():
     d = delta(51)
-    r = d * d.inv()
+    r = d * d ** -1
     assert r.coeff(0) == 1
     assert all(r.coeff(n) == 0 for n in range(1, r.prec))
     assert r.prec == 50  # min(51 + (-1), 49 + 1)
@@ -47,19 +71,19 @@ def test_delta_inverse_roundtrip():
 
 def test_inv_rejects_zero():
     with pytest.raises(ValueError):
-        QSeries.zero(10).inv()
+        QSeries.zero(10) ** -1
 
 
 def test_inv_one_and_alternating():
-    assert QSeries.const(1, 8).inv().c == (1,)
-    i = QSeries(0, [1, 1], 8).inv()
+    assert (QSeries.const(1, 8) ** -1).c == (1,)
+    i = QSeries(0, [1, 1], 8) ** -1
     assert i.c == (1, -1, 1, -1, 1, -1, 1, -1)
 
 
 def test_inv_delta_over_q_integral():
     # 1/(Delta/q) = prod (1-q^n)^(-24) has integer coefficients; the oracle
     # is a colored-partition DP, independent of the series inverse
-    f = eta_quotient([(1, 24)], 30).inv()
+    f = eta_quotient([(1, 24)], 30) ** -1
     assert all(isinstance(x, int) for x in f.c)
     dp = [1] + [0] * 29
     for n in range(1, 30):
@@ -72,7 +96,7 @@ def test_inv_delta_over_q_integral():
 def test_nth_root_eta_identity():
     # (q * prod ((1-q^3n)/(1-q^n))^12)^2 = Delta(q^3)/Delta(q)
     d = delta(81)
-    ratio = d.v_substitute(3) * d.inv()
+    ratio = d.v_substitute(3) * d ** -1
     ind = eta_quotient([(3, 12), (1, -12)], 40).shift(1)
     square = ind * ind
     assert square.prec == 42 and square.agrees_with(ratio)
@@ -184,13 +208,17 @@ def test_euler_factor_matches_dense_product():
                       max_size=3),
        prec=st.integers(1, 120))
 def test_eta_quotient_matches_dense_factor_products(pairs, prec):
-    # the power recurrence against the product of the factors (1 - q^(sn))^(+-1)
+    # the power recurrence against the product of the factors
+    # (1 - q^(sn))^(+-1), the inverse written out as the geometric series
+    # sum_i q^(sni)
     dense = QSeries.const(1, prec)
     for scale, expo in pairs:
         for n in range(1, (prec - 1) // scale + 1):
-            factor = QSeries(0, [1] + [0] * (scale * n - 1) + [-1], prec)
             if expo < 0:
-                factor = factor.inv()
+                factor = QSeries(0, [int(i % (scale * n) == 0)
+                                     for i in range(prec)], prec)
+            else:
+                factor = QSeries(0, [1] + [0] * (scale * n - 1) + [-1], prec)
             for _ in range(abs(expo)):
                 dense = dense * factor
     assert eta_quotient(pairs, prec) == dense
@@ -201,12 +229,12 @@ def test_eta_quotient_matches_dense_factor_products(pairs, prec):
                              st.integers(-40, 40).filter(bool), max_size=4),
        expo=st.integers(-12, 12), n=st.integers(1, 30))
 def test_sparse_power_matches_the_dense_power(terms, expo, n):
-    # the power recurrence against repeated squaring of 1 + sum c_k q^k, the
-    # terms grouped by coefficient
+    # the power recurrence against the schoolbook power of 1 + sum c_k q^k,
+    # the terms grouped by coefficient
     groups = tuple((c, tuple(sorted(k for k in terms if terms[k] == c)))
                    for c in set(terms.values()))
     base = [1] + [terms.get(k, 0) for k in range(1, 10)]
-    dense = QSeries(0, base, n) ** expo
+    dense = _schoolbook_power(QSeries(0, base, n), expo)
     assert _sparse_power(groups, expo, n) == dense.coeffs_from(0, n)
     assert _sparse_power(groups, expo, 0) == []
 
@@ -270,9 +298,64 @@ def _units(draw):
 @settings(max_examples=80, deadline=None)
 @given(_units())
 def test_inverse_of_a_unit_to_its_precision(f):
-    # f * f.inv() = 1 + O(q^(f.prec - f.start)): the inverse keeps f's
+    # f * f ** -1 = 1 + O(q^(f.prec - f.start)): the inverse keeps f's
     # relative precision, and every known coefficient past q^0 vanishes
-    assert f * f.inv() == QSeries.const(1, f.prec - f.start)
+    assert f * f ** -1 == QSeries.const(1, f.prec - f.start)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_units(), e=st.integers(-6, 6))
+def test_power_matches_the_schoolbook_power(f, e):
+    # Laurent starts and rational coefficients, whose denominators the power
+    # clears by rescaling q: the same coefficients and precision
+    # e * start + (prec - start) as repeated products of f or of 1/f
+    power = f ** e
+    assert power == _schoolbook_power(f, e)
+    assert (power.start, power.prec) == (e * f.start,
+                                         e * f.start + f.prec - f.start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(prec=st.integers(-3, 15), e=st.integers(-6, 6))
+def test_power_of_a_zero_series(prec, e):
+    # no negative power; a power e >= 0 is zero to precision e * prec
+    zero = QSeries(prec - 2, [0, 0], prec)
+    if e < 0:
+        with pytest.raises(ValueError, match="zero to precision"):
+            zero ** e
+    else:
+        assert zero ** e == QSeries.zero(e * prec) == _schoolbook_power(zero, e)
+
+
+def test_power_takes_only_integer_exponents():
+    f = QSeries(0, [1, 1], 8)
+    for e in (Fraction(1, 2), 2.0, "2"):
+        with pytest.raises(TypeError, match="must be an integer"):
+            f ** e
+
+
+def test_each_series_power_is_one_power_recurrence_run(monkeypatch):
+    # j = E_4^3 * Delta^-1 and S/V(S) = S * V(S)^-1: each power, the
+    # inverses included, is one run of series._sparse_power
+    runs, powers = [], []
+    real_run, real_power = series._sparse_power, QSeries.__pow__
+
+    def run(groups, expo, n):
+        runs.append(expo)
+        return real_run(groups, expo, n)
+
+    def power(f, e):
+        before = len(runs)
+        out = real_power(f, e)
+        powers.append((e, runs[before:]))
+        return out
+
+    monkeypatch.setattr(series, "_sparse_power", run)
+    monkeypatch.setattr(QSeries, "__pow__", power)
+    j_series.__wrapped__(30)
+    s_over_vs.__wrapped__(30)
+    assert powers == [(3, [3]), (-1, [-1]), (-1, [-1])]
+    assert not hasattr(QSeries, "inv")
 
 
 def _old_norm(x):

@@ -43,7 +43,7 @@ def test_s_squared_weight6_unit():
 
 def test_s_over_vs_equals_d9_over_d3():
     r = s_over_vs(80)
-    assert r.agrees_with(d9_series(80) * d_series(3, 80).inv(), upto=70)
+    assert r.agrees_with(d9_series(80) * d_series(3, 80) ** -1, upto=70)
 
 
 def test_s_ratio_divisibility_pattern():
